@@ -15,14 +15,28 @@ exact equality test rather than a distributional claim.
 ``max_new_tokens`` budgets the tokens committed by verification rounds; the
 initial prefill token (round 1's bonus) is produced before any round and does
 not count against it.
+
+Draft cache: the target reads only the last ``model.order`` tokens, so a
+round's draft (drafter block, tree and flattened layout) is a pure function of
+its n-gram window, the last ``order`` tokens of prompt plus committed tokens
+(the bonus is the last of them), and of the config's mode, budget, block_len
+and drafter_noise. ``run_episode`` looks each round's draft up under that key
+and builds it only on a miss; a hit returns exactly what a rebuild would, so
+every output is unchanged. The cache lives for one ``run_episodes`` call (or
+one pool worker's slice of it); a bare ``run_episode`` call caches within its
+own episode only. It holds at most |V|^order windows per config. Target decisions likewise see only the window
+plus the drafted path, never the whole history.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +75,9 @@ class CostModel:
     kappa: float = 0.002
 
     def __post_init__(self) -> None:
+        costs = (self.t_target, self.t_draft, self.t_verify_base, self.kappa)
+        if not all(map(math.isfinite, costs)):
+            raise NonPositiveCost("cost parameters must be finite")
         if self.t_target <= 0.0 or self.t_verify_base <= 0.0:
             raise NonPositiveCost("t_target and t_verify_base must be > 0")
         if self.t_draft < 0.0 or self.kappa < 0.0:
@@ -103,8 +120,8 @@ class EpisodeConfig:
             raise ValueError("max_new_tokens must be >= 1")
         if self.prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError("temperature must be finite and >= 0")
         if self.mode != "baseline" and self.budget < 1:
             raise ValueError("budget must be >= 1 for speculative modes")
         if self.block_len < 1:
@@ -169,28 +186,52 @@ def _effective_budget(cfg: EpisodeConfig) -> int:
     return cfg.budget if cfg.mode == "tree" else cfg.block_len
 
 
+# A round's draft is a pure function of its n-gram window and the config
+# fields below, so a scope shares one dict of drafts across its episodes.
+_DraftKey = tuple[tuple[int, ...], str, int, int, float]
+_draft_cache: ContextVar[dict[_DraftKey, tuple[int, FlattenedTree]] | None] = ContextVar(
+    "draft_cache", default=None
+)
+
+
+@contextmanager
+def _draft_cache_scope() -> Iterator[None]:
+    """Share one fresh draft cache among the run_episode calls inside."""
+    token = _draft_cache.set({})
+    try:
+        yield
+    finally:
+        _draft_cache.reset(token)
+
+
 def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     """Run one full decoding episode and collect acceptance statistics."""
     prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
+    order = model.order
+    drafts = _draft_cache.get()
+    if drafts is None:
+        drafts = {}
 
     def decide(context: Sequence[int], position: int) -> int:
         u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, position)
-        return decode_next(model, context, cfg.temperature, u)
+        return decode_next(model, context[-order:], cfg.temperature, u)
 
-    generated: list[int] = [decide(prompt, 0)]  # prefill bonus, output position 0
+    history = list(prompt)  # the prompt, then every committed token
+    history.append(decide(prompt, 0))  # prefill bonus, output position 0
     hist = [0] * (cfg.block_len + 1)
     rounds = 0
     committed = 0
     trace: list[dict] = []
-    done = cfg.eos_token is not None and generated[0] == cfg.eos_token
+    done = cfg.eos_token is not None and history[-1] == cfg.eos_token
 
     while committed < cfg.max_new_tokens and not done:
         if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
             break
-        base_position = len(generated)
+        base_position = len(history) - len(prompt)
+        window = tuple(history[-order:])  # ends with the bonus
         if cfg.mode == "baseline":
-            chosen = decide(prompt + tuple(generated), base_position)
+            chosen = decide(window, base_position)
             round_tokens = [chosen]
             tree_size = 0
             outcome = RoundOutcome(
@@ -198,22 +239,26 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 next_bonus=chosen, keep_indices=(0,),
             )
         else:
-            context = tuple(generated[:-1])
-            bonus = generated[-1]
-            block = drafter_marginals(model, prompt + context, bonus, drafter_cfg)
-            tree = (
-                build_tree(block, cfg.budget) if cfg.mode == "tree" else chain_tree(block)
-            )
-            flat = flatten(tree, bonus)
+            key = (window, cfg.mode, cfg.budget, cfg.block_len, cfg.drafter_noise)
+            draft = drafts.get(key)
+            if draft is None:
+                bonus = window[-1]
+                block = drafter_marginals(model, window[:-1], bonus, drafter_cfg)
+                tree = (
+                    build_tree(block, cfg.budget) if cfg.mode == "tree" else chain_tree(block)
+                )
+                draft = drafts[key] = (len(tree), flatten(tree, bonus))
+            tree_size, flat = draft
 
-            def decode(index: int, _flat: FlattenedTree = flat) -> int:
+            def decode(
+                index: int, _flat: FlattenedTree = flat, _window: tuple[int, ...] = window
+            ) -> int:
                 path = _flat.path_tokens(index)
                 position = base_position + _flat.position_offsets[index]
-                return decide(prompt + tuple(generated) + tuple(path), position)
+                return decide(_window + tuple(path[-order:]), position)
 
             outcome = verifier_walk(flat, decode)
             round_tokens = list(outcome.accepted_tokens) + [outcome.next_bonus]
-            tree_size = len(tree)
 
         remaining = cfg.max_new_tokens - committed
         round_tokens = round_tokens[:remaining]
@@ -221,7 +266,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             round_tokens = round_tokens[: round_tokens.index(cfg.eos_token) + 1]
             done = True
 
-        generated.extend(round_tokens)
+        history.extend(round_tokens)
         committed += len(round_tokens)
         rounds += 1
         hist[len(round_tokens) - 1] += 1
@@ -244,7 +289,9 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         tau_histogram=tuple(hist),
         est_speedup=speedup,
     )
-    return EpisodeResult(stats=stats, tokens=tuple(generated), trace=tuple(trace))
+    return EpisodeResult(
+        stats=stats, tokens=tuple(history[len(prompt):]), trace=tuple(trace)
+    )
 
 
 @dataclass(frozen=True)
@@ -264,9 +311,11 @@ def episode_seed(base_seed: int, episode_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, episode_index]).generate_state(1)[0])
 
 
-def _episode_stats_task(args: tuple[NgramModel, EpisodeConfig]) -> EpisodeStats:
-    model, cfg = args
-    return run_episode(model, cfg).stats
+def _episode_stats_task(args: tuple[NgramModel, list[EpisodeConfig]]) -> list[EpisodeStats]:
+    """Run a slice of episodes (in one pool worker) sharing one draft cache."""
+    model, configs = args
+    with _draft_cache_scope():
+        return [run_episode(model, c).stats for c in configs]
 
 
 def run_episodes(
@@ -274,19 +323,24 @@ def run_episodes(
 ) -> AggregateStats:
     """Run ``episodes`` seeded episodes of one config and pool their stats.
 
-    Episode seeds derive from (cfg.seed, episode index). With workers > 1 the
-    episodes run in a process pool; episodes are pure functions of their
-    inputs and results are reduced in episode order, so output is identical to
-    serial execution.
+    Episode seeds derive from (cfg.seed, episode index). The episodes share
+    one draft cache, opened here and dropped on return. With workers > 1 each
+    pool worker runs one contiguous slice of the episodes under its own cache;
+    episodes are pure functions of their inputs and results are reduced in
+    episode order, so output is identical to serial execution.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     configs = [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in range(episodes)]
+    workers = min(workers, episodes)
     if workers > 1:
+        size, extra = divmod(episodes, workers)
+        bounds = [w * size + min(w, extra) for w in range(workers + 1)]
+        slices = [(model, configs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_episode_stats_task, [(model, c) for c in configs]))
+            stats = [s for part in pool.map(_episode_stats_task, slices) for s in part]
     else:
-        stats = [run_episode(model, c).stats for c in configs]
+        stats = _episode_stats_task((model, configs))
 
     rounds = sum(s.rounds for s in stats)
     committed = sum(s.committed_tokens for s in stats)

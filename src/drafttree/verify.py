@@ -12,11 +12,14 @@ index plan here; the synthetic targets are stateless-exact so no tensors move.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .treebuild import ROOT_PARENT, DraftTree
+
+NO_CHILD = -1
 
 
 class DuplicateChildToken(ValueError):
@@ -27,19 +30,42 @@ class DuplicateChildToken(ValueError):
 class FlattenedTree:
     """Verifier-ready layout: root (bonus token) at index 0, nodes after.
 
-    ``mask[i, j]`` is True iff j == i or j is a strict ancestor of i (the root
-    counts as an ancestor of every entry). Parents always precede children in
-    the flattened order, so the mask is lower-triangular.
+    ``child_table[i, t]`` is the index of entry i's child carrying token t, or
+    ``NO_CHILD``; its columns run up to the largest child token id. It is
+    read-only and as narrow as the entry count allows, so cached trees stay
+    small. ``mask`` is the ancestor-only attention mask, built on first read.
     """
 
     token_ids: tuple[int, ...]
     position_offsets: tuple[int, ...]  # depth of each entry; root is 0
-    mask: np.ndarray  # (n, n) bool, read-only
     parent_of: tuple[int, ...]  # flattened parent index; -1 for the root slot
-    children_of: tuple[dict[int, int], ...]  # per entry: child token -> index
+    child_table: np.ndarray  # (n, max child token id + 1) int, read-only
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    def child(self, index: int, token: int) -> int | None:
+        """Index of entry ``index``'s child carrying ``token``, or None."""
+        if not 0 <= token < self.child_table.shape[1]:
+            return None
+        child = int(self.child_table[index, token])
+        return None if child == NO_CHILD else child
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """``mask[i, j]`` is True iff j == i or j is a strict ancestor of i.
+
+        The root counts as an ancestor of every entry. Parents always precede
+        children in the flattened order, so the mask is lower-triangular.
+        """
+        n = len(self)
+        mask = np.zeros((n, n), dtype=bool)
+        mask[0, 0] = True
+        for i in range(1, n):
+            mask[i] = mask[self.parent_of[i]]
+            mask[i, i] = True
+        mask.flags.writeable = False
+        return mask
 
     def path_tokens(self, index: int) -> list[int]:
         """Drafted tokens from just below the root down to ``index``."""
@@ -64,7 +90,8 @@ def duplicate_child_guard(tree: DraftTree) -> DraftTree:
 
     Impossible for trees built from distinct prefixes; the guard turns a
     latent construction bug into a loud error before the walk would silently
-    pick one child.
+    pick one child. ``flatten`` makes the same check as it fills its child
+    table.
     """
     seen: set[tuple[int, int]] = set()
     for node in tree.nodes:
@@ -81,9 +108,9 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     """Compile a tree into verifier inputs, root-first.
 
     Node order is taken as-is (builder pop order already places every parent
-    before its children; that is asserted, not re-sorted).
+    before its children; that is asserted, not re-sorted). Raises
+    DuplicateChildToken when two children of one node carry the same token.
     """
-    duplicate_child_guard(tree)
     n = len(tree.nodes) + 1
     token_ids = [bonus]
     position_offsets = [0]
@@ -95,23 +122,27 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
         position_offsets.append(node.depth)
         parent_of.append(flat_parent)
 
-    mask = np.zeros((n, n), dtype=bool)
-    mask[0, 0] = True
-    for i in range(1, n):
-        mask[i] = mask[parent_of[i]]
-        mask[i, i] = True
-    mask.flags.writeable = False
-
-    children: list[dict[int, int]] = [{} for _ in range(n)]
-    for i in range(1, n):
-        children[parent_of[i]][token_ids[i]] = i
+    # Fill every (parent, token) slot at once; a slot taken twice keeps only
+    # one index, so the other child reads back someone else's.
+    parents = np.asarray(parent_of[1:], dtype=np.intp)
+    tokens = np.asarray(token_ids[1:], dtype=np.intp)
+    indices = np.arange(1, n)
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=dtype)
+    child_table[parents, tokens] = indices
+    clashes = np.flatnonzero(child_table[parents, tokens] != indices)
+    if clashes.size:
+        node = tree.nodes[int(clashes[0])]
+        raise DuplicateChildToken(
+            f"parent {node.parent} has duplicate child token {node.token_id}"
+        )
+    child_table.flags.writeable = False
 
     return FlattenedTree(
         token_ids=tuple(token_ids),
         position_offsets=tuple(position_offsets),
-        mask=mask,
         parent_of=tuple(parent_of),
-        children_of=tuple(children),
+        child_table=child_table,
     )
 
 
@@ -129,7 +160,7 @@ def verifier_walk(flat: FlattenedTree, decode: Callable[[int], int]) -> RoundOut
     keep = [0]
     while True:
         chosen = decode(index)
-        child = flat.children_of[index].get(chosen)
+        child = flat.child(index, chosen)
         if child is None:
             return RoundOutcome(
                 accepted_tokens=tuple(accepted),
@@ -151,7 +182,9 @@ def compaction_plan(outcome: RoundOutcome, flat: FlattenedTree) -> tuple[int, ..
     keep = [0]
     index = 0
     for token in outcome.accepted_tokens:
-        index = flat.children_of[index][token]
+        index = flat.child(index, token)
+        if index is None:
+            raise ValueError(f"accepted token {token} is not in the tree")
         keep.append(index)
     return tuple(keep)
 

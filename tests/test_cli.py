@@ -162,6 +162,16 @@ class TestSweepCommand:
                  "--out", "/nonexistent-dir/sweep.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--temperature", "--epsilon", "--kappa"])
+    def test_non_finite_float_exits_2(self, tmp_path, monkeypatch, flag, value):
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", flag, value, "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "zero")
         with pytest.raises(SystemExit) as err:

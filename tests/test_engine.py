@@ -1,6 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import drafttree.engine as engine
 from drafttree.engine import (
     CostModel,
     EpisodeConfig,
@@ -56,6 +60,12 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError):
             small_cfg(drafter_noise=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["temperature", "drafter_noise"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            small_cfg(**{field: value})
+
     def test_baseline_ignores_budget(self):
         cfg = small_cfg(mode="baseline", budget=0)
         assert cfg.mode == "baseline"
@@ -83,6 +93,12 @@ class TestEstimateSpeedup:
             CostModel(t_draft=-0.1)
         with pytest.raises(NonPositiveCost):
             CostModel(kappa=-0.002)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["t_target", "t_draft", "t_verify_base", "kappa"])
+    def test_non_finite_costs_rejected(self, field, value):
+        with pytest.raises(NonPositiveCost):
+            CostModel(**{field: value})
 
 
 class TestBaselineMode:
@@ -266,3 +282,87 @@ class TestRunEpisodes:
             budget_sweep(MODEL, small_cfg(), [32, 16], episodes=1)
         single = budget_sweep(MODEL, small_cfg(), [8], episodes=1)
         assert len(single) == 1 and single[0].budget == 8
+
+
+def independent_episodes(cfg, episodes):
+    """Each episode of a run_episodes call, run on its own outside any cache scope."""
+    return [
+        run_episode(MODEL, replace(cfg, seed=episode_seed(cfg.seed, i)))
+        for i in range(episodes)
+    ]
+
+
+class InlinePool:
+    """A ProcessPoolExecutor stand-in that runs its tasks in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestDraftCache:
+    SPLITS = [(1, 3), (2, 5), (4, 2)]  # (workers, episodes)
+
+    @pytest.mark.parametrize("workers,episodes", SPLITS)
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["tree", "chain"])
+    def test_stats_equal_independent_episodes(self, mode, temperature, workers, episodes):
+        cfg = small_cfg(mode=mode, temperature=temperature)
+        alone = [r.stats for r in independent_episodes(cfg, episodes)]
+        agg = run_episodes(MODEL, cfg, episodes, workers)
+        assert agg.episodes == episodes
+        assert agg.rounds == sum(s.rounds for s in alone)
+        assert agg.committed_tokens == sum(s.committed_tokens for s in alone)
+        assert agg.tau_histogram == tuple(map(sum, zip(*(s.tau_histogram for s in alone))))
+        assert agg.mean_tau == agg.committed_tokens / agg.rounds
+        assert agg.est_speedup == estimate_speedup(agg.mean_tau, engine._effective_budget(cfg))
+
+    @pytest.mark.parametrize("workers,episodes", SPLITS)
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["tree", "chain"])
+    def test_token_streams_equal_independent_episodes(
+        self, monkeypatch, mode, temperature, workers, episodes
+    ):
+        # The pool runs inline so the episodes of every slice can be recorded.
+        cfg = small_cfg(mode=mode, temperature=temperature)
+        alone = independent_episodes(cfg, episodes)
+        recorded = []
+        real = engine.run_episode
+
+        def recording(model, c):
+            result = real(model, c)
+            recorded.append(result)
+            return result
+
+        monkeypatch.setattr(engine, "run_episode", recording)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        run_episodes(MODEL, cfg, episodes, workers)
+        assert [r.tokens for r in recorded] == [r.tokens for r in alone]
+        assert [r.stats for r in recorded] == [r.stats for r in alone]
+
+    @pytest.mark.parametrize("mode", ["tree", "chain"])
+    def test_one_draft_per_window_and_no_state_between_calls(self, monkeypatch, mode):
+        windows = []
+        real = engine.drafter_marginals
+
+        def counting(model, context, bonus, cfg):
+            windows.append((tuple(context) + (bonus,))[-model.order:])
+            return real(model, context, bonus, cfg)
+
+        monkeypatch.setattr(engine, "drafter_marginals", counting)
+        cfg = small_cfg(mode=mode, temperature=1.0)
+        first = run_episodes(MODEL, cfg, episodes=5)
+        first_calls = len(windows)
+        assert first_calls == len(set(windows))
+        assert first_calls < first.rounds  # windows did repeat
+        windows.clear()
+        assert run_episodes(MODEL, cfg, episodes=5) == first
+        assert len(windows) == first_calls

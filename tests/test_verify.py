@@ -63,7 +63,7 @@ class TestFlatten:
         assert flat.token_ids == (9,)
         assert flat.position_offsets == (0,)
         assert flat.mask.tolist() == [[True]]
-        assert flat.children_of == ({},)
+        assert all(flat.child(0, token) is None for token in range(16))
 
     def test_sibling_isolation(self):
         tree = hand_tree([(5, 1, ROOT_PARENT, -0.1), (6, 1, ROOT_PARENT, -0.2)])
@@ -110,6 +110,16 @@ class TestFlatten:
                 expected.add(0)
                 assert set(np.flatnonzero(flat.mask[i])) == expected
 
+    def test_child_lookup_matches_parents(self):
+        flat = flatten(BRANCHY, bonus=0)
+        for i in range(1, len(flat)):
+            assert flat.child(flat.parent_of[i], flat.token_ids[i]) == i
+        assert flat.child(0, 3) is None  # a token present only deeper down
+        assert flat.child(0, 99) is None  # beyond every child token
+        assert flat.child(8, 1) is None  # a leaf
+        assert flat.child_table.dtype == np.int16
+        assert not flat.child_table.flags.writeable
+
     def test_path_tokens(self):
         flat = flatten(BRANCHY, bonus=0)
         assert flat.path_tokens(0) == []
@@ -139,6 +149,14 @@ class TestDuplicateChildGuard:
         with pytest.raises(DuplicateChildToken):
             duplicate_child_guard(bad)
         with pytest.raises(DuplicateChildToken):
+            flatten(bad, bonus=0)
+
+    def test_flatten_rejects_duplicate_below_the_root(self):
+        bad = hand_tree(
+            [(1, 1, ROOT_PARENT, -0.1), (4, 2, 0, -0.2), (2, 1, ROOT_PARENT, -0.3),
+             (4, 2, 0, -0.4)]
+        )
+        with pytest.raises(DuplicateChildToken, match="parent 0 .* token 4"):
             flatten(bad, bonus=0)
 
 
