@@ -21,7 +21,6 @@ from .treebuild import (
     build_tree,
     chain_tree,
     node_prefixes,
-    surrogate_value,
     top_k_per_depth,
     tree_from_prefixes,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "top_k_per_depth",
     "build_tree",
     "chain_tree",
-    "surrogate_value",
     "node_prefixes",
     "tree_from_prefixes",
     "ExhaustiveTable",

@@ -24,7 +24,6 @@ from .engine import (
     EpisodeConfig,
     budget_sweep,
     default_workers,
-    estimate_speedup,
     run_episode,
     run_episodes,
 )
@@ -184,16 +183,15 @@ def _manifest(args: argparse.Namespace) -> RunManifest:
     )
 
 
-def _base_config(args: argparse.Namespace) -> EpisodeConfig:
+def _episode_config(args: argparse.Namespace, **fields) -> EpisodeConfig:
+    """A tree-mode episode config from the model flags every subcommand shares."""
     return EpisodeConfig(
         seed=args.seed,
-        max_new_tokens=args.max_new_tokens,
         prompt_len=args.prompt_len,
         temperature=args.temperature,
-        budget=getattr(args, "budget", 1),
         block_len=args.block_len,
-        mode="tree",
         drafter_noise=args.epsilon,
+        **fields,
     )
 
 
@@ -216,25 +214,16 @@ def cmd_oracle_check(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     workers = _workers_from_env(parser)
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
-    base = _base_config(args)
+    base = _episode_config(args, max_new_tokens=args.max_new_tokens)
     cost = CostModel(
         t_target=args.t_target,
         t_draft=args.t_draft,
         t_verify_base=args.t_verify_base,
         kappa=args.kappa,
     )
-
-    rows = []
-    for row in budget_sweep(model, base, args.budgets, args.episodes, workers):
-        rows.append(("tree", row.budget, row.stats))
-    chain_stats = run_episodes(
-        model, replace(base, mode="chain"), args.episodes, workers
-    )
-    baseline_stats = run_episodes(
-        model, replace(base, mode="baseline"), args.episodes, workers
-    )
-    rows.append(("chain", args.block_len, chain_stats))
-    rows.append(("baseline", 0, baseline_stats))
+    rows = [row.stats for row in budget_sweep(model, base, args.budgets, args.episodes, workers)]
+    for mode in ("chain", "baseline"):
+        rows.append(run_episodes(model, replace(base, mode=mode), args.episodes, workers))
 
     with _open_output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
@@ -252,22 +241,18 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 "est_speedup",
             ]
         )
-        for mode, budget, stats in rows:
-            if mode == "baseline":
-                speedup = 1.0
-            else:
-                speedup = estimate_speedup(stats.mean_tau, budget, cost)
+        for stats in rows:
             writer.writerow(
                 [
-                    budget,
-                    mode,
+                    stats.budget,
+                    stats.mode,
                     args.temperature,
                     args.epsilon,
-                    args.episodes,
+                    stats.episodes,
                     stats.rounds,
                     stats.committed_tokens,
                     stats.mean_tau,
-                    speedup,
+                    stats.speedup(cost),
                 ]
             )
     return 0
@@ -276,11 +261,9 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_histogram(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     workers = _workers_from_env(parser)
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
-    base = _base_config(args)
-    tree_stats = run_episodes(
-        model, replace(base, mode="tree", budget=args.budget), args.episodes, workers
-    )
-    chain_stats = run_episodes(model, replace(base, mode="chain"), args.episodes, workers)
+    tree = _episode_config(args, max_new_tokens=args.max_new_tokens, budget=args.budget)
+    tree_stats = run_episodes(model, tree, args.episodes, workers)
+    chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes, workers)
 
     with _open_output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
@@ -295,15 +278,10 @@ def cmd_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.rounds < 0:
         parser.error("--rounds must be >= 0")
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
-    cfg = EpisodeConfig(
-        seed=args.seed,
+    cfg = _episode_config(
+        args,
         max_new_tokens=max(1, args.rounds * (args.block_len + 1)),
-        prompt_len=args.prompt_len,
-        temperature=args.temperature,
         budget=args.budget,
-        block_len=args.block_len,
-        mode="tree",
-        drafter_noise=args.epsilon,
         max_rounds=args.rounds,
         collect_trace=True,
     )

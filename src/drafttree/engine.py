@@ -36,6 +36,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -132,18 +134,47 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class EpisodeStats:
-    """Per-episode acceptance statistics.
+    """Acceptance statistics of one episode, or of several pooled by ``merge``.
 
-    ``tau_histogram[k-1]`` counts rounds that committed exactly k tokens
-    (accepted drafted tokens plus the bonus), k in 1..block_len+1. mean_tau is
-    committed_tokens / rounds.
+    ``budget`` is the number of nodes verified per round: B for the tree,
+    block_len for the chain, 0 for the baseline. ``tau_histogram[k-1]`` counts
+    rounds that committed exactly k tokens (accepted drafted tokens plus the
+    bonus), k in 1..block_len+1.
     """
 
+    mode: str
+    budget: int
+    episodes: int
     rounds: int
     committed_tokens: int
-    mean_tau: float
     tau_histogram: tuple[int, ...]
-    est_speedup: float
+
+    @property
+    def mean_tau(self) -> float:
+        return self.committed_tokens / self.rounds if self.rounds else 0.0
+
+    def speedup(self, cost: CostModel = DEFAULT_COST) -> float:
+        """Estimated speedup of this config under ``cost``."""
+        if self.mode == "baseline":
+            return 1.0  # baseline is the autoregressive reference itself
+        return estimate_speedup(self.mean_tau, self.budget, cost)
+
+    @property
+    def est_speedup(self) -> float:
+        return self.speedup()
+
+    def merge(self, other: EpisodeStats) -> EpisodeStats:
+        """Pool the episodes of two runs of one config."""
+        config = (other.mode, other.budget, len(other.tau_histogram))
+        if (self.mode, self.budget, len(self.tau_histogram)) != config:
+            raise ValueError("only stats of one config can be pooled")
+        return replace(
+            self,
+            episodes=self.episodes + other.episodes,
+            rounds=self.rounds + other.rounds,
+            committed_tokens=self.committed_tokens + other.committed_tokens,
+            tau_histogram=tuple(map(add, self.tau_histogram, other.tau_histogram)),
+        )
 
 
 @dataclass(frozen=True)
@@ -170,20 +201,18 @@ def decode_next(
     """The target's decoding rule: greedy argmax or temperature sampling.
 
     Sampling consumes exactly one uniform ``u`` via the inverse CDF of the
-    temperature-scaled row; temperature 1.0 uses the row as-is.
+    temperature-scaled row; temperature 1.0 uses the row as-is. The row is
+    scaled to a maximum of 1 before tempering, so its largest weight stays 1
+    and small temperatures approach the argmax instead of underflowing.
     """
     row = target_next(model, context)
     if temperature == 0.0:
         return int(np.argmax(row))
     if u is None:
         raise ValueError("sampling requires a uniform draw")
-    weights = row if temperature == 1.0 else row ** (1.0 / temperature)
+    weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
     cdf = np.cumsum(weights)
     return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), model.vocab_size - 1)
-
-
-def _effective_budget(cfg: EpisodeConfig) -> int:
-    return cfg.budget if cfg.mode == "tree" else cfg.block_len
 
 
 # A round's draft is a pure function of its n-gram window and the config
@@ -208,6 +237,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     """Run one full decoding episode and collect acceptance statistics."""
     prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
+    budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
     order = model.order
     drafts = _draft_cache.get()
     if drafts is None:
@@ -273,37 +303,15 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         if cfg.collect_trace:
             # Walk-level values: a tail round truncated by the token budget
             # still records what verification produced.
-            trace.append(
-                round_trace_record(rounds - 1, _effective_budget(cfg), tree_size, outcome)
-            )
+            trace.append(round_trace_record(rounds - 1, budget, tree_size, outcome))
 
-    mean_tau = committed / rounds if rounds else 0.0
-    if cfg.mode == "baseline":
-        speedup = 1.0  # baseline is the autoregressive reference itself
-    else:
-        speedup = estimate_speedup(mean_tau, _effective_budget(cfg))
     stats = EpisodeStats(
-        rounds=rounds,
-        committed_tokens=committed,
-        mean_tau=mean_tau,
-        tau_histogram=tuple(hist),
-        est_speedup=speedup,
+        mode=cfg.mode, budget=budget, episodes=1, rounds=rounds,
+        committed_tokens=committed, tau_histogram=tuple(hist),
     )
     return EpisodeResult(
         stats=stats, tokens=tuple(history[len(prompt):]), trace=tuple(trace)
     )
-
-
-@dataclass(frozen=True)
-class AggregateStats:
-    """Stats pooled over several episodes of one configuration."""
-
-    episodes: int
-    rounds: int
-    committed_tokens: int
-    mean_tau: float
-    tau_histogram: tuple[int, ...]
-    est_speedup: float
 
 
 def episode_seed(base_seed: int, episode_index: int) -> int:
@@ -320,7 +328,7 @@ def _episode_stats_task(args: tuple[NgramModel, list[EpisodeConfig]]) -> list[Ep
 
 def run_episodes(
     model: NgramModel, cfg: EpisodeConfig, episodes: int, workers: int = 1
-) -> AggregateStats:
+) -> EpisodeStats:
     """Run ``episodes`` seeded episodes of one config and pool their stats.
 
     Episode seeds derive from (cfg.seed, episode index). The episodes share
@@ -341,31 +349,13 @@ def run_episodes(
             stats = [s for part in pool.map(_episode_stats_task, slices) for s in part]
     else:
         stats = _episode_stats_task((model, configs))
-
-    rounds = sum(s.rounds for s in stats)
-    committed = sum(s.committed_tokens for s in stats)
-    hist = tuple(
-        sum(s.tau_histogram[i] for s in stats) for i in range(cfg.block_len + 1)
-    )
-    mean_tau = committed / rounds if rounds else 0.0
-    if cfg.mode == "baseline":
-        speedup = 1.0
-    else:
-        speedup = estimate_speedup(mean_tau, _effective_budget(cfg))
-    return AggregateStats(
-        episodes=episodes,
-        rounds=rounds,
-        committed_tokens=committed,
-        mean_tau=mean_tau,
-        tau_histogram=hist,
-        est_speedup=speedup,
-    )
+    return reduce(EpisodeStats.merge, stats)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     budget: int
-    stats: AggregateStats
+    stats: EpisodeStats
 
 
 def budget_sweep(

@@ -57,7 +57,6 @@ class DraftTree:
     """
 
     nodes: tuple[TreeNode, ...]
-    budget_used: int
     surrogate_value: float
     heap_pops: int = 0
     heap_pushes: int = 0
@@ -95,7 +94,6 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
 def _make_tree(nodes: Sequence[TreeNode], pops: int = 0, pushes: int = 0) -> DraftTree:
     return DraftTree(
         nodes=tuple(nodes),
-        budget_used=len(nodes),
         surrogate_value=math.fsum(math.exp(n.log_mass) for n in nodes),
         heap_pops=pops,
         heap_pushes=pushes,
@@ -180,12 +178,6 @@ def chain_tree(block: MarginalBlock) -> DraftTree:
             )
         )
     return _make_tree(nodes)
-
-
-def surrogate_value(tree: DraftTree) -> float:
-    """Sum of prefix masses over all nodes: the expected acceptance length
-    under the factorized draft distribution."""
-    return math.fsum(math.exp(n.log_mass) for n in tree.nodes)
 
 
 def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:

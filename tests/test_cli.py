@@ -1,11 +1,14 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 import drafttree.cli as cli
 import drafttree.treebuild as treebuild
 from drafttree.cli import main, run_oracle_check
+from drafttree.engine import CostModel, EpisodeConfig, budget_sweep, run_episodes
+from drafttree.models import random_model
 
 
 def run(argv):
@@ -35,7 +38,6 @@ class TestOracleCheckCommand:
             tree = real(block, budget)
             return treebuild.DraftTree(
                 nodes=tree.nodes[:-1],
-                budget_used=tree.budget_used - 1,
                 surrogate_value=tree.surrogate_value,
                 heap_pops=tree.heap_pops,
                 heap_pushes=tree.heap_pushes,
@@ -148,6 +150,31 @@ class TestSweepCommand:
         assert b"\r" not in raw
         assert b"," in raw and b";" not in raw.split(b"\n")[1]
         raw.decode("utf-8")
+
+    def test_cost_flags_apply_to_library_stats(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        out = tmp_path / "sweep.csv"
+        costs = ["--kappa", "0.05", "--t-draft", "0.3",
+                 "--t-target", "1.5", "--t-verify-base", "0.8"]
+        assert run(["sweep", *SWEEP_FLAGS, *costs, "--budgets", "4,16",
+                    "--out", str(out)]) == 0
+        with out.open(encoding="utf-8") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        model = random_model(4, vocab_size=8, order=2, concentration=1.0)
+        base = EpisodeConfig(seed=11, max_new_tokens=40, block_len=6, drafter_noise=0.2)
+        library = [r.stats for r in budget_sweep(model, base, [4, 16], episodes=2)]
+        library += [run_episodes(model, replace(base, mode=m), 2) for m in ("chain", "baseline")]
+        cost = CostModel(t_target=1.5, t_draft=0.3, t_verify_base=0.8, kappa=0.05)
+        assert [(int(r["budget"]), r["mode"]) for r in rows] == [
+            (s.budget, s.mode) for s in library
+        ]
+        for row, stats in zip(rows, library):
+            assert float(row["mean_tau"]) == stats.mean_tau
+            assert float(row["est_speedup"]) == stats.speedup(cost)
+        assert rows[-1]["mode"] == "baseline" and float(rows[-1]["est_speedup"]) == 1.0
+        # The library's own est_speedup keeps the default cost.
+        assert float(rows[0]["est_speedup"]) != library[0].est_speedup
 
     def test_unsorted_budgets_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -101,6 +101,44 @@ class TestEstimateSpeedup:
             CostModel(**{field: value})
 
 
+class TestEpisodeStats:
+    @pytest.mark.parametrize(
+        "mode,budget", [("tree", 12), ("chain", 6), ("baseline", 0)]
+    )
+    def test_budget_is_nodes_verified_per_round(self, mode, budget):
+        result = run_episode(MODEL, small_cfg(mode=mode, max_rounds=3, collect_trace=True))
+        assert (result.stats.mode, result.stats.budget) == (mode, budget)
+        assert result.stats.episodes == 1
+        assert [r["budget"] for r in result.trace] == [budget] * 3
+
+    def test_speedup_applies_the_given_cost(self):
+        stats = run_episode(MODEL, small_cfg()).stats
+        cost = CostModel(t_target=1.5, t_draft=0.3, t_verify_base=0.8, kappa=0.05)
+        assert stats.speedup(cost) == estimate_speedup(stats.mean_tau, 12, cost)
+        assert stats.est_speedup == stats.speedup() == estimate_speedup(stats.mean_tau, 12)
+        baseline = run_episode(MODEL, small_cfg(mode="baseline")).stats
+        assert baseline.speedup(cost) == baseline.est_speedup == 1.0
+
+    def test_merge_rejects_another_config(self):
+        tree = run_episode(MODEL, small_cfg()).stats
+        with pytest.raises(ValueError):
+            tree.merge(run_episode(MODEL, small_cfg(mode="chain")).stats)
+        with pytest.raises(ValueError):
+            tree.merge(run_episode(MODEL, small_cfg(budget=13)).stats)
+
+
+class TestSmallTemperature:
+    def test_sampling_returns_the_argmax_on_flat_rows(self):
+        # Flat rows (max p about 0.1-0.2): row ** (1/T) underflows to all
+        # zeros at this T unless the row is scaled to a maximum of 1 first.
+        # The closest runner-up keeps about 3e-5 of the argmax's weight here.
+        model = random_model(0, vocab_size=16, order=1, concentration=5.0)
+        for token in range(16):
+            greedy = decode_next(model, (token,), 0.0, None)
+            for u in (0.01, 0.5, 0.99):
+                assert decode_next(model, (token,), 0.001, u) == greedy
+
+
 class TestBaselineMode:
     def test_equals_pure_greedy_rollout(self):
         cfg = small_cfg(mode="baseline")
@@ -323,7 +361,9 @@ class TestDraftCache:
         assert agg.committed_tokens == sum(s.committed_tokens for s in alone)
         assert agg.tau_histogram == tuple(map(sum, zip(*(s.tau_histogram for s in alone))))
         assert agg.mean_tau == agg.committed_tokens / agg.rounds
-        assert agg.est_speedup == estimate_speedup(agg.mean_tau, engine._effective_budget(cfg))
+        budget = cfg.budget if mode == "tree" else cfg.block_len
+        assert agg.budget == budget
+        assert agg.est_speedup == estimate_speedup(agg.mean_tau, budget)
 
     @pytest.mark.parametrize("workers,episodes", SPLITS)
     @pytest.mark.parametrize("temperature", [0.0, 1.0])

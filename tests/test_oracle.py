@@ -125,7 +125,7 @@ class TestOptimalTreeExhaustive:
 class TestExpectedAcceptanceExact:
     def test_empty_tree(self):
         block = random_block(0, 2, 3)
-        empty = DraftTree(nodes=(), budget_used=0, surrogate_value=0.0)
+        empty = DraftTree(nodes=(), surrogate_value=0.0)
         assert expected_acceptance_exact(block, empty) == 0.0
 
     def test_full_tree_accepts_to_depth_l(self):
@@ -154,7 +154,7 @@ class TestExpectedAcceptanceExact:
         block = random_block(0, 8, 8)
         with pytest.raises(InstanceTooLarge):
             expected_acceptance_exact(
-                block, DraftTree(nodes=(), budget_used=0, surrogate_value=0.0)
+                block, DraftTree(nodes=(), surrogate_value=0.0)
             )
 
 

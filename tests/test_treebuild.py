@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from drafttree.distributions import sample_continuations, validate_block
 from drafttree.oracle import optimal_tree_exhaustive
 from drafttree.treebuild import (
-    DraftTree,
     build_tree,
     chain_tree,
     check_ancestor_dominance,
     check_prefix_closed,
     node_prefixes,
-    surrogate_value,
     top_k_per_depth,
     tree_from_prefixes,
 )
@@ -80,7 +78,6 @@ class TestBuildTree:
         block = validate_block([[0.5, 0.5], [0.4, 0.6]])
         tree = build_tree(block, 50)
         assert len(tree) == 6
-        assert tree.budget_used == 6
         assert tree.surrogate_value == pytest.approx(2.0, rel=1e-9)
 
     def test_pop_order_is_nonincreasing_mass(self):
@@ -108,7 +105,7 @@ class TestBuildTree:
         tree = build_tree(random_block(seed, block_len, vocab), budget)
         assert check_prefix_closed(tree)
         assert check_ancestor_dominance(tree)
-        assert len(tree) == tree.budget_used <= budget
+        assert len(tree) <= budget
         assert tree.heap_pops <= budget
         assert tree.heap_pushes <= 2 * budget
 
@@ -124,17 +121,18 @@ class TestBuildTree:
 
 class TestSurrogateValue:
     def test_empty_tree_is_zero(self):
-        empty = DraftTree(nodes=(), budget_used=0, surrogate_value=0.0)
-        assert surrogate_value(empty) == 0.0
+        empty = tree_from_prefixes(validate_block(EXAMPLE_ROWS), [])
+        assert len(empty) == 0 and empty.surrogate_value == 0.0
 
     def test_single_node_equals_its_mass(self):
         block = validate_block(EXAMPLE_ROWS)
         tree = build_tree(block, 1)
-        assert surrogate_value(tree) == pytest.approx(0.6, rel=1e-12)
+        assert tree.surrogate_value == pytest.approx(0.6, rel=1e-12)
 
     def test_field_matches_recomputation(self):
         tree = build_tree(random_block(9, 3, 5), 12)
-        assert tree.surrogate_value == pytest.approx(surrogate_value(tree), rel=0)
+        masses = math.fsum(math.exp(n.log_mass) for n in tree.nodes)
+        assert tree.surrogate_value == masses
 
     def test_monte_carlo_expected_acceptance(self):
         # E[alpha] over 1e5 sampled continuations within 3 sigma of the

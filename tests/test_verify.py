@@ -28,14 +28,13 @@ def random_block(seed, block_len, vocab, concentration=1.0):
 
 
 def empty_tree():
-    return DraftTree(nodes=(), budget_used=0, surrogate_value=0.0)
+    return DraftTree(nodes=(), surrogate_value=0.0)
 
 
 def hand_tree(specs):
     """Build a DraftTree from (token, depth, parent, log_mass) tuples."""
     return DraftTree(
         nodes=tuple(TreeNode(*s) for s in specs),
-        budget_used=len(specs),
         surrogate_value=0.0,
     )
 
