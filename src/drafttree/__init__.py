@@ -11,7 +11,6 @@ from .distributions import (
     MarginalBlock,
     log_prefix_mass,
     prefix_mass,
-    sample_continuation,
     sample_continuations,
     validate_block,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "validate_block",
     "prefix_mass",
     "log_prefix_mass",
-    "sample_continuation",
     "sample_continuations",
     "DraftTree",
     "TreeNode",

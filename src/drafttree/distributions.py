@@ -119,29 +119,14 @@ def log_prefix_mass(block: MarginalBlock, prefix: Prefix) -> float:
     return math.fsum(math.log(float(block.probs[i, tok])) for i, tok in enumerate(prefix))
 
 
-def sample_continuation(block: MarginalBlock, rng: np.random.Generator) -> np.ndarray:
-    """Draw one length-L continuation, each position independently from its row.
-
-    Consumes exactly ``block_len`` uniforms from ``rng``, so results are
-    deterministic given the generator state.
-    """
-    u = rng.random(block.block_len)
-    cdf = np.cumsum(block.probs, axis=1)
-    tokens = np.empty(block.block_len, dtype=np.int64)
-    for i in range(block.block_len):
-        tokens[i] = min(
-            int(np.searchsorted(cdf[i], u[i], side="right")), block.vocab_size - 1
-        )
-    return tokens
-
-
 def sample_continuations(
     block: MarginalBlock, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``count`` continuations as a (count, block_len) int array.
 
-    Column-vectorized version of sample_continuation for Monte Carlo use;
-    consumes ``count`` uniforms per position.
+    Each position is drawn independently from its row, by inverse CDF, for
+    Monte Carlo use. Consumes ``count`` uniforms per position, so results are
+    deterministic given the generator state.
     """
     cdf = np.cumsum(block.probs, axis=1)
     out = np.empty((count, block.block_len), dtype=np.int64)

@@ -1,9 +1,9 @@
 """Round-by-round speculative decoding episodes over synthetic targets.
 
-Each round: take the current bonus token, query the drafter once for block
-marginals, build a tree (or a chain, or skip drafting entirely in baseline
-mode), walk it under the target's decoding rule, commit the accepted path plus
-the next bonus, and repeat.
+Each round: take the current bonus token, draft a tree (the chain is a
+one-branch tree; the baseline's has no nodes and queries no drafter), walk it
+under the target's decoding rule, commit the accepted path plus the next bonus,
+and repeat.
 
 RNG discipline: every target decision is keyed by its absolute output
 position. The token at output position t is decided from a uniform derived
@@ -17,15 +17,15 @@ initial prefill token (round 1's bonus) is produced before any round and does
 not count against it.
 
 Draft cache: the target reads only the last ``model.order`` tokens, so a
-round's draft (drafter block, tree and flattened layout) is a pure function of
-its n-gram window, the last ``order`` tokens of prompt plus committed tokens
-(the bonus is the last of them), and of the config's mode, budget, block_len
-and drafter_noise. ``run_episode`` looks each round's draft up under that key
-and builds it only on a miss; a hit returns exactly what a rebuild would, so
-every output is unchanged. The cache lives for one ``run_episodes`` call (or
-one pool worker's slice of it); a bare ``run_episode`` call caches within its
-own episode only. It holds at most |V|^order windows per config. Target decisions likewise see only the window
-plus the drafted path, never the whole history.
+round's draft (the flattened tree) is a pure function of its n-gram window,
+the last ``order`` tokens of prompt plus committed tokens (the bonus is the
+last of them), and of the config's mode, budget, block_len and drafter_noise.
+``run_episode`` looks each round's draft up under that key and builds it only
+on a miss; a hit returns exactly what a rebuild would, so every output is
+unchanged. The cache lives for one ``run_episodes`` call (or one pool worker's
+slice of it); a bare ``run_episode`` call caches within its own episode only.
+It holds at most |V|^order windows per config. Target decisions likewise see
+only the window plus the drafted path, never the whole history.
 """
 
 from __future__ import annotations
@@ -43,14 +43,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .models import DrafterConfig, NgramModel, drafter_marginals, target_next
-from .treebuild import build_tree, chain_tree
-from .verify import (
-    FlattenedTree,
-    RoundOutcome,
-    flatten,
-    round_trace_record,
-    verifier_walk,
-)
+from .treebuild import DraftTree, build_tree, chain_tree
+from .verify import FlattenedTree, flatten, round_trace_record, verifier_walk
 
 MODES = ("tree", "chain", "baseline")
 
@@ -120,6 +114,8 @@ class EpisodeConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError("max_rounds must be >= 0")
         if self.prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
@@ -218,7 +214,7 @@ def decode_next(
 # A round's draft is a pure function of its n-gram window and the config
 # fields below, so a scope shares one dict of drafts across its episodes.
 _DraftKey = tuple[tuple[int, ...], str, int, int, float]
-_draft_cache: ContextVar[dict[_DraftKey, tuple[int, FlattenedTree]] | None] = ContextVar(
+_draft_cache: ContextVar[dict[_DraftKey, FlattenedTree] | None] = ContextVar(
     "draft_cache", default=None
 )
 
@@ -260,36 +256,20 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             break
         base_position = len(history) - len(prompt)
         window = tuple(history[-order:])  # ends with the bonus
-        if cfg.mode == "baseline":
-            chosen = decide(window, base_position)
-            round_tokens = [chosen]
-            tree_size = 0
-            outcome = RoundOutcome(
-                accepted_tokens=(), acceptance_length=0,
-                next_bonus=chosen, keep_indices=(0,),
-            )
-        else:
-            key = (window, cfg.mode, cfg.budget, cfg.block_len, cfg.drafter_noise)
-            draft = drafts.get(key)
-            if draft is None:
-                bonus = window[-1]
-                block = drafter_marginals(model, window[:-1], bonus, drafter_cfg)
-                tree = (
-                    build_tree(block, cfg.budget) if cfg.mode == "tree" else chain_tree(block)
-                )
-                draft = drafts[key] = (len(tree), flatten(tree, bonus))
-            tree_size, flat = draft
+        key = (window, cfg.mode, cfg.budget, cfg.block_len, cfg.drafter_noise)
+        flat = drafts.get(key)
+        if flat is None:
+            tree = DraftTree(nodes=(), surrogate_value=0.0)  # baseline: the bonus alone
+            if cfg.mode != "baseline":
+                block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
+                tree = build_tree(block, cfg.budget) if cfg.mode == "tree" else chain_tree(block)
+            flat = drafts[key] = flatten(tree, window[-1])
 
-            def decode(
-                index: int, _flat: FlattenedTree = flat, _window: tuple[int, ...] = window
-            ) -> int:
-                path = _flat.path_tokens(index)
-                position = base_position + _flat.position_offsets[index]
-                return decide(_window + tuple(path[-order:]), position)
+        def decode(path: tuple[int, ...]) -> int:
+            return decide(window + path, base_position + len(path))
 
-            outcome = verifier_walk(flat, decode)
-            round_tokens = list(outcome.accepted_tokens) + [outcome.next_bonus]
-
+        outcome = verifier_walk(flat, decode)
+        round_tokens = [*outcome.accepted_tokens, outcome.next_bonus]
         remaining = cfg.max_new_tokens - committed
         round_tokens = round_tokens[:remaining]
         if cfg.eos_token is not None and cfg.eos_token in round_tokens:
@@ -303,7 +283,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         if cfg.collect_trace:
             # Walk-level values: a tail round truncated by the token budget
             # still records what verification produced.
-            trace.append(round_trace_record(rounds - 1, budget, tree_size, outcome))
+            trace.append(round_trace_record(rounds - 1, budget, len(flat) - 1, outcome))
 
     stats = EpisodeStats(
         mode=cfg.mode, budget=budget, episodes=1, rounds=rounds,
@@ -354,8 +334,11 @@ def run_episodes(
 
 @dataclass(frozen=True)
 class SweepRow:
-    budget: int
     stats: EpisodeStats
+
+    @property
+    def budget(self) -> int:
+        return self.stats.budget
 
 
 def budget_sweep(
@@ -373,7 +356,7 @@ def budget_sweep(
     rows = []
     for budget in budgets:
         cfg = replace(base_cfg, mode="tree", budget=int(budget))
-        rows.append(SweepRow(budget=int(budget), stats=run_episodes(model, cfg, episodes, workers)))
+        rows.append(SweepRow(run_episodes(model, cfg, episodes, workers)))
     return rows
 
 

@@ -13,6 +13,7 @@ with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,15 +78,20 @@ def random_model(
 
     Rows are normalized i.i.d. gamma draws with the given concentration
     (higher concentration -> flatter rows). The pad token gets the clamp
-    minimum so it never competes with real tokens.
+    minimum so it never competes with real tokens. Raises ValueError when a
+    row's non-pad draws have no finite positive sum, as when a tiny
+    concentration underflows every draw of a row to 0.
     """
     states = _check_table_size(vocab_size, order)
-    if concentration <= 0.0:
-        raise ValueError("concentration must be > 0")
+    if not (math.isfinite(concentration) and concentration > 0.0):
+        raise ValueError("concentration must be finite and > 0")
     rng = np.random.default_rng(seed)
     table = rng.gamma(concentration, 1.0, size=(states, vocab_size))
     table[:, PAD_TOKEN] = 0.0
-    table /= table.sum(axis=1, keepdims=True)
+    sums = table.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(sums) & (sums > 0.0)):
+        raise ValueError(f"concentration {concentration} leaves a row without positive finite mass")
+    table /= sums
     table *= 1.0 - EPS_Q
     table[:, PAD_TOKEN] = EPS_Q
     table.flags.writeable = False

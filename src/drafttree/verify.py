@@ -5,8 +5,9 @@ annotated with depth position ids and an ancestor-only attention mask (each
 entry may attend to the root, its ancestors, and itself). The verifier walk
 then follows the target model's own decoding rule through the tree: a step is
 accepted when the target's chosen token matches a child, and the first
-unmatched target token becomes the next round's bonus. Cache compaction is an
-index plan here; the synthetic targets are stateless-exact so no tensors move.
+unmatched target token becomes the next round's bonus; a tree with no nodes
+verifies the bonus alone, as plain decoding does. Cache compaction is an index
+plan here; the synthetic targets are stateless-exact so no tensors move.
 """
 
 from __future__ import annotations
@@ -67,22 +68,16 @@ class FlattenedTree:
         mask.flags.writeable = False
         return mask
 
-    def path_tokens(self, index: int) -> list[int]:
-        """Drafted tokens from just below the root down to ``index``."""
-        path: list[int] = []
-        while index > 0:
-            path.append(self.token_ids[index])
-            index = self.parent_of[index]
-        path.reverse()
-        return path
-
 
 @dataclass(frozen=True)
 class RoundOutcome:
     accepted_tokens: tuple[int, ...]
-    acceptance_length: int
     next_bonus: int
     keep_indices: tuple[int, ...]  # root followed by the accepted path, in depth order
+
+    @property
+    def acceptance_length(self) -> int:
+        return len(self.accepted_tokens)
 
 
 def duplicate_child_guard(tree: DraftTree) -> DraftTree:
@@ -90,17 +85,9 @@ def duplicate_child_guard(tree: DraftTree) -> DraftTree:
 
     Impossible for trees built from distinct prefixes; the guard turns a
     latent construction bug into a loud error before the walk would silently
-    pick one child. ``flatten`` makes the same check as it fills its child
-    table.
+    pick one child. It makes ``flatten``'s check and returns the tree.
     """
-    seen: set[tuple[int, int]] = set()
-    for node in tree.nodes:
-        key = (node.parent, node.token_id)
-        if key in seen:
-            raise DuplicateChildToken(
-                f"parent {node.parent} has duplicate child token {node.token_id}"
-            )
-        seen.add(key)
+    flatten(tree, 0)
     return tree
 
 
@@ -146,29 +133,28 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     )
 
 
-def verifier_walk(flat: FlattenedTree, decode: Callable[[int], int]) -> RoundOutcome:
+def verifier_walk(
+    flat: FlattenedTree, decode: Callable[[tuple[int, ...]], int]
+) -> RoundOutcome:
     """Walk the tree under the target's decoding rule.
 
-    ``decode(i)`` must return the target-chosen token at flattened entry
-    ``i``, conditioned on the path from the context through that entry. The
-    walk starts at the root and descends while the chosen token matches a
-    child; the first unmatched token is the next bonus. With a greedy decode
-    the walk is a pure function.
+    ``decode(path)`` must return the target-chosen token after the context
+    and ``path``, the drafted tokens accepted so far (``()`` at the root;
+    ``len(path)`` is the depth decoded). The walk descends while the chosen
+    token matches a child; the first unmatched token is the next bonus. With
+    a greedy decode the walk is a pure function.
     """
     index = 0
-    accepted: list[int] = []
+    accepted: tuple[int, ...] = ()
     keep = [0]
     while True:
-        chosen = decode(index)
+        chosen = decode(accepted)
         child = flat.child(index, chosen)
         if child is None:
             return RoundOutcome(
-                accepted_tokens=tuple(accepted),
-                acceptance_length=len(accepted),
-                next_bonus=chosen,
-                keep_indices=tuple(keep),
+                accepted_tokens=accepted, next_bonus=chosen, keep_indices=tuple(keep)
             )
-        accepted.append(chosen)
+        accepted += (chosen,)
         keep.append(child)
         index = child
 

@@ -260,8 +260,7 @@ def _tree_vs_chain_rounds(model, base, budget):
             def acceptance(tree):
                 flat = flatten(tree, window[-1])
 
-                def decode(index):
-                    path = tuple(flat.path_tokens(index))
+                def decode(path):
                     return decode_next(model, (window + path)[-order:], 0.0, None)
 
                 return verifier_walk(flat, decode).acceptance_length

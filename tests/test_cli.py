@@ -199,6 +199,20 @@ class TestSweepCommand:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e-4"])
+    def test_bad_concentration_exits_2_with_the_model_message(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        # At 1e-4 every gamma draw of some rows underflows to 0.
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--concentration", value,
+                 "--out", str(out)])
+        assert err.value.code == 2
+        assert "error: concentration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "zero")
         with pytest.raises(SystemExit) as err:

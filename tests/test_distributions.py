@@ -13,7 +13,6 @@ from drafttree.distributions import (
     RowSumZero,
     log_prefix_mass,
     prefix_mass,
-    sample_continuation,
     sample_continuations,
     validate_block,
 )
@@ -150,13 +149,13 @@ class TestLogPrefixMass:
 class TestSampling:
     def test_degenerate_rows_yield_fixed_sequence(self):
         block = validate_block([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        tokens = sample_continuation(block, np.random.default_rng(0))
+        tokens = sample_continuations(block, 1, np.random.default_rng(0))[0]
         assert tokens.tolist() == [1, 2, 0]
 
     def test_deterministic_given_state(self):
         block = random_block(3, 4, 5)
-        a = sample_continuation(block, np.random.default_rng(42))
-        b = sample_continuation(block, np.random.default_rng(42))
+        a = sample_continuations(block, 1, np.random.default_rng(42))[0]
+        b = sample_continuations(block, 1, np.random.default_rng(42))[0]
         assert a.tolist() == b.tolist()
 
     def test_batch_matches_marginal_frequencies(self):

@@ -59,6 +59,9 @@ class TestEpisodeConfig:
             small_cfg(budget=0)
         with pytest.raises(ValueError):
             small_cfg(drafter_noise=1.5)
+        with pytest.raises(ValueError):
+            small_cfg(max_rounds=-2)
+        assert small_cfg(max_rounds=0).max_rounds == 0  # trace --rounds 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["temperature", "drafter_noise"])
@@ -149,6 +152,26 @@ class TestBaselineMode:
             rollout.append(int(np.argmax(target_next(MODEL, prompt + tuple(rollout)))))
         assert list(result.tokens) == rollout
 
+    def test_never_queries_the_drafter(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the baseline drafted")
+
+        monkeypatch.setattr(engine, "drafter_marginals", refuse)
+        run_episode(MODEL, small_cfg(mode="baseline", temperature=1.0))
+        run_episodes(MODEL, small_cfg(mode="baseline"), episodes=3)
+
+    def test_trace_records_verify_the_bonus_alone(self):
+        result = run_episode(MODEL, small_cfg(mode="baseline", max_rounds=4, collect_trace=True))
+        for i, record in enumerate(result.trace):
+            assert record == {
+                "round_index": i,
+                "budget": 0,
+                "tree_size": 0,
+                "acceptance_length": 0,
+                "next_bonus": result.tokens[i + 1],
+                "kept_indices": [0],
+            }
+
     def test_every_round_commits_one_token(self):
         result = run_episode(MODEL, small_cfg(mode="baseline"))
         stats = result.stats
@@ -196,6 +219,20 @@ class TestLosslessness:
 
 
 class TestStatsBookkeeping:
+    @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
+    def test_every_round_walks_its_draft(self, monkeypatch, mode):
+        walks = []
+        real = engine.verifier_walk
+
+        def counting(flat, decode):
+            walks.append(len(flat) - 1)
+            return real(flat, decode)
+
+        monkeypatch.setattr(engine, "verifier_walk", counting)
+        result = run_episode(MODEL, small_cfg(mode=mode, collect_trace=True))
+        assert len(walks) == result.stats.rounds
+        assert walks == [r["tree_size"] for r in result.trace]
+
     @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_histogram_consistency(self, mode):
         stats = run_episode(MODEL, small_cfg(mode=mode, temperature=1.0)).stats
@@ -264,9 +301,8 @@ class TestBudgetMonotonicity:
             for name, tree in (("small", small), ("large", large)):
                 flat = flatten(tree, bonus)
 
-                def decode(i, _flat=flat):
-                    ctx = prompt + committed + tuple(_flat.path_tokens(i))
-                    return decode_next(MODEL, ctx, 0.0, None)
+                def decode(path):
+                    return decode_next(MODEL, prompt + committed + path, 0.0, None)
 
                 alphas[name] = verifier_walk(flat, decode).acceptance_length
             assert alphas["small"] <= alphas["large"]
@@ -351,7 +387,7 @@ class TestDraftCache:
 
     @pytest.mark.parametrize("workers,episodes", SPLITS)
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
-    @pytest.mark.parametrize("mode", ["tree", "chain"])
+    @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_stats_equal_independent_episodes(self, mode, temperature, workers, episodes):
         cfg = small_cfg(mode=mode, temperature=temperature)
         alone = [r.stats for r in independent_episodes(cfg, episodes)]
@@ -361,13 +397,16 @@ class TestDraftCache:
         assert agg.committed_tokens == sum(s.committed_tokens for s in alone)
         assert agg.tau_histogram == tuple(map(sum, zip(*(s.tau_histogram for s in alone))))
         assert agg.mean_tau == agg.committed_tokens / agg.rounds
-        budget = cfg.budget if mode == "tree" else cfg.block_len
+        budget = {"tree": cfg.budget, "chain": cfg.block_len, "baseline": 0}[mode]
         assert agg.budget == budget
-        assert agg.est_speedup == estimate_speedup(agg.mean_tau, budget)
+        if mode == "baseline":
+            assert agg.est_speedup == 1.0
+        else:
+            assert agg.est_speedup == estimate_speedup(agg.mean_tau, budget)
 
     @pytest.mark.parametrize("workers,episodes", SPLITS)
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
-    @pytest.mark.parametrize("mode", ["tree", "chain"])
+    @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_token_streams_equal_independent_episodes(
         self, monkeypatch, mode, temperature, workers, episodes
     ):

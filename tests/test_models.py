@@ -57,6 +57,13 @@ class TestRandomModel:
         with pytest.raises(ValueError):
             random_model(0, vocab_size=4, order=1, concentration=0.0)
 
+    @pytest.mark.parametrize("concentration", [np.nan, np.inf, 1e-4])
+    def test_rejects_concentration_without_finite_rows(self, concentration):
+        # At 1e-4, 91 of these 256 rows draw 0 for every non-pad token, and
+        # normalising them would leave NaN rows.
+        with pytest.raises(ValueError, match="concentration"):
+            random_model(0, vocab_size=16, order=2, concentration=concentration)
+
 
 class TestDeterministicModel:
     def test_rows_are_one_hot_and_never_pad(self):

@@ -119,11 +119,6 @@ class TestFlatten:
         assert flat.child_table.dtype == np.int16
         assert not flat.child_table.flags.writeable
 
-    def test_path_tokens(self):
-        flat = flatten(BRANCHY, bonus=0)
-        assert flat.path_tokens(0) == []
-        assert flat.path_tokens(6) == [1, 3, 6]
-
     def test_accepts_pop_orders_that_interleave_depths(self):
         # Builder node order is nonincreasing mass, not depth-sorted: here
         # (0,0) outweighs (1) and pops before it. Flattening must only rely
@@ -162,7 +157,7 @@ class TestDuplicateChildGuard:
 class TestVerifierWalk:
     def test_immediate_mismatch(self):
         flat = flatten(BRANCHY, bonus=0)
-        outcome = verifier_walk(flat, lambda i: 99)
+        outcome = verifier_walk(flat, lambda path: 99)
         assert outcome.acceptance_length == 0
         assert outcome.accepted_tokens == ()
         assert outcome.next_bonus == 99
@@ -174,8 +169,8 @@ class TestVerifierWalk:
         flat = flatten(chain, bonus=0)
         path = node_prefixes(chain)[-1]
 
-        def decode(i):
-            depth = flat.position_offsets[i]
+        def decode(accepted):
+            depth = len(accepted)
             return path[depth] if depth < len(path) else 7
 
         outcome = verifier_walk(flat, decode)
@@ -187,8 +182,8 @@ class TestVerifierWalk:
         # Target picks the first branch, then its second child, then a token
         # absent from the tree: two accepted nodes and a fresh bonus.
         flat = flatten(BRANCHY, bonus=0)
-        choices = {0: 1, 1: 4, 4: 55}
-        outcome = verifier_walk(flat, lambda i: choices[i])
+        choices = {(): 1, (1,): 4, (1, 4): 55}
+        outcome = verifier_walk(flat, lambda path: choices[path])
         assert outcome.accepted_tokens == (1, 4)
         assert outcome.acceptance_length == 2
         assert outcome.next_bonus == 55
@@ -196,10 +191,29 @@ class TestVerifierWalk:
 
     def test_walk_is_pure_under_greedy_decode(self):
         flat = flatten(BRANCHY, bonus=0)
-        decode = lambda i: {0: 2, 2: 5}.get(i, 42)  # noqa: E731
+        decode = lambda path: {(): 2, (2,): 5}.get(path, 42)  # noqa: E731
         first = verifier_walk(flat, decode)
         second = verifier_walk(flat, decode)
         assert first == second
+
+    def test_decode_sees_the_accepted_path_in_order(self):
+        # Each call gets the drafted tokens accepted so far: (), (t1,),
+        # (t1, t2), ... A tree with no nodes decodes the bonus alone.
+        choices = {(): 1, (1,): 3, (1, 3): 7, (1, 3, 7): 0}
+        for tree, expected in (
+            (BRANCHY, [(), (1,), (1, 3), (1, 3, 7)]),
+            (empty_tree(), [()]),
+        ):
+            calls = []
+
+            def decode(path):
+                calls.append(path)
+                return choices[path]
+
+            outcome = verifier_walk(flatten(tree, bonus=0), decode)
+            assert calls == expected
+            assert outcome.accepted_tokens == expected[-1]
+            assert outcome.acceptance_length == len(expected) - 1
 
     def test_acceptance_matches_tree_membership(self):
         # alpha recomputed from the node-prefix set equals the walk's result.
@@ -210,8 +224,8 @@ class TestVerifierWalk:
         flat = flatten(tree, bonus=0)
         continuation = [int(t) for t in rng.integers(0, 4, size=4)]
 
-        def decode(i):
-            depth = flat.position_offsets[i]
+        def decode(path):
+            depth = len(path)
             return continuation[depth] if depth < 4 else 99
 
         outcome = verifier_walk(flat, decode)
@@ -225,13 +239,13 @@ class TestVerifierWalk:
 class TestCompactionPlan:
     def test_keep_only_root_on_no_acceptance(self):
         flat = flatten(BRANCHY, bonus=0)
-        outcome = verifier_walk(flat, lambda i: 99)
+        outcome = verifier_walk(flat, lambda path: 99)
         assert compaction_plan(outcome, flat) == (0,)
 
     def test_partial_acceptance_keeps_path_in_depth_order(self):
         flat = flatten(BRANCHY, bonus=0)
-        choices = {0: 1, 1: 4, 4: 55}
-        outcome = verifier_walk(flat, lambda i: choices[i])
+        choices = {(): 1, (1,): 4, (1, 4): 55}
+        outcome = verifier_walk(flat, lambda path: choices[path])
         plan = compaction_plan(outcome, flat)
         assert plan == outcome.keep_indices == (0, 1, 4)
         assert [flat.position_offsets[i] for i in plan] == [0, 1, 2]
@@ -242,10 +256,7 @@ class TestCompactionPlan:
         flat = flatten(chain, bonus=0)
         path = node_prefixes(chain)[-1]
         outcome = verifier_walk(
-            flat,
-            lambda i: path[flat.position_offsets[i]]
-            if flat.position_offsets[i] < len(path)
-            else 9,
+            flat, lambda accepted: path[len(accepted)] if len(accepted) < len(path) else 9
         )
         assert compaction_plan(outcome, flat) == tuple(range(len(flat.token_ids)))
 
@@ -258,8 +269,8 @@ class TestCompactionPlan:
         flat = flatten(tree, bonus=2)
         context = (1, 4, 2)
 
-        def decode(i):
-            return int(np.argmax(target_next(model, context + tuple(flat.path_tokens(i)))))
+        def decode(path):
+            return int(np.argmax(target_next(model, context + path)))
 
         outcome = verifier_walk(flat, decode)
         kept_tokens = [flat.token_ids[i] for i in outcome.keep_indices]
@@ -271,7 +282,7 @@ class TestCompactionPlan:
 
 def test_round_trace_record_fields():
     flat = flatten(BRANCHY, bonus=0)
-    outcome = verifier_walk(flat, lambda i: 99)
+    outcome = verifier_walk(flat, lambda path: 99)
     record = round_trace_record(3, 64, len(BRANCHY.nodes), outcome)
     assert record == {
         "round_index": 3,
