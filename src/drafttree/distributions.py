@@ -43,22 +43,22 @@ class PrefixTooLong(ValueError):
 class MarginalBlock:
     """Validated per-position token distributions for one drafted block.
 
-    ``probs[i]`` is the marginal for future position ``i + 1``. Rows sum to 1
-    within ``ROW_SUM_ATOL`` and every entry lies strictly in (0, 1). Instances
-    are immutable (the array is flagged read-only) and safe to share across
-    threads.
+    ``probs`` is an L x V table; ``probs[i]`` is the marginal for future
+    position ``i + 1``, and ``block_len`` and ``vocab_size`` are read off its
+    shape. Rows sum to 1 within ``ROW_SUM_ATOL`` and every entry lies strictly
+    in (0, 1). Build instances with ``validate_block``. They are immutable
+    (the array is flagged read-only) and safe to share across threads.
     """
 
-    block_len: int
-    vocab_size: int
     probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.probs.shape != (self.block_len, self.vocab_size):
-            raise NonRectangular(
-                f"probs shape {self.probs.shape} does not match "
-                f"({self.block_len}, {self.vocab_size})"
-            )
+    @property
+    def block_len(self) -> int:
+        return self.probs.shape[0]
+
+    @property
+    def vocab_size(self) -> int:
+        return self.probs.shape[1]
 
 
 def validate_block(raw) -> MarginalBlock:
@@ -90,7 +90,7 @@ def validate_block(raw) -> MarginalBlock:
     clamped = np.clip(table, EPS_Q, 1.0 - EPS_Q)
     probs = clamped / clamped.sum(axis=1, keepdims=True)
     probs.flags.writeable = False
-    return MarginalBlock(block_len=block_len, vocab_size=vocab_size, probs=probs)
+    return MarginalBlock(probs=probs)
 
 
 def _check_prefix(block: MarginalBlock, prefix: Prefix) -> None:

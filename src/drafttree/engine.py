@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,6 +125,8 @@ class EpisodeConfig:
             raise ValueError("block_len must be >= 1")
         if not 0.0 <= self.drafter_noise <= 1.0:
             raise ValueError("drafter_noise must lie in [0, 1]")
+        if self.eos_token is not None and self.eos_token < 1:
+            raise ValueError("eos_token must be >= 1; token 0 is the context pad")
 
 
 @dataclass(frozen=True)
@@ -219,18 +220,10 @@ _draft_cache: ContextVar[dict[_DraftKey, FlattenedTree] | None] = ContextVar(
 )
 
 
-@contextmanager
-def _draft_cache_scope() -> Iterator[None]:
-    """Share one fresh draft cache among the run_episode calls inside."""
-    token = _draft_cache.set({})
-    try:
-        yield
-    finally:
-        _draft_cache.reset(token)
-
-
 def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     """Run one full decoding episode and collect acceptance statistics."""
+    if cfg.eos_token is not None and cfg.eos_token >= model.vocab_size:
+        raise ValueError(f"eos_token {cfg.eos_token} is not below vocab_size {model.vocab_size}")
     prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
@@ -259,7 +252,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         key = (window, cfg.mode, cfg.budget, cfg.block_len, cfg.drafter_noise)
         flat = drafts.get(key)
         if flat is None:
-            tree = DraftTree(nodes=(), surrogate_value=0.0)  # baseline: the bonus alone
+            tree = DraftTree(nodes=())  # baseline: the bonus alone
             if cfg.mode != "baseline":
                 block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
                 tree = build_tree(block, cfg.budget) if cfg.mode == "tree" else chain_tree(block)
@@ -283,7 +276,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         if cfg.collect_trace:
             # Walk-level values: a tail round truncated by the token budget
             # still records what verification produced.
-            trace.append(round_trace_record(rounds - 1, budget, len(flat) - 1, outcome))
+            trace.append(round_trace_record(rounds - 1, budget, flat, outcome))
 
     stats = EpisodeStats(
         mode=cfg.mode, budget=budget, episodes=1, rounds=rounds,
@@ -302,8 +295,11 @@ def episode_seed(base_seed: int, episode_index: int) -> int:
 def _episode_stats_task(args: tuple[NgramModel, list[EpisodeConfig]]) -> list[EpisodeStats]:
     """Run a slice of episodes (in one pool worker) sharing one draft cache."""
     model, configs = args
-    with _draft_cache_scope():
+    token = _draft_cache.set({})
+    try:
         return [run_episode(model, c).stats for c in configs]
+    finally:
+        _draft_cache.reset(token)
 
 
 def run_episodes(

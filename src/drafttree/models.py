@@ -34,16 +34,13 @@ class NgramModel:
     """Order-m table model: one probability row per length-m context.
 
     ``table[ctx]`` indexes contexts big-endian in base ``vocab_size`` (oldest
-    token highest). Immutable after construction. ``seed``/``concentration``
-    are kept so randomly generated models can be rebuilt from parameters
-    instead of shipping the table.
+    token highest). Immutable after construction. The table is the whole
+    model; the parameters that generated it are not kept.
     """
 
     order: int
     vocab_size: int
     table: np.ndarray  # (vocab_size**order, vocab_size), rows sum to 1
-    seed: int | None = None
-    concentration: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,13 +92,7 @@ def random_model(
     table *= 1.0 - EPS_Q
     table[:, PAD_TOKEN] = EPS_Q
     table.flags.writeable = False
-    return NgramModel(
-        order=order,
-        vocab_size=vocab_size,
-        table=table,
-        seed=seed,
-        concentration=concentration,
-    )
+    return NgramModel(order=order, vocab_size=vocab_size, table=table)
 
 
 def deterministic_model(seed: int, vocab_size: int, order: int) -> NgramModel:
@@ -115,7 +106,7 @@ def deterministic_model(seed: int, vocab_size: int, order: int) -> NgramModel:
     table = np.zeros((states, vocab_size), dtype=np.float64)
     table[np.arange(states), rng.integers(1, vocab_size, size=states)] = 1.0
     table.flags.writeable = False
-    return NgramModel(order=order, vocab_size=vocab_size, table=table, seed=seed)
+    return NgramModel(order=order, vocab_size=vocab_size, table=table)
 
 
 def _context_index(model: NgramModel, context: Sequence[int]) -> int:

@@ -26,7 +26,6 @@ from .treebuild import (
     DraftTree,
     RankTuple,
     TreeNode,
-    _make_tree,
     node_prefixes,
     top_k_per_depth,
     tree_from_prefixes,
@@ -49,9 +48,7 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class ExhaustiveTable:
-    block_len: int
-    vocab_size: int
-    entries: tuple[TableEntry, ...]
+    entries: tuple[TableEntry, ...]  # every prefix of the block, in builder order
 
 
 def _prefix_count(vocab_size: int, block_len: int) -> int:
@@ -86,9 +83,7 @@ def enumerate_prefixes(block: MarginalBlock) -> ExhaustiveTable:
     assert len(entries) == total
 
     entries.sort(key=lambda e: (-e.log_score, len(e.ranks), e.ranks))
-    return ExhaustiveTable(
-        block_len=block.block_len, vocab_size=block.vocab_size, entries=tuple(entries)
-    )
+    return ExhaustiveTable(entries=tuple(entries))
 
 
 def optimal_tree_exhaustive(block: MarginalBlock, budget: int) -> DraftTree:
@@ -120,7 +115,7 @@ def optimal_tree_exhaustive(block: MarginalBlock, budget: int) -> DraftTree:
                 log_mass=entry.log_score,
             )
         )
-    return _make_tree(nodes)
+    return DraftTree(nodes=tuple(nodes))
 
 
 def expected_acceptance_exact(block: MarginalBlock, tree: DraftTree) -> float:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -49,20 +50,23 @@ class TreeNode:
 class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
 
-    ``surrogate_value`` is the sum of exp(log_mass) over all nodes, i.e. the
-    expected acceptance length under the factorized draft distribution.
     ``heap_pops``/``heap_pushes`` count the builder's heap operations
     (successor insertions only; the initial seed entry is not counted) and are
-    zero for trees not produced by ``build_tree``.
+    zero for trees not produced by ``build_tree``. ``surrogate_value`` is
+    derived from the nodes on first read.
     """
 
     nodes: tuple[TreeNode, ...]
-    surrogate_value: float
     heap_pops: int = 0
     heap_pushes: int = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def surrogate_value(self) -> float:
+        """Expected acceptance under the factorized drafter: fsum of exp(log_mass)."""
+        return math.fsum(math.exp(n.log_mass) for n in self.nodes)
 
 
 class RankedDepths(NamedTuple):
@@ -81,23 +85,10 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = min(budget, block.vocab_size)
-    ids = np.arange(block.vocab_size)
-    token_ids = np.empty((block.block_len, k), dtype=np.int64)
-    probs = np.empty((block.block_len, k), dtype=np.float64)
-    for i in range(block.block_len):
-        order = np.lexsort((ids, -block.probs[i]))[:k]
-        token_ids[i] = order
-        probs[i] = block.probs[i, order]
+    # A stable sort keeps equal probabilities in token-id order.
+    token_ids = np.argsort(-block.probs, axis=1, kind="stable")[:, :k]
+    probs = np.take_along_axis(block.probs, token_ids, axis=1)
     return RankedDepths(token_ids=token_ids, probs=probs)
-
-
-def _make_tree(nodes: Sequence[TreeNode], pops: int = 0, pushes: int = 0) -> DraftTree:
-    return DraftTree(
-        nodes=tuple(nodes),
-        surrogate_value=math.fsum(math.exp(n.log_mass) for n in nodes),
-        heap_pops=pops,
-        heap_pushes=pushes,
-    )
 
 
 def _direct_score(logq: np.ndarray, ranks: RankTuple) -> float:
@@ -154,7 +145,7 @@ def build_tree(block: MarginalBlock, budget: int) -> DraftTree:
             child_score = score + float(logq[depth, 0])
             heapq.heappush(heap, (-child_score, depth + 1, ranks + (1,), index))
             pushes += 1
-    return _make_tree(nodes, pops=pops, pushes=pushes)
+    return DraftTree(nodes=tuple(nodes), heap_pops=pops, heap_pushes=pushes)
 
 
 def chain_tree(block: MarginalBlock) -> DraftTree:
@@ -177,7 +168,7 @@ def chain_tree(block: MarginalBlock) -> DraftTree:
                 log_mass=score,
             )
         )
-    return _make_tree(nodes)
+    return DraftTree(nodes=tuple(nodes))
 
 
 def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:
@@ -223,7 +214,7 @@ def tree_from_prefixes(block: MarginalBlock, prefixes: Iterable[Prefix]) -> Draf
                 log_mass=log_prefix_mass(block, u),
             )
         )
-    return _make_tree(nodes)
+    return DraftTree(nodes=tuple(nodes))
 
 
 def check_prefix_closed(tree: DraftTree) -> bool:

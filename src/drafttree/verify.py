@@ -73,7 +73,6 @@ class FlattenedTree:
 class RoundOutcome:
     accepted_tokens: tuple[int, ...]
     next_bonus: int
-    keep_indices: tuple[int, ...]  # root followed by the accepted path, in depth order
 
     @property
     def acceptance_length(self) -> int:
@@ -146,24 +145,20 @@ def verifier_walk(
     """
     index = 0
     accepted: tuple[int, ...] = ()
-    keep = [0]
     while True:
         chosen = decode(accepted)
         child = flat.child(index, chosen)
         if child is None:
-            return RoundOutcome(
-                accepted_tokens=accepted, next_bonus=chosen, keep_indices=tuple(keep)
-            )
+            return RoundOutcome(accepted_tokens=accepted, next_bonus=chosen)
         accepted += (chosen,)
-        keep.append(child)
         index = child
 
 
 def compaction_plan(outcome: RoundOutcome, flat: FlattenedTree) -> tuple[int, ...]:
     """Indices to retain in the cache: root plus the accepted path, in depth order.
 
-    Recomputed from the accepted tokens so it can cross-check the outcome's
-    own ``keep_indices``.
+    Derived from the accepted tokens by descending the child table. Raises
+    ValueError for a token not in the tree.
     """
     keep = [0]
     index = 0
@@ -176,14 +171,14 @@ def compaction_plan(outcome: RoundOutcome, flat: FlattenedTree) -> tuple[int, ..
 
 
 def round_trace_record(
-    round_index: int, budget: int, tree_size: int, outcome: RoundOutcome
+    round_index: int, budget: int, flat: FlattenedTree, outcome: RoundOutcome
 ) -> dict:
-    """One line-delimited trace record for a completed round."""
+    """One trace record of a round; tree size and kept indices are derived from ``flat``."""
     return {
         "round_index": round_index,
         "budget": budget,
-        "tree_size": tree_size,
+        "tree_size": len(flat) - 1,
         "acceptance_length": outcome.acceptance_length,
         "next_bonus": outcome.next_bonus,
-        "kept_indices": list(outcome.keep_indices),
+        "kept_indices": list(compaction_plan(outcome, flat)),
     }

@@ -38,14 +38,16 @@ class TestOracleCheckCommand:
             tree = real(block, budget)
             return treebuild.DraftTree(
                 nodes=tree.nodes[:-1],
-                surrogate_value=tree.surrogate_value,
                 heap_pops=tree.heap_pops,
                 heap_pushes=tree.heap_pushes,
             )
 
         monkeypatch.setattr(cli, "build_tree", corrupted)
         assert run(["oracle-check", "--trials", "10", "--seed", "0"]) == 1
-        assert "RESULT: FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # The value is derived from the nodes, so every trial sees the loss.
+        assert "optimal_value: 10 trials, 10 failures [FAIL]" in out
+        assert "RESULT: FAIL" in out
 
     def test_negative_trials_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -17,13 +17,7 @@ from drafttree.distributions import (
     validate_block,
 )
 
-# Shared worked example: q1=(0.6,0.3,0.1), q2=(0.7,0.2,0.1).
-EXAMPLE_ROWS = [[0.6, 0.3, 0.1], [0.7, 0.2, 0.1]]
-
-
-def random_block(seed, block_len, vocab, concentration=1.0):
-    rng = np.random.default_rng(seed)
-    return validate_block(rng.gamma(concentration, 1.0, size=(block_len, vocab)))
+from blocks import EXAMPLE_ROWS, random_block
 
 
 class TestValidateBlock:
@@ -70,6 +64,7 @@ class TestValidateBlock:
     @settings(max_examples=60, deadline=None)
     def test_rows_normalized_and_interior(self, seed, block_len, vocab, concentration):
         block = random_block(seed, block_len, vocab, concentration)
+        assert (block.block_len, block.vocab_size) == block.probs.shape == (block_len, vocab)
         sums = block.probs.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
         assert np.all(block.probs > 0.0) and np.all(block.probs < 1.0)

@@ -69,6 +69,12 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("eos", [-1, 0])
+    def test_rejects_an_eos_token_below_one(self, eos):
+        # Token 0 is the context pad, which the target never emits.
+        with pytest.raises(ValueError, match="eos_token"):
+            small_cfg(eos_token=eos)
+
     def test_baseline_ignores_budget(self):
         cfg = small_cfg(mode="baseline", budget=0)
         assert cfg.mode == "baseline"
@@ -261,6 +267,18 @@ class TestStatsBookkeeping:
         )
         assert stopped.tokens == free.tokens[: list(free.tokens).index(eos) + 1]
         assert stopped.tokens[-1] == eos
+
+    @pytest.mark.parametrize("mode", ["tree", "baseline"])
+    @pytest.mark.parametrize("eos", [8, 99])
+    def test_rejects_an_eos_token_outside_the_vocabulary(self, monkeypatch, mode, eos):
+        # Raised before the first round: no target row is read.
+        monkeypatch.setattr(engine, "target_next", None)
+        with pytest.raises(ValueError, match=f"eos_token {eos} .* vocab_size 8"):
+            run_episode(random_model(0, 8, 2), small_cfg(mode=mode, eos_token=eos))
+
+    def test_accepts_the_largest_token_as_eos(self):
+        tokens = run_episode(MODEL, small_cfg(eos_token=7)).tokens
+        assert tokens[-1] == 7 and 7 not in tokens[:-1]
 
     def test_eos_inside_speculative_round_truncates_commit(self):
         free = run_episode(MODEL, small_cfg(temperature=1.0))

@@ -21,12 +21,7 @@ from drafttree.treebuild import (
     tree_from_prefixes,
 )
 
-EXAMPLE_ROWS = [[0.6, 0.3, 0.1], [0.7, 0.2, 0.1]]
-
-
-def random_block(seed, block_len, vocab, concentration=1.0):
-    rng = np.random.default_rng(seed)
-    return validate_block(rng.gamma(concentration, 1.0, size=(block_len, vocab)))
+from blocks import EXAMPLE_ROWS, random_block
 
 
 class TestEnumeratePrefixes:
@@ -125,7 +120,7 @@ class TestOptimalTreeExhaustive:
 class TestExpectedAcceptanceExact:
     def test_empty_tree(self):
         block = random_block(0, 2, 3)
-        empty = DraftTree(nodes=(), surrogate_value=0.0)
+        empty = DraftTree(nodes=())
         assert expected_acceptance_exact(block, empty) == 0.0
 
     def test_full_tree_accepts_to_depth_l(self):
@@ -153,9 +148,7 @@ class TestExpectedAcceptanceExact:
     def test_guard(self):
         block = random_block(0, 8, 8)
         with pytest.raises(InstanceTooLarge):
-            expected_acceptance_exact(
-                block, DraftTree(nodes=(), surrogate_value=0.0)
-            )
+            expected_acceptance_exact(block, DraftTree(nodes=()))
 
 
 class TestRandomValidTree:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drafttree.distributions import sample_continuations, validate_block
 from drafttree.oracle import optimal_tree_exhaustive
 from drafttree.treebuild import (
+    DraftTree,
     build_tree,
     chain_tree,
     check_ancestor_dominance,
@@ -17,12 +18,7 @@ from drafttree.treebuild import (
     tree_from_prefixes,
 )
 
-EXAMPLE_ROWS = [[0.6, 0.3, 0.1], [0.7, 0.2, 0.1]]
-
-
-def random_block(seed, block_len, vocab, concentration=1.0):
-    rng = np.random.default_rng(seed)
-    return validate_block(rng.gamma(concentration, 1.0, size=(block_len, vocab)))
+from blocks import EXAMPLE_ROWS, random_block
 
 
 small_instances = st.tuples(
@@ -43,6 +39,18 @@ class TestTopKPerDepth:
         block = validate_block([[0.25, 0.25, 0.25, 0.25]])
         ranked = top_k_per_depth(block, 4)
         assert ranked.token_ids[0].tolist() == [0, 1, 2, 3]
+
+    def test_wide_tied_rows_rank_like_a_per_row_lexsort(self):
+        # Rows wider than a small-sort cutoff, with many ties: every depth is
+        # ranked by descending probability, then ascending token id.
+        raw = np.random.default_rng(4).integers(1, 4, size=(5, 200))
+        block = validate_block(raw)
+        ranked = top_k_per_depth(block, 150)
+        ids = np.arange(block.vocab_size)
+        for i, row in enumerate(block.probs):
+            order = np.lexsort((ids, -row))[:150]
+            assert ranked.token_ids[i].tolist() == order.tolist()
+            assert ranked.probs[i].tolist() == row[order].tolist()
 
     def test_budget_one_gives_argmax(self):
         ranked = top_k_per_depth(validate_block(EXAMPLE_ROWS), 1)
@@ -133,6 +141,19 @@ class TestSurrogateValue:
         tree = build_tree(random_block(9, 3, 5), 12)
         masses = math.fsum(math.exp(n.log_mass) for n in tree.nodes)
         assert tree.surrogate_value == masses
+
+    def test_every_constructor_derives_it_from_the_nodes(self):
+        block = random_block(21, 3, 4)
+        trees = [
+            build_tree(block, 12),
+            chain_tree(block),
+            tree_from_prefixes(block, [(0,), (0, 1), (2,)]),
+            optimal_tree_exhaustive(block, 12),
+        ]
+        for tree in trees:
+            masses = math.fsum(math.exp(n.log_mass) for n in tree.nodes)
+            assert len(tree) > 0 and tree.surrogate_value == masses
+        assert DraftTree(nodes=()).surrogate_value == 0.0
 
     def test_monte_carlo_expected_acceptance(self):
         # E[alpha] over 1e5 sampled continuations within 3 sigma of the

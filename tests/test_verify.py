@@ -21,22 +21,16 @@ from drafttree.verify import (
     verifier_walk,
 )
 
-
-def random_block(seed, block_len, vocab, concentration=1.0):
-    rng = np.random.default_rng(seed)
-    return validate_block(rng.gamma(concentration, 1.0, size=(block_len, vocab)))
+from blocks import random_block
 
 
 def empty_tree():
-    return DraftTree(nodes=(), surrogate_value=0.0)
+    return DraftTree(nodes=())
 
 
 def hand_tree(specs):
     """Build a DraftTree from (token, depth, parent, log_mass) tuples."""
-    return DraftTree(
-        nodes=tuple(TreeNode(*s) for s in specs),
-        surrogate_value=0.0,
-    )
+    return DraftTree(nodes=tuple(TreeNode(*s) for s in specs))
 
 
 # Two depth-1 branches; one branch carries two depth-2 children, the other
@@ -161,7 +155,7 @@ class TestVerifierWalk:
         assert outcome.acceptance_length == 0
         assert outcome.accepted_tokens == ()
         assert outcome.next_bonus == 99
-        assert outcome.keep_indices == (0,)
+        assert compaction_plan(outcome, flat) == (0,)
 
     def test_full_chain_acceptance(self):
         block = validate_block([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -187,7 +181,7 @@ class TestVerifierWalk:
         assert outcome.accepted_tokens == (1, 4)
         assert outcome.acceptance_length == 2
         assert outcome.next_bonus == 55
-        assert outcome.keep_indices == (0, 1, 4)
+        assert compaction_plan(outcome, flat) == (0, 1, 4)
 
     def test_walk_is_pure_under_greedy_decode(self):
         flat = flatten(BRANCHY, bonus=0)
@@ -247,7 +241,7 @@ class TestCompactionPlan:
         choices = {(): 1, (1,): 4, (1, 4): 55}
         outcome = verifier_walk(flat, lambda path: choices[path])
         plan = compaction_plan(outcome, flat)
-        assert plan == outcome.keep_indices == (0, 1, 4)
+        assert plan == (0, 1, 4)
         assert [flat.position_offsets[i] for i in plan] == [0, 1, 2]
 
     def test_full_chain_keeps_everything(self):
@@ -273,7 +267,7 @@ class TestCompactionPlan:
             return int(np.argmax(target_next(model, context + path)))
 
         outcome = verifier_walk(flat, decode)
-        kept_tokens = [flat.token_ids[i] for i in outcome.keep_indices]
+        kept_tokens = [flat.token_ids[i] for i in compaction_plan(outcome, flat)]
         assert kept_tokens[0] == 2 and tuple(kept_tokens[1:]) == outcome.accepted_tokens
         replayed = context + tuple(kept_tokens[1:])
         original = context + tuple(outcome.accepted_tokens)
@@ -283,7 +277,7 @@ class TestCompactionPlan:
 def test_round_trace_record_fields():
     flat = flatten(BRANCHY, bonus=0)
     outcome = verifier_walk(flat, lambda path: 99)
-    record = round_trace_record(3, 64, len(BRANCHY.nodes), outcome)
+    record = round_trace_record(3, 64, flat, outcome)
     assert record == {
         "round_index": 3,
         "budget": 64,
@@ -292,3 +286,13 @@ def test_round_trace_record_fields():
         "next_bonus": 99,
         "kept_indices": [0],
     }
+
+
+def test_round_trace_record_derives_the_kept_path():
+    flat = flatten(BRANCHY, bonus=0)
+    choices = {(): 1, (1,): 4, (1, 4): 55}
+    outcome = verifier_walk(flat, lambda path: choices[path])
+    record = round_trace_record(0, 64, flat, outcome)
+    assert record["tree_size"] == 8
+    assert record["acceptance_length"] == 2 and record["next_bonus"] == 55
+    assert record["kept_indices"] == [0, 1, 4]
