@@ -24,7 +24,6 @@ from .treebuild import (
     tree_from_prefixes,
 )
 from .oracle import (
-    ExhaustiveTable,
     enumerate_prefixes,
     expected_acceptance_exact,
     optimal_tree_exhaustive,
@@ -72,7 +71,6 @@ __all__ = [
     "chain_tree",
     "node_prefixes",
     "tree_from_prefixes",
-    "ExhaustiveTable",
     "enumerate_prefixes",
     "optimal_tree_exhaustive",
     "expected_acceptance_exact",

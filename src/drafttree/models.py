@@ -22,11 +22,13 @@ import numpy as np
 from .distributions import EPS_Q, MarginalBlock, validate_block
 
 PAD_TOKEN = 0
-TABLE_GUARD = 10**6
+# Table entries: 80 MB of float64. Each drafter call also builds a joint array
+# of the table's size per position.
+TABLE_GUARD = 10**7
 
 
 class TableTooLarge(ValueError):
-    """Context table |V|^order exceeds the desk-scale guard."""
+    """The |V|^order x |V| table exceeds the desk-scale guard on its entries."""
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,10 @@ def _check_table_size(vocab_size: int, order: int) -> int:
     if order < 1:
         raise ValueError("order must be >= 1")
     states = vocab_size**order
-    if states > TABLE_GUARD:
-        raise TableTooLarge(f"{states} contexts exceed the guard of {TABLE_GUARD}")
+    if states * vocab_size > TABLE_GUARD:
+        raise TableTooLarge(
+            f"{states * vocab_size} table entries exceed the guard of {TABLE_GUARD}"
+        )
     return states
 
 

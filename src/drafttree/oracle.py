@@ -46,17 +46,12 @@ class TableEntry:
     log_score: float  # incremental log score, same arithmetic as the heap
 
 
-@dataclass(frozen=True)
-class ExhaustiveTable:
-    entries: tuple[TableEntry, ...]  # every prefix of the block, in builder order
-
-
 def _prefix_count(vocab_size: int, block_len: int) -> int:
     return sum(vocab_size**d for d in range(1, block_len + 1))
 
 
-def enumerate_prefixes(block: MarginalBlock) -> ExhaustiveTable:
-    """All nonempty prefixes of length <= L with exact masses, fully sorted."""
+def enumerate_prefixes(block: MarginalBlock) -> tuple[TableEntry, ...]:
+    """All nonempty prefixes of length <= L with exact masses, in builder order."""
     total = _prefix_count(block.vocab_size, block.block_len)
     if total > PREFIX_GUARD:
         raise InstanceTooLarge(f"{total} prefixes exceed the guard of {PREFIX_GUARD}")
@@ -83,7 +78,7 @@ def enumerate_prefixes(block: MarginalBlock) -> ExhaustiveTable:
     assert len(entries) == total
 
     entries.sort(key=lambda e: (-e.log_score, len(e.ranks), e.ranks))
-    return ExhaustiveTable(entries=tuple(entries))
+    return tuple(entries)
 
 
 def optimal_tree_exhaustive(block: MarginalBlock, budget: int) -> DraftTree:
@@ -95,8 +90,7 @@ def optimal_tree_exhaustive(block: MarginalBlock, budget: int) -> DraftTree:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    table = enumerate_prefixes(block)
-    chosen = table.entries[: min(budget, len(table.entries))]
+    chosen = enumerate_prefixes(block)[:budget]
     index: dict[tuple[int, ...], int] = {}
     nodes: list[TreeNode] = []
     for i, entry in enumerate(chosen):

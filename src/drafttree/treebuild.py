@@ -12,7 +12,8 @@ per-depth probability ranks, and a max-heap enumerates rank tuples in
 nonincreasing score order, pushing at most two successors per pop (the next
 sibling, which bumps the last rank, and the first child, which appends rank 1
 at the next depth). The heap stage therefore does at most B pops and 2B
-pushes.
+pushes. ``chain_tree`` runs the same heap over each depth's top token only, at
+budget L, which yields the single per-depth argmax path.
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ class TreeNode:
 class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
 
-    ``heap_pops``/``heap_pushes`` count the builder's heap operations
-    (successor insertions only; the initial seed entry is not counted) and are
-    zero for trees not produced by ``build_tree``. ``surrogate_value`` is
-    derived from the nodes on first read.
+    ``heap_pops``/``heap_pushes`` count the best-first heap's operations
+    (successor insertions only; the initial seed entry is not counted). A
+    ``build_tree`` tree does at most B pops and 2B pushes; a ``chain_tree``
+    reports L pops and L - 1 pushes, which nothing reads. Trees built any other
+    way report zero. ``surrogate_value`` is derived from the nodes on first
+    read.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -79,8 +82,9 @@ class RankedDepths(NamedTuple):
 def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     """Rank each depth's tokens by descending probability, ties by token id.
 
-    Only the top K = min(budget, vocab_size) tokens per depth can appear in an
-    optimal tree, so deeper ranks are dropped.
+    K = min(budget, vocab_size) is the ranking width: B for the tree (only the
+    top B tokens per depth can appear in an optimal B-node tree), 1 for the
+    chain, and |V| for the oracle's full ranking. Deeper ranks are dropped.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -91,84 +95,72 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     return RankedDepths(token_ids=token_ids, probs=probs)
 
 
-def _direct_score(logq: np.ndarray, ranks: RankTuple) -> float:
-    return math.fsum(float(logq[i, r - 1]) for i, r in enumerate(ranks))
+def _direct_score(logq: list[list[float]], ranks: RankTuple) -> float:
+    return math.fsum(logq[i][r - 1] for i, r in enumerate(ranks))
 
 
-def build_tree(block: MarginalBlock, budget: int) -> DraftTree:
-    """Best-first construction of the optimal draft tree under ``budget`` nodes.
+def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
+    """Pop rank tuples from a max-heap in nonincreasing score order.
 
-    Pops rank tuples from a max-heap in nonincreasing score order until the
-    budget is filled or the heap runs dry (possible only when the whole
-    restricted prefix space is smaller than the budget). Heap keys break score
-    ties deterministically: shallower depth first, then lexicographically
-    smaller rank tuple. Sibling scores are updated by swapping the last rank's
-    log factor; child scores append the next depth's best log factor.
+    Stops when ``budget`` nodes are placed or the heap runs dry (possible only
+    when the whole restricted prefix space is smaller than the budget). Heap
+    keys break score ties deterministically: shallower depth first, then
+    lexicographically smaller rank tuple. Sibling scores are updated by
+    swapping the last rank's log factor; child scores append the next depth's
+    best log factor.
     """
-    ranked = top_k_per_depth(block, budget)
-    k = ranked.token_ids.shape[1]
-    depth_cap = block.block_len
-    logq = np.log(ranked.probs)
+    token_ids = ranked.token_ids.tolist()
+    logq = np.log(ranked.probs).tolist()
+    k = len(token_ids[0])
+    depth_cap = len(token_ids)
 
     # Heap entries: (-score, depth, ranks, parent node index). The first three
     # fields form a total order, so the parent payload never gets compared.
     heap: list[tuple[float, int, RankTuple, int]] = [
-        (-float(logq[0, 0]), 1, (1,), ROOT_PARENT)
+        (-logq[0][0], 1, (1,), ROOT_PARENT)
     ]
     nodes: list[TreeNode] = []
-    pops = 0
     pushes = 0
     while len(nodes) < budget and heap:
         neg_score, depth, ranks, parent = heapq.heappop(heap)
-        pops += 1
         score = -neg_score
         assert abs(score - _direct_score(logq, ranks)) <= SCORE_DRIFT_TOL
         index = len(nodes)
         last = ranks[-1]
         nodes.append(
             TreeNode(
-                token_id=int(ranked.token_ids[depth - 1, last - 1]),
+                token_id=token_ids[depth - 1][last - 1],
                 depth=depth,
                 parent=parent,
                 log_mass=score,
             )
         )
-        if last + 1 <= k:
-            sibling_score = score - float(logq[depth - 1, last - 1]) + float(
-                logq[depth - 1, last]
-            )
+        if last < k:
+            sibling_score = score - logq[depth - 1][last - 1] + logq[depth - 1][last]
             heapq.heappush(
                 heap, (-sibling_score, depth, ranks[:-1] + (last + 1,), parent)
             )
             pushes += 1
         if depth < depth_cap:
-            child_score = score + float(logq[depth, 0])
+            child_score = score + logq[depth][0]
             heapq.heappush(heap, (-child_score, depth + 1, ranks + (1,), index))
             pushes += 1
-    return DraftTree(nodes=tuple(nodes), heap_pops=pops, heap_pushes=pushes)
+    return DraftTree(nodes=tuple(nodes), heap_pops=len(nodes), heap_pushes=pushes)
+
+
+def build_tree(block: MarginalBlock, budget: int) -> DraftTree:
+    """The optimal draft tree under ``budget`` nodes, built best-first."""
+    return _best_first(top_k_per_depth(block, budget), budget)
 
 
 def chain_tree(block: MarginalBlock) -> DraftTree:
     """Single-trajectory baseline: the per-depth argmax path of length L.
 
     This is what a verifier sees when the drafter's block is collapsed to one
-    continuation instead of a tree.
+    continuation instead of a tree. It is the best-first tree over each
+    depth's top token at budget L.
     """
-    ranked = top_k_per_depth(block, 1)
-    logq = np.log(ranked.probs)
-    nodes: list[TreeNode] = []
-    score = 0.0
-    for depth in range(1, block.block_len + 1):
-        score = score + float(logq[depth - 1, 0])
-        nodes.append(
-            TreeNode(
-                token_id=int(ranked.token_ids[depth - 1, 0]),
-                depth=depth,
-                parent=depth - 2 if depth > 1 else ROOT_PARENT,
-                log_mass=score,
-            )
-        )
-    return DraftTree(nodes=tuple(nodes))
+    return _best_first(top_k_per_depth(block, 1), block.block_len)
 
 
 def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:

@@ -215,6 +215,18 @@ class TestSweepCommand:
         assert "error: concentration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_model_table_exits_2_with_the_guard_message(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--vocab-size", "64",
+                 "--order", "3", "--out", str(out)])
+        assert err.value.code == 2
+        assert "16777216 table entries exceed the guard" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "zero")
         with pytest.raises(SystemExit) as err:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drafttree.distributions import (
     EPS_Q,
+    ROW_SUM_ATOL,
     NegativeEntry,
     NonRectangular,
     PrefixTooLong,
@@ -66,7 +67,7 @@ class TestValidateBlock:
         block = random_block(seed, block_len, vocab, concentration)
         assert (block.block_len, block.vocab_size) == block.probs.shape == (block_len, vocab)
         sums = block.probs.sum(axis=1)
-        assert np.all(np.abs(sums - 1.0) <= 1e-9)
+        assert np.all(np.abs(sums - 1.0) <= ROW_SUM_ATOL)
         assert np.all(block.probs > 0.0) and np.all(block.probs < 1.0)
 
 

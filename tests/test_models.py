@@ -45,9 +45,12 @@ class TestRandomModel:
         model = random_model(7, vocab_size=4, order=2)
         assert np.all(model.table[:, PAD_TOKEN] == EPS_Q)
 
-    def test_table_guard(self):
-        with pytest.raises(TableTooLarge):
-            random_model(0, vocab_size=100, order=4)
+    @pytest.mark.parametrize("vocab_size, order", [(100, 4), (64, 3)])
+    def test_table_guard(self, vocab_size, order):
+        # 64^3 is only 262,144 contexts, but the table would hold 64^4 = 16.8M
+        # entries: the guard counts what would be allocated.
+        with pytest.raises(TableTooLarge, match="table entries"):
+            random_model(0, vocab_size=vocab_size, order=order)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

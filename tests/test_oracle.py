@@ -26,18 +26,18 @@ from blocks import EXAMPLE_ROWS, random_block
 
 class TestEnumeratePrefixes:
     def test_counts(self):
-        assert len(enumerate_prefixes(random_block(0, 2, 2)).entries) == 6
-        assert len(enumerate_prefixes(random_block(0, 2, 3)).entries) == 12
+        assert len(enumerate_prefixes(random_block(0, 2, 2))) == 6
+        assert len(enumerate_prefixes(random_block(0, 2, 3))) == 12
 
     def test_top_entry_of_worked_example(self):
         table = enumerate_prefixes(validate_block(EXAMPLE_ROWS))
-        assert table.entries[0].tokens == (0,)
-        assert table.entries[0].mass == pytest.approx(0.6, rel=1e-12)
+        assert table[0].tokens == (0,)
+        assert table[0].mass == pytest.approx(0.6, rel=1e-12)
 
     def test_masses_match_prefix_mass(self):
         block = random_block(3, 3, 3)
         table = enumerate_prefixes(block)
-        for entry in table.entries:
+        for entry in table:
             assert entry.mass == pytest.approx(
                 prefix_mass(block, entry.tokens), rel=1e-12
             )
@@ -45,7 +45,7 @@ class TestEnumeratePrefixes:
 
     def test_sorted_nonincreasing(self):
         table = enumerate_prefixes(random_block(8, 3, 4))
-        scores = [e.log_score for e in table.entries]
+        scores = [e.log_score for e in table]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_guard(self):
@@ -86,8 +86,8 @@ class TestOptimalTreeExhaustive:
         ]:
             block = random_block(seed, block_len, vocab)
             table = enumerate_prefixes(block)
-            prefixes = [e.tokens for e in table.entries]
-            masses = {e.tokens: e.mass for e in table.entries}
+            prefixes = [e.tokens for e in table]
+            masses = {e.tokens: e.mass for e in table}
             assert len(prefixes) <= 12
             best = 0.0
             for r in range(1, budget + 1):
@@ -109,9 +109,9 @@ class TestOptimalTreeExhaustive:
             block = random_block(seed, block_len, vocab)
             k = min(budget, vocab)
             table = enumerate_prefixes(block)
-            unrestricted = math.fsum(e.mass for e in table.entries[:budget])
+            unrestricted = math.fsum(e.mass for e in table[:budget])
             restricted_entries = [
-                e for e in table.entries if all(r <= k for r in e.ranks)
+                e for e in table if all(r <= k for r in e.ranks)
             ][:budget]
             restricted = math.fsum(e.mass for e in restricted_entries)
             assert restricted == pytest.approx(unrestricted, rel=1e-12)
@@ -176,6 +176,6 @@ class TestRandomValidTree:
 def test_tree_from_prefixes_consistency_with_oracle_order():
     block = validate_block(EXAMPLE_ROWS)
     table = enumerate_prefixes(block)
-    rebuilt = tree_from_prefixes(block, [e.tokens for e in table.entries[:5]])
+    rebuilt = tree_from_prefixes(block, [e.tokens for e in table[:5]])
     assert check_prefix_closed(rebuilt)
     assert len(rebuilt) == 5

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drafttree.distributions import sample_continuations, validate_block
 from drafttree.oracle import optimal_tree_exhaustive
 from drafttree.treebuild import (
+    ROOT_PARENT,
     DraftTree,
     build_tree,
     chain_tree,
@@ -126,6 +127,26 @@ class TestBuildTree:
             large = set(node_prefixes(build_tree(block, 14)))
             assert small <= large
 
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(1, 16),  # block_len
+        st.integers(2, 40),  # vocab
+        st.integers(1, 300),  # budget
+        st.integers(0, 300),  # extra budget
+        st.sampled_from([0.01, 0.3, 1.0, 3.0, "ties"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_smaller_budget_tree_is_a_prefix_of_the_larger(
+        self, seed, block_len, vocab, budget, extra, concentration
+    ):
+        # The heap pops in one total order whatever the budget, even when the
+        # larger budget ranks more tokens per depth: the budget-B tree is the
+        # first B pops of any larger budget's, node for node.
+        block = random_block(seed, block_len, vocab, concentration)
+        small = build_tree(block, budget)
+        large = build_tree(block, budget + extra)
+        assert small.nodes == large.nodes[: len(small)]
+
 
 class TestSurrogateValue:
     def test_empty_tree_is_zero(self):
@@ -210,16 +231,32 @@ class TestChainTree:
         # other node at that depth, so build_tree pops it first there. This is
         # what lets a tree accept at least min(chain acceptance, its max depth)
         # on any round (acceptance criterion 7).
-        if concentration == "ties":
-            rng = np.random.default_rng(seed)
-            block = validate_block(rng.integers(1, 4, size=(block_len, vocab)))
-        else:
-            block = random_block(seed, block_len, vocab, concentration)
+        block = random_block(seed, block_len, vocab, concentration)
         prefixes = set(node_prefixes(build_tree(block, budget)))
         chain = tuple(n.token_id for n in chain_tree(block).nodes)
         max_depth = max(len(p) for p in prefixes)
         for depth in range(1, max_depth + 1):
             assert chain[:depth] in prefixes
+
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(1, 16),  # block_len
+        st.integers(2, 32),  # vocab
+        st.sampled_from([0.01, 0.3, 1.0, 3.0, "ties"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_per_depth_argmax_path(self, seed, block_len, vocab, concentration):
+        block = random_block(seed, block_len, vocab, concentration)
+        chain = chain_tree(block)
+        assert len(chain) == block_len
+        assert (chain.heap_pops, chain.heap_pushes) == (block_len, block_len - 1)
+        running = 0.0
+        for d, (node, row) in enumerate(zip(chain.nodes, block.probs)):
+            # np.argmax returns the first maximum: the lowest token id on ties.
+            assert node.token_id == int(np.argmax(row))
+            assert (node.depth, node.parent) == (d + 1, d - 1 if d else ROOT_PARENT)
+            running += math.log(row[node.token_id])
+            assert node.log_mass == pytest.approx(running, rel=0, abs=1e-12)
 
 
 class TestTreeFromPrefixes:
