@@ -55,6 +55,7 @@ from .engine import (
     estimate_speedup,
     run_episode,
     run_episodes,
+    sweep_scope,
 )
 
 __all__ = [
@@ -96,4 +97,5 @@ __all__ = [
     "run_episode",
     "run_episodes",
     "budget_sweep",
+    "sweep_scope",
 ]

@@ -26,6 +26,7 @@ from .engine import (
     default_workers,
     run_episode,
     run_episodes,
+    sweep_scope,
 )
 from .models import random_model
 from .oracle import (
@@ -221,9 +222,10 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         t_verify_base=args.t_verify_base,
         kappa=args.kappa,
     )
-    rows = [row.stats for row in budget_sweep(model, base, args.budgets, args.episodes, workers)]
-    for mode in ("chain", "baseline"):
-        rows.append(run_episodes(model, replace(base, mode=mode), args.episodes, workers))
+    with sweep_scope():
+        rows = [r.stats for r in budget_sweep(model, base, args.budgets, args.episodes, workers)]
+        for mode in ("chain", "baseline"):
+            rows.append(run_episodes(model, replace(base, mode=mode), args.episodes, workers))
 
     with _open_output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
@@ -262,8 +264,9 @@ def cmd_histogram(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     workers = _workers_from_env(parser)
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
     tree = _episode_config(args, max_new_tokens=args.max_new_tokens, budget=args.budget)
-    tree_stats = run_episodes(model, tree, args.episodes, workers)
-    chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes, workers)
+    with sweep_scope():
+        tree_stats = run_episodes(model, tree, args.episodes, workers)
+        chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes, workers)
 
     with _open_output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")

@@ -16,16 +16,23 @@ exact equality test rather than a distributional claim.
 initial prefill token (round 1's bonus) is produced before any round and does
 not count against it.
 
-Draft cache: the target reads only the last ``model.order`` tokens, so a
-round's draft (the flattened tree) is a pure function of its n-gram window,
-the last ``order`` tokens of prompt plus committed tokens (the bonus is the
-last of them), and of the config's mode, budget, block_len and drafter_noise.
-``run_episode`` looks each round's draft up under that key and builds it only
-on a miss; a hit returns exactly what a rebuild would, so every output is
-unchanged. The cache lives for one ``run_episodes`` call (or one pool worker's
-slice of it); a bare ``run_episode`` call caches within its own episode only.
-It holds at most |V|^order windows per config. Target decisions likewise see
-only the window plus the drafted path, never the whole history.
+Sweep scope: the target reads only the last ``model.order`` tokens, so a
+round's draft is a pure function of its n-gram window (the last ``order``
+tokens of prompt plus committed tokens; the bonus is the last of them), the
+mode, block_len and drafter_noise, and for a tree the budget. The best-first
+heap pops prefixes in nonincreasing mass, so the tree at budget B is the first
+B pops of the tree at any larger budget. ``sweep_scope`` opens one store for a
+whole sweep: per window and mode it keeps one flattened draft, a tree built
+once at the scope's largest tree budget, and a row at budget B walks the first
+B + 1 entries of it. The store also memoizes each (episode seed, position)
+uniform, since every row replays the same episode seeds. A hit returns exactly
+what a rebuild would, so every output is unchanged. ``budget_sweep`` opens a
+scope, and ``run_episodes`` opens one only when none is open; a bare
+``run_episode`` outside any scope caches within its own episode only. A scope
+serves one model, holds at most |V|^order windows per mode and config, and
+with workers > 1 owns one process pool whose workers each keep a store of
+their own until the scope exits. Target decisions likewise see only the
+window plus the drafted path, never the whole history.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,7 +208,9 @@ def decode_next(
     Sampling consumes exactly one uniform ``u`` via the inverse CDF of the
     temperature-scaled row; temperature 1.0 uses the row as-is. The row is
     scaled to a maximum of 1 before tempering, so its largest weight stays 1
-    and small temperatures approach the argmax instead of underflowing.
+    and small temperatures approach the argmax instead of underflowing. The
+    inverse CDF runs over tokens 1..|V|-1 only: tempering lifts the context
+    pad's clamp-minimum mass, and the pad is never generated.
     """
     row = target_next(model, context)
     if temperature == 0.0:
@@ -208,16 +218,89 @@ def decode_next(
     if u is None:
         raise ValueError("sampling requires a uniform draw")
     weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
-    cdf = np.cumsum(weights)
-    return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), model.vocab_size - 1)
+    cdf = np.cumsum(weights[1:])
+    return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
 
 
-# A round's draft is a pure function of its n-gram window and the config
-# fields below, so a scope shares one dict of drafts across its episodes.
-_DraftKey = tuple[tuple[int, ...], str, int, int, float]
-_draft_cache: ContextVar[dict[_DraftKey, FlattenedTree] | None] = ContextVar(
-    "draft_cache", default=None
-)
+# A round's draft is a pure function of its n-gram window and these config
+# fields; a tree is stored at the scope's tree budget and read as a prefix.
+_DraftKey = tuple[tuple[int, ...], str, int, float]
+
+
+class _SweepStore:
+    """What the rows of one sweep share: drafts, uniforms and one process pool."""
+
+    def __init__(self, model: NgramModel | None = None) -> None:
+        self.model = model
+        self.tree_budget = 0  # every stored tree was built at this budget
+        self.drafts: dict[_DraftKey, FlattenedTree] = {}
+        self.uniforms: dict[tuple[int, int], float] = {}
+        self.pool: ProcessPoolExecutor | None = None
+
+    def bind(self, model: NgramModel) -> None:
+        """Serve ``model``; no draft key has a model field, so another is refused."""
+        if self.model is None:
+            self.model = model
+        elif self.model is not model:
+            raise ValueError("a sweep scope serves one model")
+
+    def reserve(self, budget: int) -> None:
+        """Build trees at ``budget`` or more from now on; drop trees built smaller."""
+        if budget > self.tree_budget:
+            self.tree_budget = budget
+            self.drafts = {k: flat for k, flat in self.drafts.items() if k[1] != "tree"}
+
+    def uniform(self, seed: int, position: int) -> float:
+        u = self.uniforms.get((seed, position))
+        if u is None:
+            u = self.uniforms[seed, position] = _position_uniform(seed, position)
+        return u
+
+    def map(self, fn: Callable, items: list, workers: int) -> list:
+        """``fn`` over ``items`` in the scope's pool, started at its first use.
+
+        The pool keeps the worker count of the row that started it.
+        """
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(self.model,)
+            )
+        return list(self.pool.map(fn, items))
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
+
+
+_scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
+
+
+@contextmanager
+def sweep_scope() -> Iterator[_SweepStore]:
+    """Share one draft store and one process pool across the rows run inside.
+
+    Opens a store unless one is open already, in which case the open one
+    serves; the store and its pool are dropped when the scope that opened
+    them exits. Drafts do not depend on temperature or episode count, so any
+    rows of one model may share a scope.
+    """
+    store = _scope.get()
+    if store is not None:
+        yield store
+        return
+    store = _SweepStore()
+    token = _scope.set(store)
+    try:
+        yield store
+    finally:
+        _scope.reset(token)
+        store.close()
+
+
+def _init_worker(model: NgramModel) -> None:
+    """Give a pool worker the model and a store of its own for the pool's life."""
+    _scope.set(_SweepStore(model))
 
 
 def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
@@ -228,12 +311,15 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
     order = model.order
-    drafts = _draft_cache.get()
-    if drafts is None:
-        drafts = {}
+    store = _scope.get()
+    if store is None:
+        store = _SweepStore()  # no scope open: cache within this episode only
+    store.bind(model)
+    if cfg.mode == "tree":
+        store.reserve(cfg.budget)
 
     def decide(context: Sequence[int], position: int) -> int:
-        u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, position)
+        u = None if cfg.temperature == 0.0 else store.uniform(cfg.seed, position)
         return decode_next(model, context[-order:], cfg.temperature, u)
 
     history = list(prompt)  # the prompt, then every committed token
@@ -249,14 +335,18 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             break
         base_position = len(history) - len(prompt)
         window = tuple(history[-order:])  # ends with the bonus
-        key = (window, cfg.mode, cfg.budget, cfg.block_len, cfg.drafter_noise)
-        flat = drafts.get(key)
+        key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
+        flat = store.drafts.get(key)
         if flat is None:
             tree = DraftTree(nodes=())  # baseline: the bonus alone
             if cfg.mode != "baseline":
                 block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
-                tree = build_tree(block, cfg.budget) if cfg.mode == "tree" else chain_tree(block)
-            flat = drafts[key] = flatten(tree, window[-1])
+                if cfg.mode == "tree":
+                    tree = build_tree(block, store.tree_budget)
+                else:
+                    tree = chain_tree(block)
+            flat = store.drafts[key] = flatten(tree, window[-1])
+        flat = flat.prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
         def decode(path: tuple[int, ...]) -> int:
             return decide(window + path, base_position + len(path))
@@ -292,14 +382,15 @@ def episode_seed(base_seed: int, episode_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, episode_index]).generate_state(1)[0])
 
 
-def _episode_stats_task(args: tuple[NgramModel, list[EpisodeConfig]]) -> list[EpisodeStats]:
-    """Run a slice of episodes (in one pool worker) sharing one draft cache."""
-    model, configs = args
-    token = _draft_cache.set({})
-    try:
-        return [run_episode(model, c).stats for c in configs]
-    finally:
-        _draft_cache.reset(token)
+def _episode_stats_task(args: tuple[int, list[EpisodeConfig]]) -> list[EpisodeStats]:
+    """Run a slice of episodes under the open store, building trees at ``args[0]``.
+
+    In a pool worker that is the worker's own store; inline, the caller's.
+    """
+    tree_budget, configs = args
+    store = _scope.get()
+    store.reserve(tree_budget)
+    return [run_episode(store.model, c).stats for c in configs]
 
 
 def run_episodes(
@@ -307,24 +398,29 @@ def run_episodes(
 ) -> EpisodeStats:
     """Run ``episodes`` seeded episodes of one config and pool their stats.
 
-    Episode seeds derive from (cfg.seed, episode index). The episodes share
-    one draft cache, opened here and dropped on return. With workers > 1 each
-    pool worker runs one contiguous slice of the episodes under its own cache;
-    episodes are pure functions of their inputs and results are reduced in
-    episode order, so output is identical to serial execution.
+    Episode seeds derive from (cfg.seed, episode index). The episodes run
+    under the open sweep scope, or under one opened here and dropped on
+    return; a scope serving another model raises ValueError. With workers > 1
+    each worker of the scope's pool runs one contiguous slice of the episodes
+    under its own store; episodes are pure functions of their inputs and
+    results are reduced in episode order, so output is identical to serial
+    execution.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     configs = [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in range(episodes)]
     workers = min(workers, episodes)
-    if workers > 1:
-        size, extra = divmod(episodes, workers)
-        bounds = [w * size + min(w, extra) for w in range(workers + 1)]
-        slices = [(model, configs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = [s for part in pool.map(_episode_stats_task, slices) for s in part]
-    else:
-        stats = _episode_stats_task((model, configs))
+    with sweep_scope() as store:
+        store.bind(model)
+        if cfg.mode == "tree":
+            store.reserve(cfg.budget)
+        if workers > 1:
+            size, extra = divmod(episodes, workers)
+            bounds = [w * size + min(w, extra) for w in range(workers + 1)]
+            slices = [(store.tree_budget, configs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            stats = [s for part in store.map(_episode_stats_task, slices, workers) for s in part]
+        else:
+            stats = _episode_stats_task((store.tree_budget, configs))
     return reduce(EpisodeStats.merge, stats)
 
 
@@ -344,15 +440,21 @@ def budget_sweep(
     episodes: int = 1,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Tree-mode episodes per budget with identical episode seeds throughout."""
+    """Tree-mode episodes per budget with identical episode seeds throughout.
+
+    The rows share one sweep scope, whose trees are built once per window at
+    the largest budget.
+    """
     if not budgets:
         raise ValueError("budgets must be nonempty")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
     rows = []
-    for budget in budgets:
-        cfg = replace(base_cfg, mode="tree", budget=int(budget))
-        rows.append(SweepRow(run_episodes(model, cfg, episodes, workers)))
+    with sweep_scope() as store:
+        store.reserve(int(budgets[-1]))
+        for budget in budgets:
+            cfg = replace(base_cfg, mode="tree", budget=int(budget))
+            rows.append(SweepRow(run_episodes(model, cfg, episodes, workers)))
     return rows
 
 

@@ -7,8 +7,8 @@ target's exact marginals mixed with uniform noise, giving a single fidelity
 knob.
 
 Token id 0 is reserved as the context pad: rows assign it the clamp-minimum
-mass, so it is (effectively) never generated but short contexts can be padded
-with it.
+mass, and the target's decoding rule never generates it, but short contexts
+can be padded with it.
 """
 
 from __future__ import annotations

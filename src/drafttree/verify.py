@@ -33,8 +33,11 @@ class FlattenedTree:
 
     ``child_table[i, t]`` is the index of entry i's child carrying token t, or
     ``NO_CHILD``; its columns run up to the largest child token id. It is
-    read-only and as narrow as the entry count allows, so cached trees stay
-    small. ``mask`` is the ancestor-only attention mask, built on first read.
+    read-only and as narrow as the entry count allows, so stored trees stay
+    small. A ``prefix`` view shares its tree's table, so the table may have
+    more rows than the view has entries, and ``child`` reads an index past the
+    view's end as no child. ``mask`` is the ancestor-only attention mask,
+    built on first read.
     """
 
     token_ids: tuple[int, ...]
@@ -50,7 +53,22 @@ class FlattenedTree:
         if not 0 <= token < self.child_table.shape[1]:
             return None
         child = int(self.child_table[index, token])
-        return None if child == NO_CHILD else child
+        return None if child == NO_CHILD or child >= len(self) else child
+
+    def prefix(self, size: int) -> FlattenedTree:
+        """The first ``size`` entries, sharing this tree's child table.
+
+        For a best-first tree this is the flattened tree of its first
+        ``size - 1`` pops. Returns ``self`` when ``size`` covers every entry.
+        """
+        if size >= len(self):
+            return self
+        return FlattenedTree(
+            token_ids=self.token_ids[:size],
+            position_offsets=self.position_offsets[:size],
+            parent_of=self.parent_of[:size],
+            child_table=self.child_table,
+        )
 
     @cached_property
     def mask(self) -> np.ndarray:

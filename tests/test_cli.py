@@ -1,10 +1,12 @@
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 import drafttree.cli as cli
+import drafttree.engine as engine
 import drafttree.treebuild as treebuild
 from drafttree.cli import main, run_oracle_check
 from drafttree.engine import CostModel, EpisodeConfig, budget_sweep, run_episodes
@@ -266,6 +268,33 @@ class TestHistogramCommand:
         assert sum(int(r["tree_count"]) for r in rows) == 1
         nonzero = [r for r in rows if int(r["tree_count"]) > 0]
         assert len(nonzero) == 1 and nonzero[0]["bin"] == "1"
+
+
+class TestOnePoolPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", *SWEEP_FLAGS, "--budgets", "4,8,16"],
+            ["histogram", *SWEEP_FLAGS, "--budget", "16"],
+        ],
+    )
+    def test_rows_share_one_pool_and_match_serial(self, tmp_path, monkeypatch, argv):
+        pools = []
+
+        def recording(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        pooled = tmp_path / "pooled.csv"
+        assert run([*argv, "--out", str(pooled)]) == 0
+        assert pools == [2]
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        serial = tmp_path / "serial.csv"
+        assert run([*argv, "--out", str(serial)]) == 0
+        assert pools == [2]
+        assert read_lines(pooled)[1:] == read_lines(serial)[1:]
 
 
 class TestTraceCommand:

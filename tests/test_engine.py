@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drafttree.engine as engine
 from drafttree.engine import (
@@ -16,6 +18,7 @@ from drafttree.engine import (
     make_prompt,
     run_episode,
     run_episodes,
+    sweep_scope,
     _position_uniform,
 )
 from drafttree.models import (
@@ -146,6 +149,28 @@ class TestSmallTemperature:
             greedy = decode_next(model, (token,), 0.0, None)
             for u in (0.01, 0.5, 0.99):
                 assert decode_next(model, (token,), 0.001, u) == greedy
+
+
+class TestPadNeverSampled:
+    @given(
+        st.integers(0, 2**32 - 1),  # model seed
+        st.integers(2, 32),  # vocab
+        st.sampled_from([0.01, 0.3, 1.0, 5.0]),  # concentration
+        st.floats(1e-3, 100.0),  # temperature
+        st.floats(0.0, 1.0, exclude_max=True),  # uniform
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sampling_never_returns_the_pad(self, seed, vocab, concentration, temperature, u):
+        # Tempering lifts the pad's clamp-minimum mass toward the other
+        # tokens' as T grows; the pad must still never be generated.
+        model = random_model(seed, vocab_size=vocab, order=1, concentration=concentration)
+        context = (1 + seed % (vocab - 1),)
+        assert decode_next(model, context, temperature, u) != 0
+
+    def test_hot_episode_emits_no_pad(self):
+        model = random_model(0, vocab_size=16, order=2, concentration=1.0)
+        cfg = small_cfg(mode="baseline", temperature=20.0, max_new_tokens=256)
+        assert 0 not in run_episode(model, cfg).tokens
 
 
 class TestBaselineMode:
@@ -384,20 +409,49 @@ def independent_episodes(cfg, episodes):
     ]
 
 
+class CountingDrafts:
+    """Records every drafted window with the builder that consumed its block."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        real_draft, real_build, real_chain = (
+            engine.drafter_marginals, engine.build_tree, engine.chain_tree,
+        )
+
+        def draft(model, context, bonus, cfg):
+            self.events.append(((tuple(context) + (bonus,))[-model.order:],))
+            return real_draft(model, context, bonus, cfg)
+
+        def build(block, budget):
+            self.events[-1] += ("tree", budget)
+            return real_build(block, budget)
+
+        def chain(block):
+            self.events[-1] += ("chain", block.block_len)
+            return real_chain(block)
+
+        monkeypatch.setattr(engine, "drafter_marginals", draft)
+        monkeypatch.setattr(engine, "build_tree", build)
+        monkeypatch.setattr(engine, "chain_tree", chain)
+
+    def builds(self, kind):
+        return [(window, size) for window, k, size in self.events if k == kind]
+
+
 class InlinePool:
-    """A ProcessPoolExecutor stand-in that runs its tasks in this process."""
+    """A ProcessPoolExecutor stand-in that runs its tasks in this process.
 
-    def __init__(self, max_workers):
+    It skips the worker initializer, so tasks run under the caller's scope.
+    """
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, items):
         return [fn(item) for item in items]
+
+    def shutdown(self):
+        pass
 
 
 class TestDraftCache:
@@ -463,3 +517,76 @@ class TestDraftCache:
         windows.clear()
         assert run_episodes(MODEL, cfg, episodes=5) == first
         assert len(windows) == first_calls
+
+    BUDGETS = [3, 8, 16, 40]
+
+    def scoped_rows(self, cfg, episodes=4):
+        with sweep_scope():
+            rows = [r.stats for r in budget_sweep(MODEL, cfg, self.BUDGETS, episodes)]
+            for mode in ("chain", "baseline"):
+                rows.append(run_episodes(MODEL, replace(cfg, mode=mode), episodes))
+        return rows
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_a_sweep_drafts_and_builds_each_window_once(self, monkeypatch, temperature):
+        counts = CountingDrafts(monkeypatch)
+        cfg = small_cfg(temperature=temperature)
+        rows = budget_sweep(MODEL, cfg, self.BUDGETS, episodes=4)
+        trees = counts.builds("tree")
+        assert len(counts.events) == len(trees)  # every draft fed one build
+        assert len({w for w, _ in trees}) == len(trees)  # one per distinct window
+        assert {size for _, size in trees} == {self.BUDGETS[-1]}
+        assert len(trees) < sum(r.stats.rounds for r in rows)
+        # Rows share the drafts: unscoped rows draft their windows again.
+        counts.events.clear()
+        for budget in self.BUDGETS:
+            run_episodes(MODEL, replace(cfg, budget=budget), episodes=4)
+        assert len(counts.builds("tree")) > len(trees)
+
+    def test_a_scope_with_every_mode_drafts_each_window_once_per_mode(self, monkeypatch):
+        counts = CountingDrafts(monkeypatch)
+        self.scoped_rows(small_cfg(temperature=1.0))
+        trees, chains = counts.builds("tree"), counts.builds("chain")
+        assert len(counts.events) == len(trees) + len(chains)
+        assert len({w for w, _ in trees}) == len(trees)
+        assert len({w for w, _ in chains}) == len(chains)
+        assert {size for _, size in trees} == {self.BUDGETS[-1]}
+        assert chains  # the chain row drafted under the shared scope
+
+    def test_consecutive_sweeps_share_no_state(self, monkeypatch):
+        counts = CountingDrafts(monkeypatch)
+        cfg = small_cfg(temperature=1.0)
+        first = self.scoped_rows(cfg)
+        first_events = list(counts.events)
+        counts.events.clear()
+        assert self.scoped_rows(cfg) == first
+        assert counts.events == first_events
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_scoped_rows_equal_unscoped_rows(self, temperature, workers):
+        cfg = small_cfg(temperature=temperature)
+        with sweep_scope():
+            rows = [r.stats for r in budget_sweep(MODEL, cfg, self.BUDGETS, 3, workers)]
+            for mode in ("chain", "baseline"):
+                rows.append(run_episodes(MODEL, replace(cfg, mode=mode), 3, workers))
+        alone = [run_episodes(MODEL, replace(cfg, budget=b), 3) for b in self.BUDGETS]
+        alone += [run_episodes(MODEL, replace(cfg, mode=m), 3) for m in ("chain", "baseline")]
+        assert rows == alone
+
+    def test_a_larger_budget_later_in_a_scope_rebuilds_its_trees(self):
+        cfg = small_cfg(temperature=1.0)
+        with sweep_scope():
+            small = run_episodes(MODEL, replace(cfg, budget=4), 3)
+            large = run_episodes(MODEL, replace(cfg, budget=40), 3)
+        assert small == run_episodes(MODEL, replace(cfg, budget=4), 3)
+        assert large == run_episodes(MODEL, replace(cfg, budget=40), 3)
+
+    def test_a_scope_serves_one_model(self):
+        other = random_model(22, vocab_size=8, order=2, concentration=0.3)
+        with sweep_scope():
+            run_episodes(MODEL, small_cfg(), 2)
+            with pytest.raises(ValueError, match="one model"):
+                run_episodes(other, small_cfg(), 2)
+            with pytest.raises(ValueError, match="one model"):
+                budget_sweep(other, small_cfg(), [4, 8], 2)

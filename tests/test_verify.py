@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drafttree.distributions import validate_block
 from drafttree.models import random_model, target_next
@@ -124,6 +126,49 @@ class TestFlatten:
         assert flat.position_offsets == (0, 1, 2, 1)
         assert set(np.flatnonzero(flat.mask[2])) == {0, 1, 2}
         assert set(np.flatnonzero(flat.mask[3])) == {0, 3}
+
+
+class TestPrefixView:
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(1, 16),  # block_len
+        st.integers(2, 24),  # vocab
+        st.integers(1, 200),  # budget B
+        st.integers(0, 200),  # Bmax - B
+        st.integers(0, 23),  # bonus
+        st.sampled_from([0.01, 0.3, 1.0, 3.0, "ties"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_budget_prefix_of_the_stored_tree_equals_a_direct_build(
+        self, seed, block_len, vocab, budget, extra, bonus, concentration
+    ):
+        # A sweep stores one tree per window at its largest budget and walks
+        # the first B + 1 entries for budget B, over the shared child table.
+        block = random_block(seed, block_len, vocab, concentration)
+        stored = flatten(build_tree(block, budget + extra), bonus)
+        view = stored.prefix(budget + 1)
+        direct = flatten(build_tree(block, budget), bonus)
+        assert view.child_table is stored.child_table
+        assert len(view) == len(direct)
+        assert view.token_ids == direct.token_ids
+        assert view.position_offsets == direct.position_offsets
+        assert view.parent_of == direct.parent_of
+        assert np.array_equal(view.mask, direct.mask)
+        for i in range(len(view)):
+            for token in range(-1, vocab + 1):
+                assert view.child(i, token) == direct.child(i, token)
+
+    def test_whole_prefix_is_the_tree_itself(self):
+        flat = flatten(BRANCHY, bonus=0)
+        assert flat.prefix(len(flat)) is flat
+        assert flat.prefix(len(flat) + 5) is flat
+
+    def test_children_past_the_view_read_as_absent(self):
+        flat = flatten(BRANCHY, bonus=0)
+        view = flat.prefix(3)  # root, b and c
+        assert flat.child(1, 3) == 3
+        assert view.child(1, 3) is None
+        assert view.child(0, 2) == 2
 
 
 class TestDuplicateChildGuard:
