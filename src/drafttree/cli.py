@@ -222,7 +222,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         t_verify_base=args.t_verify_base,
         kappa=args.kappa,
     )
-    with sweep_scope():
+    with sweep_scope(model):
         rows = [r.stats for r in budget_sweep(model, base, args.budgets, args.episodes, workers)]
         for mode in ("chain", "baseline"):
             rows.append(run_episodes(model, replace(base, mode=mode), args.episodes, workers))
@@ -264,7 +264,7 @@ def cmd_histogram(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     workers = _workers_from_env(parser)
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
     tree = _episode_config(args, max_new_tokens=args.max_new_tokens, budget=args.budget)
-    with sweep_scope():
+    with sweep_scope(model):
         tree_stats = run_episodes(model, tree, args.episodes, workers)
         chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes, workers)
 

@@ -21,18 +21,20 @@ round's draft is a pure function of its n-gram window (the last ``order``
 tokens of prompt plus committed tokens; the bonus is the last of them), the
 mode, block_len and drafter_noise, and for a tree the budget. The best-first
 heap pops prefixes in nonincreasing mass, so the tree at budget B is the first
-B pops of the tree at any larger budget. ``sweep_scope`` opens one store for a
-whole sweep: per window and mode it keeps one flattened draft, a tree built
-once at the scope's largest tree budget, and a row at budget B walks the first
-B + 1 entries of it. The store also memoizes each (episode seed, position)
+B pops of the tree at any larger budget. ``sweep_scope(model)`` opens one store
+for a whole sweep: per window and mode it keeps one flattened draft and the
+node budget it was built at. A round at budget B reuses the entry when it was
+built at B or more and walks its first B + 1 entries; otherwise it builds at B
+and replaces the entry. ``budget_sweep`` runs its rows largest budget first,
+so each window's tree is built once, at the largest budget of the rows that
+meet the window. The store also memoizes each (episode seed, position)
 uniform, since every row replays the same episode seeds. A hit returns exactly
-what a rebuild would, so every output is unchanged. ``budget_sweep`` opens a
-scope, and ``run_episodes`` opens one only when none is open; a bare
-``run_episode`` outside any scope caches within its own episode only. A scope
-serves one model, holds at most |V|^order windows per mode and config, and
-with workers > 1 owns one process pool whose workers each keep a store of
-their own until the scope exits. Target decisions likewise see only the
-window plus the drafted path, never the whole history.
+what a rebuild would, so every output is unchanged. ``run_episode`` and
+``run_episodes`` open a scope only when none is open. A scope serves one model,
+holds at most |V|^order windows per mode and config, and with workers > 1
+owns one process pool whose workers each keep a store of their own until the
+scope exits. Target decisions likewise see only the window plus the drafted
+path, never the whole history.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -223,32 +225,18 @@ def decode_next(
 
 
 # A round's draft is a pure function of its n-gram window and these config
-# fields; a tree is stored at the scope's tree budget and read as a prefix.
+# fields; a tree is stored with the budget it was built at and read as a prefix.
 _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
 class _SweepStore:
     """What the rows of one sweep share: drafts, uniforms and one process pool."""
 
-    def __init__(self, model: NgramModel | None = None) -> None:
+    def __init__(self, model: NgramModel) -> None:
         self.model = model
-        self.tree_budget = 0  # every stored tree was built at this budget
-        self.drafts: dict[_DraftKey, FlattenedTree] = {}
+        self.drafts: dict[_DraftKey, tuple[int, FlattenedTree]] = {}  # (built at, draft)
         self.uniforms: dict[tuple[int, int], float] = {}
         self.pool: ProcessPoolExecutor | None = None
-
-    def bind(self, model: NgramModel) -> None:
-        """Serve ``model``; no draft key has a model field, so another is refused."""
-        if self.model is None:
-            self.model = model
-        elif self.model is not model:
-            raise ValueError("a sweep scope serves one model")
-
-    def reserve(self, budget: int) -> None:
-        """Build trees at ``budget`` or more from now on; drop trees built smaller."""
-        if budget > self.tree_budget:
-            self.tree_budget = budget
-            self.drafts = {k: flat for k, flat in self.drafts.items() if k[1] != "tree"}
 
     def uniform(self, seed: int, position: int) -> float:
         u = self.uniforms.get((seed, position))
@@ -256,46 +244,38 @@ class _SweepStore:
             u = self.uniforms[seed, position] = _position_uniform(seed, position)
         return u
 
-    def map(self, fn: Callable, items: list, workers: int) -> list:
-        """``fn`` over ``items`` in the scope's pool, started at its first use.
-
-        The pool keeps the worker count of the row that started it.
-        """
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(self.model,)
-            )
-        return list(self.pool.map(fn, items))
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
-
 
 _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
 
 
 @contextmanager
-def sweep_scope() -> Iterator[_SweepStore]:
+def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     """Share one draft store and one process pool across the rows run inside.
 
-    Opens a store unless one is open already, in which case the open one
-    serves; the store and its pool are dropped when the scope that opened
-    them exits. Drafts do not depend on temperature or episode count, so any
-    rows of one model may share a scope.
+    Opens a store for ``model`` unless one is open already, in which case the
+    open one serves; no draft key has a model field, so a scope open for
+    another model raises ValueError. The store and its pool are dropped when
+    the scope that opened them exits. A stored draft remembers the budget it
+    was built at and serves every round at that budget or less; a round at a
+    larger budget rebuilds it. ``budget_sweep`` runs largest budget first, so
+    each window's tree is built once, at the largest budget of the rows that
+    meet the window. Drafts do not depend on temperature or episode count, so
+    any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
+        if store.model is not model:
+            raise ValueError("a sweep scope serves one model")
         yield store
         return
-    store = _SweepStore()
+    store = _SweepStore(model)
     token = _scope.set(store)
     try:
         yield store
     finally:
         _scope.reset(token)
-        store.close()
+        if store.pool is not None:
+            store.pool.shutdown()
 
 
 def _init_worker(model: NgramModel) -> None:
@@ -311,62 +291,56 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
     order = model.order
-    store = _scope.get()
-    if store is None:
-        store = _SweepStore()  # no scope open: cache within this episode only
-    store.bind(model)
-    if cfg.mode == "tree":
-        store.reserve(cfg.budget)
+    with sweep_scope(model) as store:
+        def decide(context: Sequence[int], position: int) -> int:
+            u = None if cfg.temperature == 0.0 else store.uniform(cfg.seed, position)
+            return decode_next(model, context[-order:], cfg.temperature, u)
 
-    def decide(context: Sequence[int], position: int) -> int:
-        u = None if cfg.temperature == 0.0 else store.uniform(cfg.seed, position)
-        return decode_next(model, context[-order:], cfg.temperature, u)
+        history = list(prompt)  # the prompt, then every committed token
+        history.append(decide(prompt, 0))  # prefill bonus, output position 0
+        hist = [0] * (cfg.block_len + 1)
+        rounds = 0
+        committed = 0
+        trace: list[dict] = []
+        done = cfg.eos_token is not None and history[-1] == cfg.eos_token
 
-    history = list(prompt)  # the prompt, then every committed token
-    history.append(decide(prompt, 0))  # prefill bonus, output position 0
-    hist = [0] * (cfg.block_len + 1)
-    rounds = 0
-    committed = 0
-    trace: list[dict] = []
-    done = cfg.eos_token is not None and history[-1] == cfg.eos_token
+        while committed < cfg.max_new_tokens and not done:
+            if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
+                break
+            base_position = len(history) - len(prompt)
+            window = tuple(history[-order:])  # ends with the bonus
+            key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
+            entry = store.drafts.get(key)
+            if entry is None or entry[0] < budget:
+                tree = DraftTree(nodes=())  # baseline: the bonus alone
+                if cfg.mode != "baseline":
+                    block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
+                    if cfg.mode == "tree":
+                        tree = build_tree(block, budget)
+                    else:
+                        tree = chain_tree(block)
+                entry = store.drafts[key] = (budget, flatten(tree, window[-1]))
+            flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
-    while committed < cfg.max_new_tokens and not done:
-        if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
-            break
-        base_position = len(history) - len(prompt)
-        window = tuple(history[-order:])  # ends with the bonus
-        key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
-        flat = store.drafts.get(key)
-        if flat is None:
-            tree = DraftTree(nodes=())  # baseline: the bonus alone
-            if cfg.mode != "baseline":
-                block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
-                if cfg.mode == "tree":
-                    tree = build_tree(block, store.tree_budget)
-                else:
-                    tree = chain_tree(block)
-            flat = store.drafts[key] = flatten(tree, window[-1])
-        flat = flat.prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
+            def decode(path: tuple[int, ...]) -> int:
+                return decide(window + path, base_position + len(path))
 
-        def decode(path: tuple[int, ...]) -> int:
-            return decide(window + path, base_position + len(path))
+            outcome = verifier_walk(flat, decode)
+            round_tokens = [*outcome.accepted_tokens, outcome.next_bonus]
+            remaining = cfg.max_new_tokens - committed
+            round_tokens = round_tokens[:remaining]
+            if cfg.eos_token is not None and cfg.eos_token in round_tokens:
+                round_tokens = round_tokens[: round_tokens.index(cfg.eos_token) + 1]
+                done = True
 
-        outcome = verifier_walk(flat, decode)
-        round_tokens = [*outcome.accepted_tokens, outcome.next_bonus]
-        remaining = cfg.max_new_tokens - committed
-        round_tokens = round_tokens[:remaining]
-        if cfg.eos_token is not None and cfg.eos_token in round_tokens:
-            round_tokens = round_tokens[: round_tokens.index(cfg.eos_token) + 1]
-            done = True
-
-        history.extend(round_tokens)
-        committed += len(round_tokens)
-        rounds += 1
-        hist[len(round_tokens) - 1] += 1
-        if cfg.collect_trace:
-            # Walk-level values: a tail round truncated by the token budget
-            # still records what verification produced.
-            trace.append(round_trace_record(rounds - 1, budget, flat, outcome))
+            history.extend(round_tokens)
+            committed += len(round_tokens)
+            rounds += 1
+            hist[len(round_tokens) - 1] += 1
+            if cfg.collect_trace:
+                # Walk-level values: a tail round truncated by the token budget
+                # still records what verification produced.
+                trace.append(round_trace_record(rounds - 1, budget, flat, outcome))
 
     stats = EpisodeStats(
         mode=cfg.mode, budget=budget, episodes=1, rounds=rounds,
@@ -382,14 +356,12 @@ def episode_seed(base_seed: int, episode_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, episode_index]).generate_state(1)[0])
 
 
-def _episode_stats_task(args: tuple[int, list[EpisodeConfig]]) -> list[EpisodeStats]:
-    """Run a slice of episodes under the open store, building trees at ``args[0]``.
+def _episode_stats_task(configs: list[EpisodeConfig]) -> list[EpisodeStats]:
+    """Run a slice of episodes under the open store.
 
     In a pool worker that is the worker's own store; inline, the caller's.
     """
-    tree_budget, configs = args
     store = _scope.get()
-    store.reserve(tree_budget)
     return [run_episode(store.model, c).stats for c in configs]
 
 
@@ -401,26 +373,29 @@ def run_episodes(
     Episode seeds derive from (cfg.seed, episode index). The episodes run
     under the open sweep scope, or under one opened here and dropped on
     return; a scope serving another model raises ValueError. With workers > 1
-    each worker of the scope's pool runs one contiguous slice of the episodes
-    under its own store; episodes are pure functions of their inputs and
-    results are reduced in episode order, so output is identical to serial
-    execution.
+    each worker of the scope's pool, started by the first pooled row with that
+    row's worker count, runs one contiguous slice of the episodes under its
+    own store; episodes are pure functions of their inputs and results are
+    reduced in episode order, so output is identical to serial execution.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     configs = [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in range(episodes)]
     workers = min(workers, episodes)
-    with sweep_scope() as store:
-        store.bind(model)
-        if cfg.mode == "tree":
-            store.reserve(cfg.budget)
-        if workers > 1:
+    with sweep_scope(model) as store:
+        if workers == 1:
+            stats = _episode_stats_task(configs)
+        else:
+            if store.pool is None:
+                store.pool = ProcessPoolExecutor(
+                    max_workers=workers, initializer=_init_worker, initargs=(model,)
+                )
             size, extra = divmod(episodes, workers)
             bounds = [w * size + min(w, extra) for w in range(workers + 1)]
-            slices = [(store.tree_budget, configs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-            stats = [s for part in store.map(_episode_stats_task, slices, workers) for s in part]
-        else:
-            stats = _episode_stats_task((store.tree_budget, configs))
+            slices = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            stats = [s for part in store.pool.map(_episode_stats_task, slices) for s in part]
     return reduce(EpisodeStats.merge, stats)
 
 
@@ -442,20 +417,22 @@ def budget_sweep(
 ) -> list[SweepRow]:
     """Tree-mode episodes per budget with identical episode seeds throughout.
 
-    The rows share one sweep scope, whose trees are built once per window at
-    the largest budget.
+    The rows share one sweep scope and run largest budget first, so each
+    window's tree is built once, at the largest budget of the rows that meet
+    it; they are returned in ascending budget order.
     """
     if not budgets:
         raise ValueError("budgets must be nonempty")
+    if not all(float(b).is_integer() for b in budgets):
+        raise ValueError("budgets must be integers")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
     rows = []
-    with sweep_scope() as store:
-        store.reserve(int(budgets[-1]))
-        for budget in budgets:
+    with sweep_scope(model):
+        for budget in reversed(budgets):
             cfg = replace(base_cfg, mode="tree", budget=int(budget))
             rows.append(SweepRow(run_episodes(model, cfg, episodes, workers)))
-    return rows
+    return rows[::-1]
 
 
 def default_workers() -> int:

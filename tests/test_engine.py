@@ -1,3 +1,4 @@
+import contextvars
 import math
 from dataclasses import replace
 
@@ -392,6 +393,18 @@ class TestRunEpisodes:
         uniform = run_episodes(MODEL, small_cfg(drafter_noise=1.0), episodes=4)
         assert exact.mean_tau >= uniform.mean_tau
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_episodes(MODEL, small_cfg(), episodes=2, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            budget_sweep(MODEL, small_cfg(), [4, 8], episodes=2, workers=workers)
+
+    @pytest.mark.parametrize("budgets", [[8.7], [4, 8.5], [float("nan")], [4, float("inf")]])
+    def test_budget_sweep_rejects_non_integral_budgets(self, budgets):
+        with pytest.raises(ValueError, match="integers"):
+            budget_sweep(MODEL, small_cfg(), budgets, episodes=1)
+
     def test_budget_sweep_validates_inputs(self):
         with pytest.raises(ValueError):
             budget_sweep(MODEL, small_cfg(), [], episodes=1)
@@ -441,17 +454,22 @@ class CountingDrafts:
 class InlinePool:
     """A ProcessPoolExecutor stand-in that runs its tasks in this process.
 
-    It skips the worker initializer, so tasks run under the caller's scope.
+    Like one worker process, it runs the initializer and then every task in a
+    context of its own, so tasks see the worker's store, not the caller's.
     """
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
+        self.context = contextvars.copy_context()
+        self.is_shut_down = False
+        if initializer is not None:
+            self.context.run(initializer, *initargs)
 
     def map(self, fn, items):
-        return [fn(item) for item in items]
+        return [self.context.run(fn, item) for item in items]
 
     def shutdown(self):
-        pass
+        self.is_shut_down = True
 
 
 class TestDraftCache:
@@ -521,11 +539,21 @@ class TestDraftCache:
     BUDGETS = [3, 8, 16, 40]
 
     def scoped_rows(self, cfg, episodes=4):
-        with sweep_scope():
+        with sweep_scope(MODEL):
             rows = [r.stats for r in budget_sweep(MODEL, cfg, self.BUDGETS, episodes)]
             for mode in ("chain", "baseline"):
                 rows.append(run_episodes(MODEL, replace(cfg, mode=mode), episodes))
         return rows
+
+    def largest_unscoped_budgets(self, counts, cfg, episodes=4):
+        """Per window, the largest budget among the unscoped tree rows that draft it."""
+        counts.events.clear()
+        for budget in self.BUDGETS:
+            run_episodes(MODEL, replace(cfg, budget=budget), episodes)
+        largest = {}
+        for window, budget in counts.builds("tree"):
+            largest[window] = max(budget, largest.get(window, 0))
+        return largest
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_sweep_drafts_and_builds_each_window_once(self, monkeypatch, temperature):
@@ -535,23 +563,21 @@ class TestDraftCache:
         trees = counts.builds("tree")
         assert len(counts.events) == len(trees)  # every draft fed one build
         assert len({w for w, _ in trees}) == len(trees)  # one per distinct window
-        assert {size for _, size in trees} == {self.BUDGETS[-1]}
         assert len(trees) < sum(r.stats.rounds for r in rows)
+        assert dict(trees) == self.largest_unscoped_budgets(counts, cfg)
         # Rows share the drafts: unscoped rows draft their windows again.
-        counts.events.clear()
-        for budget in self.BUDGETS:
-            run_episodes(MODEL, replace(cfg, budget=budget), episodes=4)
         assert len(counts.builds("tree")) > len(trees)
 
     def test_a_scope_with_every_mode_drafts_each_window_once_per_mode(self, monkeypatch):
         counts = CountingDrafts(monkeypatch)
-        self.scoped_rows(small_cfg(temperature=1.0))
+        cfg = small_cfg(temperature=1.0)
+        self.scoped_rows(cfg)
         trees, chains = counts.builds("tree"), counts.builds("chain")
         assert len(counts.events) == len(trees) + len(chains)
         assert len({w for w, _ in trees}) == len(trees)
         assert len({w for w, _ in chains}) == len(chains)
-        assert {size for _, size in trees} == {self.BUDGETS[-1]}
         assert chains  # the chain row drafted under the shared scope
+        assert dict(trees) == self.largest_unscoped_budgets(counts, cfg)
 
     def test_consecutive_sweeps_share_no_state(self, monkeypatch):
         counts = CountingDrafts(monkeypatch)
@@ -566,7 +592,7 @@ class TestDraftCache:
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_scoped_rows_equal_unscoped_rows(self, temperature, workers):
         cfg = small_cfg(temperature=temperature)
-        with sweep_scope():
+        with sweep_scope(MODEL):
             rows = [r.stats for r in budget_sweep(MODEL, cfg, self.BUDGETS, 3, workers)]
             for mode in ("chain", "baseline"):
                 rows.append(run_episodes(MODEL, replace(cfg, mode=mode), 3, workers))
@@ -576,17 +602,61 @@ class TestDraftCache:
 
     def test_a_larger_budget_later_in_a_scope_rebuilds_its_trees(self):
         cfg = small_cfg(temperature=1.0)
-        with sweep_scope():
+        with sweep_scope(MODEL):
             small = run_episodes(MODEL, replace(cfg, budget=4), 3)
             large = run_episodes(MODEL, replace(cfg, budget=40), 3)
         assert small == run_episodes(MODEL, replace(cfg, budget=4), 3)
         assert large == run_episodes(MODEL, replace(cfg, budget=40), 3)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(engine.MODES), st.integers(1, 48), st.sampled_from([0.0, 1.0])
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_any_rows_in_a_scope_equal_the_rows_unscoped(self, rows):
+        cfgs = [small_cfg(mode=m, budget=b, temperature=t) for m, b, t in rows]
+        with pytest.MonkeyPatch.context() as patch:
+            counts = CountingDrafts(patch)
+            with sweep_scope(MODEL):
+                scoped = [run_episodes(MODEL, cfg, 2) for cfg in cfgs]
+            scoped_drafts = len(counts.events)
+            counts.events.clear()
+            assert scoped == [run_episodes(MODEL, cfg, 2) for cfg in cfgs]
+            assert scoped_drafts <= len(counts.events)
+
+    def test_the_scope_shuts_its_pool_down_on_exit(self, monkeypatch):
+        pools = []
+
+        def recording(*args, **kwargs):
+            pools.append(InlinePool(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
+        with sweep_scope(MODEL) as store:
+            run_episodes(MODEL, small_cfg(), 4, 2)
+            run_episodes(MODEL, small_cfg(mode="chain"), 4, 2)
+            assert len(pools) == 1 and not pools[0].is_shut_down
+            assert not store.drafts  # the worker drafted into its own store
+        assert pools[0].is_shut_down
+        pools.clear()
+        with pytest.raises(ValueError, match="eos_token"):
+            with sweep_scope(MODEL):
+                run_episodes(MODEL, small_cfg(eos_token=MODEL.vocab_size), 4, 2)
+        assert len(pools) == 1 and pools[0].is_shut_down
+
     def test_a_scope_serves_one_model(self):
         other = random_model(22, vocab_size=8, order=2, concentration=0.3)
-        with sweep_scope():
+        with sweep_scope(MODEL):
             run_episodes(MODEL, small_cfg(), 2)
             with pytest.raises(ValueError, match="one model"):
                 run_episodes(other, small_cfg(), 2)
             with pytest.raises(ValueError, match="one model"):
                 budget_sweep(other, small_cfg(), [4, 8], 2)
+            with pytest.raises(ValueError, match="one model"):
+                with sweep_scope(other):
+                    pass

@@ -142,8 +142,9 @@ class TestPrefixView:
     def test_budget_prefix_of_the_stored_tree_equals_a_direct_build(
         self, seed, block_len, vocab, budget, extra, bonus, concentration
     ):
-        # A sweep stores one tree per window at its largest budget and walks
-        # the first B + 1 entries for budget B, over the shared child table.
+        # A sweep stores one tree per window, built at the largest budget of
+        # the rows that meet it, and walks the first B + 1 entries for budget
+        # B over the shared child table.
         block = random_block(seed, block_len, vocab, concentration)
         stored = flatten(build_tree(block, budget + extra), bonus)
         view = stored.prefix(budget + 1)
