@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import drafttree.engine as engine
@@ -161,10 +161,17 @@ class TestPadNeverSampled:
         st.floats(0.0, 1.0, exclude_max=True),  # uniform
     )
     @settings(max_examples=200, deadline=None)
+    @example(4691079, 2, 0.01, 1.0, 0.0)  # a row whose one non-pad draw underflows
     def test_sampling_never_returns_the_pad(self, seed, vocab, concentration, temperature, u):
         # Tempering lifts the pad's clamp-minimum mass toward the other
         # tokens' as T grows; the pad must still never be generated.
-        model = random_model(seed, vocab_size=vocab, order=1, concentration=concentration)
+        try:
+            model = random_model(seed, vocab_size=vocab, order=1, concentration=concentration)
+        except ValueError as err:
+            # At concentration 0.01 every non-pad draw of a row can underflow
+            # to 0; random_model refuses that table, so there is nothing to sample.
+            assert "without positive finite mass" in str(err)
+            reject()
         context = (1 + seed % (vocab - 1),)
         assert decode_next(model, context, temperature, u) != 0
 
