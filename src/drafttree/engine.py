@@ -30,16 +30,17 @@ so each window's tree is built once, at the largest budget of the rows that
 meet the window. The store also memoizes each (episode seed, position)
 uniform, since every row replays the same episode seeds. A hit returns exactly
 what a rebuild would, so every output is unchanged. ``run_episode`` and
-``run_episodes`` open a scope only when none is open. A scope serves one model,
-holds at most |V|^order windows per mode and config, and with workers > 1
-owns one process pool whose workers each keep a store of their own until the
-scope exits. Target decisions likewise see only the window plus the drafted
+``run_episodes`` open a scope only when none is open. A scope serves one model
+and holds at most |V|^order windows per mode and config; the caller runs each
+row's slice 0 under it, and helper process k always runs slice k under a store
+of its own. Target decisions likewise see only the window plus the drafted
 path, never the whole history.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -104,6 +105,16 @@ def estimate_speedup(mean_tau: float, budget: int, cost: CostModel = DEFAULT_COS
     )
 
 
+def _require_count(name: str, value: object, low: int | None = None) -> None:
+    """Reject a value that is not an integer (numpy integers pass) or is below ``low``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
     seed: int
@@ -121,22 +132,19 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
-        if self.prompt_len < 1:
-            raise ValueError("prompt_len must be >= 1")
+        _require_count("seed", self.seed)
+        _require_count("max_new_tokens", self.max_new_tokens, 1)
+        _require_count("prompt_len", self.prompt_len, 1)
+        _require_count("budget", self.budget, None if self.mode == "baseline" else 1)
+        _require_count("block_len", self.block_len, 1)
+        if self.max_rounds is not None:
+            _require_count("max_rounds", self.max_rounds, 0)
+        if self.eos_token is not None:
+            _require_count("eos_token", self.eos_token, 1)  # token 0 is the context pad
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise ValueError("temperature must be finite and >= 0")
-        if self.mode != "baseline" and self.budget < 1:
-            raise ValueError("budget must be >= 1 for speculative modes")
-        if self.block_len < 1:
-            raise ValueError("block_len must be >= 1")
         if not 0.0 <= self.drafter_noise <= 1.0:
             raise ValueError("drafter_noise must lie in [0, 1]")
-        if self.eos_token is not None and self.eos_token < 1:
-            raise ValueError("eos_token must be >= 1; token 0 is the context pad")
 
 
 @dataclass(frozen=True)
@@ -146,15 +154,21 @@ class EpisodeStats:
     ``budget`` is the number of nodes verified per round: B for the tree,
     block_len for the chain, 0 for the baseline. ``tau_histogram[k-1]`` counts
     rounds that committed exactly k tokens (accepted drafted tokens plus the
-    bonus), k in 1..block_len+1.
+    bonus), k in 1..block_len+1; the round and token counts derive from it.
     """
 
     mode: str
     budget: int
     episodes: int
-    rounds: int
-    committed_tokens: int
     tau_histogram: tuple[int, ...]
+
+    @property
+    def rounds(self) -> int:
+        return sum(self.tau_histogram)
+
+    @property
+    def committed_tokens(self) -> int:
+        return sum(k * count for k, count in enumerate(self.tau_histogram, start=1))
 
     @property
     def mean_tau(self) -> float:
@@ -178,8 +192,6 @@ class EpisodeStats:
         return replace(
             self,
             episodes=self.episodes + other.episodes,
-            rounds=self.rounds + other.rounds,
-            committed_tokens=self.committed_tokens + other.committed_tokens,
             tau_histogram=tuple(map(add, self.tau_histogram, other.tau_histogram)),
         )
 
@@ -230,13 +242,13 @@ _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
 class _SweepStore:
-    """What the rows of one sweep share: drafts, uniforms and one process pool."""
+    """What the rows of one sweep share: drafts, uniforms and the helper processes."""
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
         self.drafts: dict[_DraftKey, tuple[int, FlattenedTree]] = {}  # (built at, draft)
         self.uniforms: dict[tuple[int, int], float] = {}
-        self.pool: ProcessPoolExecutor | None = None
+        self.helpers: list[ProcessPoolExecutor] = []  # helpers[k - 1] runs slice k
 
     def uniform(self, seed: int, position: int) -> float:
         u = self.uniforms.get((seed, position))
@@ -250,17 +262,18 @@ _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
 
 @contextmanager
 def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
-    """Share one draft store and one process pool across the rows run inside.
+    """Share one draft store and the helper processes across the rows run inside.
 
     Opens a store for ``model`` unless one is open already, in which case the
     open one serves; no draft key has a model field, so a scope open for
-    another model raises ValueError. The store and its pool are dropped when
-    the scope that opened them exits. A stored draft remembers the budget it
-    was built at and serves every round at that budget or less; a round at a
-    larger budget rebuilds it. ``budget_sweep`` runs largest budget first, so
-    each window's tree is built once, at the largest budget of the rows that
-    meet the window. Drafts do not depend on temperature or episode count, so
-    any rows of one model may share a scope.
+    another model raises ValueError. The caller runs each row's slice 0 under
+    the store and helper k always runs slice k under one of its own; both are
+    dropped when the scope that opened them exits. A stored draft remembers
+    the budget it was built at and serves every round at that budget or less;
+    a round at a larger budget rebuilds it. ``budget_sweep`` runs largest
+    budget first, so each window's tree is built once, at the largest budget
+    of the rows that meet the window. Drafts do not depend on temperature or
+    episode count, so any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -274,12 +287,12 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
         yield store
     finally:
         _scope.reset(token)
-        if store.pool is not None:
-            store.pool.shutdown()
+        for helper in store.helpers:
+            helper.shutdown()
 
 
 def _init_worker(model: NgramModel) -> None:
-    """Give a pool worker the model and a store of its own for the pool's life."""
+    """Give a helper process the model and a store of its own for its life."""
     _scope.set(_SweepStore(model))
 
 
@@ -342,10 +355,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 # still records what verification produced.
                 trace.append(round_trace_record(rounds - 1, budget, flat, outcome))
 
-    stats = EpisodeStats(
-        mode=cfg.mode, budget=budget, episodes=1, rounds=rounds,
-        committed_tokens=committed, tau_histogram=tuple(hist),
-    )
+    stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))
     return EpisodeResult(
         stats=stats, tokens=tuple(history[len(prompt):]), trace=tuple(trace)
     )
@@ -359,7 +369,7 @@ def episode_seed(base_seed: int, episode_index: int) -> int:
 def _episode_stats_task(configs: list[EpisodeConfig]) -> list[EpisodeStats]:
     """Run a slice of episodes under the open store.
 
-    In a pool worker that is the worker's own store; inline, the caller's.
+    In a helper process that is the helper's own store; inline, the caller's.
     """
     store = _scope.get()
     return [run_episode(store.model, c).stats for c in configs]
@@ -372,30 +382,26 @@ def run_episodes(
 
     Episode seeds derive from (cfg.seed, episode index). The episodes run
     under the open sweep scope, or under one opened here and dropped on
-    return; a scope serving another model raises ValueError. With workers > 1
-    each worker of the scope's pool, started by the first pooled row with that
-    row's worker count, runs one contiguous slice of the episodes under its
-    own store; episodes are pure functions of their inputs and results are
-    reduced in episode order, so output is identical to serial execution.
+    return; a scope serving another model raises ValueError. The caller runs
+    slice 0 of min(workers, episodes) contiguous slices under the scope's
+    store, and helper process k, started by the first row that needs it, runs
+    slice k under its own. Results are reduced in episode order, so output is
+    identical for every worker count.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _require_count("episodes", episodes, 1)
+    _require_count("workers", workers, 1)
     configs = [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in range(episodes)]
     workers = min(workers, episodes)
+    size, extra = divmod(episodes, workers)
+    bounds = [w * size + min(w, extra) for w in range(workers + 1)]
+    slices = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with sweep_scope(model) as store:
-        if workers == 1:
-            stats = _episode_stats_task(configs)
-        else:
-            if store.pool is None:
-                store.pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker, initargs=(model,)
-                )
-            size, extra = divmod(episodes, workers)
-            bounds = [w * size + min(w, extra) for w in range(workers + 1)]
-            slices = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            stats = [s for part in store.pool.map(_episode_stats_task, slices) for s in part]
+        while len(store.helpers) < workers - 1:
+            store.helpers.append(
+                ProcessPoolExecutor(max_workers=1, initializer=_init_worker, initargs=(model,))
+            )
+        futures = [h.submit(_episode_stats_task, part) for h, part in zip(store.helpers, slices[1:])]
+        stats = _episode_stats_task(slices[0]) + [s for f in futures for s in f.result()]
     return reduce(EpisodeStats.merge, stats)
 
 

@@ -52,18 +52,21 @@ class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
 
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
-    (successor insertions only; the initial seed entry is not counted). A
-    ``build_tree`` tree does at most B pops and 2B pushes; a ``chain_tree``
-    reports L pops and L - 1 pushes, which nothing reads. Trees built any other
-    way report zero. ``surrogate_value`` is derived from the nodes on first
-    read.
+    (successor insertions only; the initial seed entry is not counted). Each
+    pop places one node, so pops are the node count. A ``build_tree`` tree
+    does at most B pops and 2B pushes; a ``chain_tree`` reports L pops and
+    L - 1 pushes, which nothing reads. Trees built any other way report zero
+    pushes. ``surrogate_value`` is derived from the nodes on first read.
     """
 
     nodes: tuple[TreeNode, ...]
-    heap_pops: int = 0
     heap_pushes: int = 0
 
     def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def heap_pops(self) -> int:
         return len(self.nodes)
 
     @cached_property
@@ -145,7 +148,7 @@ def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
             child_score = score + logq[depth][0]
             heapq.heappush(heap, (-child_score, depth + 1, ranks + (1,), index))
             pushes += 1
-    return DraftTree(nodes=tuple(nodes), heap_pops=len(nodes), heap_pushes=pushes)
+    return DraftTree(nodes=tuple(nodes), heap_pushes=pushes)
 
 
 def build_tree(block: MarginalBlock, budget: int) -> DraftTree:

@@ -38,11 +38,7 @@ class TestOracleCheckCommand:
 
         def corrupted(block, budget):
             tree = real(block, budget)
-            return treebuild.DraftTree(
-                nodes=tree.nodes[:-1],
-                heap_pops=tree.heap_pops,
-                heap_pushes=tree.heap_pushes,
-            )
+            return treebuild.DraftTree(nodes=tree.nodes[:-1], heap_pushes=tree.heap_pushes)
 
         monkeypatch.setattr(cli, "build_tree", corrupted)
         assert run(["oracle-check", "--trials", "10", "--seed", "0"]) == 1
@@ -271,14 +267,14 @@ class TestHistogramCommand:
 
 
 class TestOnePoolPerCommand:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", *SWEEP_FLAGS, "--budgets", "4,8,16"],
-            ["histogram", *SWEEP_FLAGS, "--budget", "16"],
-        ],
-    )
-    def test_rows_share_one_pool_and_match_serial(self, tmp_path, monkeypatch, argv):
+    ARGVS = [
+        ["sweep", *SWEEP_FLAGS, "--budgets", "4,8,16"],
+        ["histogram", *SWEEP_FLAGS, "--budget", "16"],
+    ]
+
+    def helpers_started(self, tmp_path, monkeypatch, argv, workers):
+        """Run ``argv`` with ``workers`` real processes, check its rows equal a
+        serial run's, and return the worker count of each helper started."""
         pools = []
 
         def recording(*args, **kwargs):
@@ -286,15 +282,25 @@ class TestOnePoolPerCommand:
             return ProcessPoolExecutor(*args, **kwargs)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
         pooled = tmp_path / "pooled.csv"
         assert run([*argv, "--out", str(pooled)]) == 0
-        assert pools == [2]
+        started = list(pools)
         monkeypatch.setenv(cli.WORKERS_ENV, "1")
         serial = tmp_path / "serial.csv"
         assert run([*argv, "--out", str(serial)]) == 0
-        assert pools == [2]
+        assert pools == started  # a serial run starts no helper
         assert read_lines(pooled)[1:] == read_lines(serial)[1:]
+        return started
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_rows_share_one_pool_and_match_serial(self, tmp_path, monkeypatch, argv):
+        assert self.helpers_started(tmp_path, monkeypatch, argv, 2) == [1]
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_three_workers_share_two_helpers_and_match_serial(self, tmp_path, monkeypatch, argv):
+        argv = [*argv, "--episodes", "3"]  # one episode per slice
+        assert self.helpers_started(tmp_path, monkeypatch, argv, 3) == [1, 1]
 
 
 class TestTraceCommand:

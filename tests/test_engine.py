@@ -1,6 +1,8 @@
 import contextvars
+import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +80,22 @@ class TestEpisodeConfig:
         # Token 0 is the context pad, which the target never emits.
         with pytest.raises(ValueError, match="eos_token"):
             small_cfg(eos_token=eos)
+
+    COUNTS = ["seed", "max_new_tokens", "prompt_len", "budget", "block_len", "eos_token",
+              "max_rounds"]
+
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_rejects_non_integral_counts(self, field):
+        # At 2.5 max_rounds ran 2 rounds, eos_token never matched, and the rest
+        # raised TypeError mid-episode.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_cfg(**{field: 2.5})
+
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_accepts_numpy_integer_counts(self, field):
+        assert run_episode(MODEL, small_cfg(**{field: np.int64(3)})) == run_episode(
+            MODEL, small_cfg(**{field: 3})
+        )
 
     def test_baseline_ignores_budget(self):
         cfg = small_cfg(mode="baseline", budget=0)
@@ -271,6 +289,9 @@ class TestStatsBookkeeping:
         result = run_episode(MODEL, small_cfg(mode=mode, collect_trace=True))
         assert len(walks) == result.stats.rounds
         assert walks == [r["tree_size"] for r in result.trace]
+        assert (result.stats.rounds, result.stats.committed_tokens) == (
+            len(result.trace), len(result.tokens) - 1
+        )
 
     @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_histogram_consistency(self, mode):
@@ -407,6 +428,16 @@ class TestRunEpisodes:
         with pytest.raises(ValueError, match="workers"):
             budget_sweep(MODEL, small_cfg(), [4, 8], episodes=2, workers=workers)
 
+    @pytest.mark.parametrize("episodes,workers", [(2.5, 1), (2, 2.0)])
+    def test_rejects_non_integral_counts(self, episodes, workers):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_episodes(MODEL, small_cfg(), episodes, workers)
+
+    def test_accepts_numpy_integer_counts(self, monkeypatch):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        counts = np.int64(3), np.int64(2)
+        assert run_episodes(MODEL, small_cfg(), *counts) == run_episodes(MODEL, small_cfg(), 3, 1)
+
     @pytest.mark.parametrize("budgets", [[8.7], [4, 8.5], [float("nan")], [4, float("inf")]])
     def test_budget_sweep_rejects_non_integral_budgets(self, budgets):
         with pytest.raises(ValueError, match="integers"):
@@ -462,21 +493,57 @@ class InlinePool:
     """A ProcessPoolExecutor stand-in that runs its tasks in this process.
 
     Like one worker process, it runs the initializer and then every task in a
-    context of its own, so tasks see the worker's store, not the caller's.
+    context of its own, so tasks see the worker's store, not the caller's. A
+    task runs when its result is first read, so episodes run in the order the
+    caller reads them; ``submitted`` keeps each task's arguments.
     """
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
         self.context = contextvars.copy_context()
         self.is_shut_down = False
+        self.submitted = []
         if initializer is not None:
             self.context.run(initializer, *initargs)
 
-    def map(self, fn, items):
-        return [self.context.run(fn, item) for item in items]
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        return SimpleNamespace(result=functools.cache(lambda: self.context.run(fn, *args)))
+
+    def store(self):
+        return self.context.run(engine._scope.get)
 
     def shutdown(self):
         self.is_shut_down = True
+
+
+def recording_pools(monkeypatch):
+    """Make every pool the engine starts an InlinePool; return the list of them."""
+    pools = []
+
+    def recording(*args, **kwargs):
+        pools.append(InlinePool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
+    return pools
+
+
+def slice_configs(cfg, indices):
+    """The configs of episodes ``indices`` of a ``run_episodes`` row of ``cfg``."""
+    return [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in indices]
+
+
+def built_budgets(store):
+    return {key: built for key, (built, _) in store.drafts.items()}
+
+
+def drafts_of_slice(rows, indices):
+    """What a fresh store holds after episodes ``indices`` of each row, rows in order."""
+    with sweep_scope(MODEL) as store:
+        for cfg in rows:
+            engine._episode_stats_task(slice_configs(cfg, indices))
+    return built_budgets(store)
 
 
 class TestDraftCache:
@@ -637,24 +704,46 @@ class TestDraftCache:
             assert scoped_drafts <= len(counts.events)
 
     def test_the_scope_shuts_its_pool_down_on_exit(self, monkeypatch):
-        pools = []
-
-        def recording(*args, **kwargs):
-            pools.append(InlinePool(*args, **kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
+        pools = recording_pools(monkeypatch)
+        rows = [small_cfg(), small_cfg(mode="chain")]
         with sweep_scope(MODEL) as store:
-            run_episodes(MODEL, small_cfg(), 4, 2)
-            run_episodes(MODEL, small_cfg(mode="chain"), 4, 2)
+            for cfg in rows:
+                run_episodes(MODEL, cfg, 4, 2)
             assert len(pools) == 1 and not pools[0].is_shut_down
-            assert not store.drafts  # the worker drafted into its own store
+        # The caller drafted episodes 0-1 only; the helper drafted 2-3 into its own store.
+        assert built_budgets(store) == drafts_of_slice(rows, range(0, 2))
         assert pools[0].is_shut_down
         pools.clear()
         with pytest.raises(ValueError, match="eos_token"):
             with sweep_scope(MODEL):
                 run_episodes(MODEL, small_cfg(eos_token=MODEL.vocab_size), 4, 2)
         assert len(pools) == 1 and pools[0].is_shut_down
+
+    def test_each_process_keeps_its_slice_in_every_row(self, monkeypatch):
+        pools = recording_pools(monkeypatch)
+        cfg = small_cfg(temperature=1.0)
+        budgets = [4, 8, 16]
+        # budget_sweep runs largest budget first; the chain row follows.
+        rows = [replace(cfg, budget=b) for b in reversed(budgets)] + [replace(cfg, mode="chain")]
+        slices = [range(0, 2), range(2, 4), range(4, 5)]  # 5 episodes over 3 workers
+        with sweep_scope(MODEL) as store:
+            budget_sweep(MODEL, cfg, budgets, 5, 3)
+            run_episodes(MODEL, rows[-1], 5, 3)
+            helper_drafts = [built_budgets(pool.store()) for pool in pools]
+        assert [pool.max_workers for pool in pools] == [1, 1]
+        for pool, indices in zip(pools, slices[1:]):
+            assert pool.submitted == [(slice_configs(row, indices),) for row in rows]
+        assert built_budgets(store) == drafts_of_slice(rows, slices[0])
+        assert helper_drafts == [drafts_of_slice(rows, indices) for indices in slices[1:]]
+
+    def test_a_row_starts_only_the_helpers_it_lacks(self, monkeypatch):
+        pools = recording_pools(monkeypatch)
+        with sweep_scope(MODEL):
+            for workers, started in [(2, 1), (3, 2), (2, 2)]:
+                run_episodes(MODEL, small_cfg(), 4, workers)
+                assert len(pools) == started
+        assert [len(pool.submitted) for pool in pools] == [3, 1]
+        assert all(pool.is_shut_down for pool in pools)
 
     def test_a_scope_serves_one_model(self):
         other = random_model(22, vocab_size=8, order=2, concentration=0.3)
