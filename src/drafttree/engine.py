@@ -429,14 +429,16 @@ def budget_sweep(
     """
     if not budgets:
         raise ValueError("budgets must be nonempty")
-    if not all(float(b).is_integer() for b in budgets):
-        raise ValueError("budgets must be integers")
-    if list(budgets) != sorted(budgets):
+    try:
+        budgets = [operator.index(b) for b in budgets]
+    except TypeError:
+        raise ValueError("budgets must be integers") from None
+    if budgets != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
     rows = []
     with sweep_scope(model):
         for budget in reversed(budgets):
-            cfg = replace(base_cfg, mode="tree", budget=int(budget))
+            cfg = replace(base_cfg, mode="tree", budget=budget)
             rows.append(SweepRow(run_episodes(model, cfg, episodes, workers)))
     return rows[::-1]
 

@@ -14,6 +14,11 @@ sibling, which bumps the last rank, and the first child, which appends rank 1
 at the next depth). The heap stage therefore does at most B pops and 2B
 pushes. ``chain_tree`` runs the same heap over each depth's top token only, at
 budget L, which yields the single per-depth argmax path.
+
+Each pop asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of
+an fsum of its log factors. The heap holds 0-based ranks so that a rank
+indexes the per-depth lists directly, and pops emit plain ``TreeNode``
+tuples; both keep the per-pop cost down to a few interpreter steps.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .distributions import MarginalBlock, Prefix, log_prefix_mass
 
 # Rank tuples are 1-based per-depth probability ranks; (1, 3) means the most
 # probable token at depth 1 followed by the third most probable at depth 2.
+# The builder's heap keeps the same ranks 0-based, as (0, 2); the oracle's
+# table and everything outside the heap use this 1-based form.
 RankTuple = tuple[int, ...]
 
 ROOT_PARENT = -1
@@ -39,8 +46,9 @@ ROOT_PARENT = -1
 SCORE_DRIFT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
+    """One drafted token, a plain tuple so that each heap pop builds it cheaply."""
+
     token_id: int
     depth: int
     parent: int  # index into the node list; ROOT_PARENT for depth-1 nodes
@@ -50,6 +58,9 @@ class TreeNode:
 @dataclass(frozen=True)
 class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
+
+    ``nodes`` holds ``TreeNode`` tuples. A node's ``parent`` is the index of
+    an earlier node in ``nodes``, or ROOT_PARENT at depth 1.
 
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
     (successor insertions only; the initial seed entry is not counted). Each
@@ -98,10 +109,6 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     return RankedDepths(token_ids=token_ids, probs=probs)
 
 
-def _direct_score(logq: list[list[float]], ranks: RankTuple) -> float:
-    return math.fsum(logq[i][r - 1] for i, r in enumerate(ranks))
-
-
 def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
     """Pop rank tuples from a max-heap in nonincreasing score order.
 
@@ -110,44 +117,43 @@ def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
     keys break score ties deterministically: shallower depth first, then
     lexicographically smaller rank tuple. Sibling scores are updated by
     swapping the last rank's log factor; child scores append the next depth's
-    best log factor.
+    best log factor. Every pop asserts that its incremental score matches an
+    fsum of its log factors within ``SCORE_DRIFT_TOL``.
     """
     token_ids = ranked.token_ids.tolist()
     logq = np.log(ranked.probs).tolist()
     k = len(token_ids[0])
     depth_cap = len(token_ids)
+    tol = SCORE_DRIFT_TOL
+    fsum, factor = math.fsum, list.__getitem__
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    # Heap entries: (-score, depth, ranks, parent node index). The first three
-    # fields form a total order, so the parent payload never gets compared.
-    heap: list[tuple[float, int, RankTuple, int]] = [
-        (-logq[0][0], 1, (1,), ROOT_PARENT)
+    # Heap entries: (-score, depth, ranks, parent node index), with 0-based
+    # ranks, which order lexicographically as the 1-based RankTuple does. The
+    # first three fields form a total order, so the parent never gets compared.
+    heap: list[tuple[float, int, tuple[int, ...], int]] = [
+        (-logq[0][0], 1, (0,), ROOT_PARENT)
     ]
     nodes: list[TreeNode] = []
-    pushes = 0
-    while len(nodes) < budget and heap:
-        neg_score, depth, ranks, parent = heapq.heappop(heap)
+    append = nodes.append
+    for index in range(budget):
+        if not heap:
+            break
+        neg_score, depth, ranks, parent = heappop(heap)
         score = -neg_score
-        assert abs(score - _direct_score(logq, ranks)) <= SCORE_DRIFT_TOL
-        index = len(nodes)
+        # map pairs each depth's logq row with that depth's rank.
+        assert abs(score - fsum(map(factor, logq, ranks))) <= tol
         last = ranks[-1]
-        nodes.append(
-            TreeNode(
-                token_id=token_ids[depth - 1][last - 1],
-                depth=depth,
-                parent=parent,
-                log_mass=score,
-            )
-        )
-        if last < k:
-            sibling_score = score - logq[depth - 1][last - 1] + logq[depth - 1][last]
-            heapq.heappush(
-                heap, (-sibling_score, depth, ranks[:-1] + (last + 1,), parent)
-            )
-            pushes += 1
+        logq_row = logq[depth - 1]
+        append(TreeNode(token_ids[depth - 1][last], depth, parent, score))
+        if last + 1 < k:
+            sibling_score = score - logq_row[last] + logq_row[last + 1]
+            heappush(heap, (-sibling_score, depth, ranks[:-1] + (last + 1,), parent))
         if depth < depth_cap:
             child_score = score + logq[depth][0]
-            heapq.heappush(heap, (-child_score, depth + 1, ranks + (1,), index))
-            pushes += 1
+            heappush(heap, (-child_score, depth + 1, ranks + (0,), index))
+    # Every push is popped or still queued; the seed entry is not a push.
+    pushes = len(nodes) + len(heap) - 1
     return DraftTree(nodes=tuple(nodes), heap_pushes=pushes)
 
 

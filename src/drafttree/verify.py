@@ -116,21 +116,18 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     DuplicateChildToken when two children of one node carry the same token.
     """
     n = len(tree.nodes) + 1
-    token_ids = [bonus]
-    position_offsets = [0]
-    parent_of = [ROOT_PARENT]
-    for i, node in enumerate(tree.nodes):
-        flat_parent = 0 if node.parent == ROOT_PARENT else node.parent + 1
-        assert flat_parent < i + 1, "parent must precede child in node order"
-        token_ids.append(node.token_id)
-        position_offsets.append(node.depth)
-        parent_of.append(flat_parent)
+    token_col = [node.token_id for node in tree.nodes]
+    depth_col = [node.depth for node in tree.nodes]
+    # Node i is entry i + 1, so its flat parent is its parent + 1; a depth-1
+    # node's ROOT_PARENT (-1) becomes the root entry 0.
+    parent_col = [node.parent + 1 for node in tree.nodes]
+    parents = np.array(parent_col, dtype=np.intp)
+    indices = np.arange(1, n)
+    assert (parents < indices).all(), "parent must precede child in node order"
 
     # Fill every (parent, token) slot at once; a slot taken twice keeps only
     # one index, so the other child reads back someone else's.
-    parents = np.asarray(parent_of[1:], dtype=np.intp)
-    tokens = np.asarray(token_ids[1:], dtype=np.intp)
-    indices = np.arange(1, n)
+    tokens = np.array(token_col, dtype=np.intp)
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
     child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=dtype)
     child_table[parents, tokens] = indices
@@ -143,9 +140,9 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     child_table.flags.writeable = False
 
     return FlattenedTree(
-        token_ids=tuple(token_ids),
-        position_offsets=tuple(position_offsets),
-        parent_of=tuple(parent_of),
+        token_ids=(bonus, *token_col),
+        position_offsets=(0, *depth_col),
+        parent_of=(ROOT_PARENT, *parent_col),
         child_table=child_table,
     )
 

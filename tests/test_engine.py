@@ -295,11 +295,13 @@ class TestStatsBookkeeping:
 
     @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_histogram_consistency(self, mode):
-        stats = run_episode(MODEL, small_cfg(mode=mode, temperature=1.0)).stats
-        assert sum(stats.tau_histogram) == stats.rounds
-        weighted = sum((k + 1) * c for k, c in enumerate(stats.tau_histogram))
-        assert weighted == stats.committed_tokens
-        assert stats.mean_tau == stats.committed_tokens / stats.rounds
+        # The histogram defines rounds and committed tokens, so check both
+        # against what the episode did: one trace record per round, and every
+        # token after the prefill bonus committed by some round.
+        result = run_episode(MODEL, small_cfg(mode=mode, temperature=1.0, collect_trace=True))
+        stats = result.stats
+        assert stats.rounds == len(result.trace)
+        assert stats.committed_tokens == len(result.tokens) - 1
         assert 1.0 <= stats.mean_tau <= len(stats.tau_histogram)  # L + 1 bins
 
     def test_round_truncation_at_token_budget(self):
@@ -438,7 +440,9 @@ class TestRunEpisodes:
         counts = np.int64(3), np.int64(2)
         assert run_episodes(MODEL, small_cfg(), *counts) == run_episodes(MODEL, small_cfg(), 3, 1)
 
-    @pytest.mark.parametrize("budgets", [[8.7], [4, 8.5], [float("nan")], [4, float("inf")]])
+    @pytest.mark.parametrize(
+        "budgets", [[8.7], [4, 8.5], [float("nan")], [4, float("inf")], ["16"], [16.0]]
+    )
     def test_budget_sweep_rejects_non_integral_budgets(self, budgets):
         with pytest.raises(ValueError, match="integers"):
             budget_sweep(MODEL, small_cfg(), budgets, episodes=1)
@@ -450,6 +454,10 @@ class TestRunEpisodes:
             budget_sweep(MODEL, small_cfg(), [32, 16], episodes=1)
         single = budget_sweep(MODEL, small_cfg(), [8], episodes=1)
         assert len(single) == 1 and single[0].budget == 8
+        numpy_budgets = [np.int64(4), np.int64(8)]
+        assert budget_sweep(MODEL, small_cfg(), numpy_budgets) == budget_sweep(
+            MODEL, small_cfg(), [4, 8]
+        )
 
 
 def independent_episodes(cfg, episodes):

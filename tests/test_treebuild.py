@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drafttree import treebuild
 from drafttree.distributions import sample_continuations, validate_block
 from drafttree.oracle import optimal_tree_exhaustive
 from drafttree.treebuild import (
@@ -95,17 +97,21 @@ class TestBuildTree:
         masses = [n.log_mass for n in tree.nodes]
         assert all(a >= b for a, b in zip(masses, masses[1:]))
 
-    @given(small_instances)
+    @given(small_instances, st.sampled_from([1.0, "ties"]))
     @settings(max_examples=80, deadline=None)
-    def test_matches_exhaustive_optimum(self, instance):
+    def test_matches_exhaustive_optimum(self, instance, concentration):
         seed, block_len, vocab, budget = instance
-        block = random_block(seed, block_len, vocab)
+        block = random_block(seed, block_len, vocab, concentration)
         tree = build_tree(block, budget)
         exhaustive = optimal_tree_exhaustive(block, budget)
         assert tree.surrogate_value == pytest.approx(
             exhaustive.surrogate_value, rel=1e-12
         )
         assert set(node_prefixes(tree)) == set(node_prefixes(exhaustive))
+        # The oracle sorts with the heap's tie-break and scores with its
+        # incremental arithmetic, so the pop order, parents and log masses
+        # match node for node, ties included.
+        assert tree.nodes == exhaustive.nodes
 
     @given(small_instances)
     @settings(max_examples=80, deadline=None)
@@ -117,6 +123,23 @@ class TestBuildTree:
         assert len(tree) <= budget
         assert tree.heap_pops <= budget
         assert tree.heap_pushes <= 2 * budget
+
+    @pytest.mark.skipif(sys.flags.optimize, reason="assertions are stripped")
+    def test_drift_assert_runs_on_every_pop(self, monkeypatch):
+        block = random_block(5, 4, 6)
+        fsum_calls = []
+        real_fsum = math.fsum
+
+        def counting_fsum(terms):
+            fsum_calls.append(1)
+            return real_fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        assert len(build_tree(block, 18)) == len(fsum_calls) == 18
+        # No score is within a negative tolerance, so the first pop must fail.
+        monkeypatch.setattr(treebuild, "SCORE_DRIFT_TOL", -1.0)
+        with pytest.raises(AssertionError):
+            build_tree(block, 18)
 
     def test_budget_nesting_with_equal_k(self):
         # K = min(B, V) is equal for both budgets, so the smaller tree's node

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,13 @@ class TestFlatten:
         assert flat.position_offsets == (0, 1, 2, 1)
         assert set(np.flatnonzero(flat.mask[2])) == {0, 1, 2}
         assert set(np.flatnonzero(flat.mask[3])) == {0, 3}
+
+    @pytest.mark.skipif(sys.flags.optimize, reason="assertions are stripped")
+    def test_parent_after_child_raises(self):
+        # Node 0 names node 1, which comes after it, as its parent.
+        tree = hand_tree([(2, 2, 1, -1.2), (1, 1, ROOT_PARENT, -0.5)])
+        with pytest.raises(AssertionError, match="parent must precede child"):
+            flatten(tree, 0)
 
 
 class TestPrefixView:
