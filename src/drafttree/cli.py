@@ -153,6 +153,17 @@ def _parse_budgets(text: str) -> list[int]:
     return budgets
 
 
+def _parse_seed(text: str) -> int:
+    """A seed flag's value: numpy seeds its generators from non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _workers_from_env(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
@@ -297,7 +308,9 @@ def cmd_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model-seed", type=int, default=0, help="seed for the synthetic target")
+    sub.add_argument(
+        "--model-seed", type=_parse_seed, default=0, help="seed for the synthetic target"
+    )
     sub.add_argument("--vocab-size", type=int, default=16, help="target vocabulary size")
     sub.add_argument("--order", type=int, default=2, help="target context length")
     sub.add_argument(
@@ -307,7 +320,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--block-len", type=int, default=16, help="drafted block length L")
     sub.add_argument("--prompt-len", type=int, default=8, help="seeded prompt length")
     sub.add_argument("--temperature", type=float, default=0.0, help="target decoding temperature")
-    sub.add_argument("--seed", type=int, default=0, help="base episode seed")
+    sub.add_argument("--seed", type=_parse_seed, default=0, help="base episode seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--max-len", type=int, default=4, help="largest block length tried")
     oracle.add_argument("--max-budget", type=int, default=20, help="largest node budget tried")
     oracle.add_argument("--trials", type=int, default=500, help="number of random instances")
-    oracle.add_argument("--seed", type=int, default=0, help="instance-generator seed")
+    oracle.add_argument("--seed", type=_parse_seed, default=0, help="instance-generator seed")
     oracle.set_defaults(func=cmd_oracle_check)
 
     sweep = subparsers.add_parser("sweep", help="budget sweep CSV (tree, chain, baseline rows)")

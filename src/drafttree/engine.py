@@ -5,12 +5,13 @@ one-branch tree; the baseline's has no nodes and queries no drafter), walk it
 under the target's decoding rule, commit the accepted path plus the next bonus,
 and repeat.
 
-RNG discipline: every target decision is keyed by its absolute output
-position. The token at output position t is decided from a uniform derived
-only from (episode seed, t), whether that decision happens inside a tree walk
-or in a plain autoregressive loop. Committed streams are therefore
-token-identical across modes at any temperature, which makes losslessness an
-exact equality test rather than a distributional claim.
+Target stream: speculative decoding commits exactly the target's own tokens,
+so a round accepts the longest prefix of the target's stream that is a path
+of its draft. The token at output position t is decided once per sweep, from
+the last ``order`` tokens before it and a uniform derived only from (episode
+seed, t); every row and mode reads that one stream. Modes thus commit equal
+streams by construction, so losslessness is checked against
+``oracle.reference_episode`` (full history, no store), not across modes.
 
 ``max_new_tokens`` budgets the tokens committed by verification rounds; the
 initial prefill token (round 1's bonus) is produced before any round and does
@@ -27,14 +28,13 @@ node budget it was built at. A round at budget B reuses the entry when it was
 built at B or more and walks its first B + 1 entries; otherwise it builds at B
 and replaces the entry. ``budget_sweep`` runs its rows largest budget first,
 so each window's tree is built once, at the largest budget of the rows that
-meet the window. The store also memoizes each (episode seed, position)
-uniform, since every row replays the same episode seeds. A hit returns exactly
-what a rebuild would, so every output is unchanged. ``run_episode`` and
-``run_episodes`` open a scope only when none is open. A scope serves one model
-and holds at most |V|^order windows per mode and config; the caller runs each
-row's slice 0 under it, and helper process k always runs slice k under a store
-of its own. Target decisions likewise see only the window plus the drafted
-path, never the whole history.
+meet the window. The store also keeps one target stream per (episode seed,
+prompt_len, temperature), so each output position is decided once per sweep.
+A hit returns exactly what a rebuild would, so every output is unchanged.
+``run_episode`` and ``run_episodes`` open a scope only when none is open. A
+scope serves one model and holds at most |V|^order windows per mode and
+config; the caller runs each row's slice 0 under it, and helper process k
+always runs slice k under a store of its own.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        _require_count("seed", self.seed)
+        _require_count("seed", self.seed, 0)
         _require_count("max_new_tokens", self.max_new_tokens, 1)
         _require_count("prompt_len", self.prompt_len, 1)
         _require_count("budget", self.budget, None if self.mode == "baseline" else 1)
@@ -242,19 +242,17 @@ _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
 class _SweepStore:
-    """What the rows of one sweep share: drafts, uniforms and the helper processes."""
+    """What the rows of one sweep share: drafts, target streams and the helper processes.
+
+    ``streams[(seed, prompt_len, temperature)]`` is that episode's target
+    stream, extended on demand, so each position is decided once per sweep.
+    """
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
         self.drafts: dict[_DraftKey, tuple[int, FlattenedTree]] = {}  # (built at, draft)
-        self.uniforms: dict[tuple[int, int], float] = {}
+        self.streams: dict[tuple[int, int, float], list[int]] = {}
         self.helpers: list[ProcessPoolExecutor] = []  # helpers[k - 1] runs slice k
-
-    def uniform(self, seed: int, position: int) -> float:
-        u = self.uniforms.get((seed, position))
-        if u is None:
-            u = self.uniforms[seed, position] = _position_uniform(seed, position)
-        return u
 
 
 _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
@@ -262,7 +260,7 @@ _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
 
 @contextmanager
 def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
-    """Share one draft store and the helper processes across the rows run inside.
+    """Share one store of drafts and target streams, and the helper processes, across rows.
 
     Opens a store for ``model`` unless one is open already, in which case the
     open one serves; no draft key has a model field, so a scope open for
@@ -273,7 +271,8 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     a round at a larger budget rebuilds it. ``budget_sweep`` runs largest
     budget first, so each window's tree is built once, at the largest budget
     of the rows that meet the window. Drafts do not depend on temperature or
-    episode count, so any rows of one model may share a scope.
+    episode count, and streams are keyed by all they depend on besides the
+    model, so any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -305,12 +304,16 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
     order = model.order
     with sweep_scope(model) as store:
-        def decide(context: Sequence[int], position: int) -> int:
-            u = None if cfg.temperature == 0.0 else store.uniform(cfg.seed, position)
-            return decode_next(model, context[-order:], cfg.temperature, u)
+        stream = store.streams.setdefault((cfg.seed, cfg.prompt_len, cfg.temperature), [])
 
-        history = list(prompt)  # the prompt, then every committed token
-        history.append(decide(prompt, 0))  # prefill bonus, output position 0
+        def target(position: int) -> int:
+            while len(stream) <= position:
+                u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, len(stream))
+                window = (*prompt, *stream[-order:])[-order:]
+                stream.append(decode_next(model, window, cfg.temperature, u))
+            return stream[position]
+
+        history = [*prompt, target(0)]  # the prompt, the prefill bonus, every commit
         hist = [0] * (cfg.block_len + 1)
         rounds = 0
         committed = 0
@@ -335,10 +338,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 entry = store.drafts[key] = (budget, flatten(tree, window[-1]))
             flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
-            def decode(path: tuple[int, ...]) -> int:
-                return decide(window + path, base_position + len(path))
-
-            outcome = verifier_walk(flat, decode)
+            outcome = verifier_walk(flat, lambda path: target(base_position + len(path)))
             round_tokens = [*outcome.accepted_tokens, outcome.next_bonus]
             remaining = cfg.max_new_tokens - committed
             round_tokens = round_tokens[:remaining]

@@ -59,6 +59,12 @@ class DrafterConfig:
             raise ValueError("block_len must be >= 1")
 
 
+def _check_seed(seed: int) -> None:
+    """Reject what numpy's generators refuse later with a message naming no field."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _check_table_size(vocab_size: int, order: int) -> int:
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
@@ -83,6 +89,7 @@ def random_model(
     row's non-pad draws have no finite positive sum, as when a tiny
     concentration underflows every draw of a row to 0.
     """
+    _check_seed(seed)
     states = _check_table_size(vocab_size, order)
     if not (math.isfinite(concentration) and concentration > 0.0):
         raise ValueError("concentration must be finite and > 0")
@@ -105,6 +112,7 @@ def deterministic_model(seed: int, vocab_size: int, order: int) -> NgramModel:
     Greedy decoding of this target is a fixed trajectory, which pins down the
     perfect-drafter limit (full-block acceptance every round).
     """
+    _check_seed(seed)
     states = _check_table_size(vocab_size, order)
     rng = np.random.default_rng(seed)
     table = np.zeros((states, vocab_size), dtype=np.float64)

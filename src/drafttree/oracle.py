@@ -1,4 +1,4 @@
-"""Brute-force ground truth for tree construction on small instances.
+"""Brute-force ground truth for tree construction and for whole episodes.
 
 Nothing here is clever on purpose: prefixes are enumerated exhaustively,
 expected acceptance length is computed by summing over every possible
@@ -10,6 +10,10 @@ score, then shallower depth, then lexicographically smaller rank tuple), and
 entry scores are computed with the same incremental log updates the heap uses,
 so node sets can be compared exactly instead of only values. The ``mass``
 field is an independent linear-domain product and is what value checks use.
+
+``reference_episode`` is the same kind of anchor for ``engine.run_episode``:
+it shares no store, flattening or verifier walk with the engine, so the
+engine's episodes are trusted because they equal it.
 """
 
 from __future__ import annotations
@@ -21,11 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MarginalBlock
+from .engine import (
+    EpisodeConfig,
+    EpisodeResult,
+    EpisodeStats,
+    _position_uniform,
+    decode_next,
+    make_prompt,
+)
+from .models import DrafterConfig, NgramModel, drafter_marginals
 from .treebuild import (
     ROOT_PARENT,
     DraftTree,
     RankTuple,
     TreeNode,
+    build_tree,
+    chain_tree,
     node_prefixes,
     top_k_per_depth,
     tree_from_prefixes,
@@ -174,3 +189,65 @@ def random_valid_tree(
         if len(prefix) < block.block_len:
             frontier.extend(prefix + (t,) for t in range(block.vocab_size))
     return tree_from_prefixes(block, chosen)
+
+
+def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
+    """The episode ``engine.run_episode`` must return, computed the slow way.
+
+    Every round drafts from the full history, rebuilds its tree (``build_tree``
+    at the config's budget, ``chain_tree``, or no nodes for the baseline) and
+    walks it by scanning the tree's node prefixes for the target's chosen
+    child. Every step is a ``decode_next`` call on the whole history, with
+    the uniform of its absolute output position. The trace is always built
+    and returned only when ``cfg.collect_trace`` asks for it.
+    """
+    prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
+    drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
+    budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)
+
+    def target(history: list[int]) -> int:
+        position = len(history) - len(prompt)
+        u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, position)
+        return decode_next(model, history, cfg.temperature, u)
+
+    tokens = [target(list(prompt))]  # the prefill bonus, then every commit
+    hist = [0] * (cfg.block_len + 1)
+    trace: list[dict] = []
+    done = tokens[0] == cfg.eos_token
+    while len(tokens) - 1 < cfg.max_new_tokens and not done:
+        if cfg.max_rounds is not None and len(trace) == cfg.max_rounds:
+            break
+        history = [*prompt, *tokens]
+        tree = DraftTree(nodes=())
+        if cfg.mode != "baseline":
+            block = drafter_marginals(model, history[:-1], history[-1], drafter_cfg)
+            tree = build_tree(block, budget) if cfg.mode == "tree" else chain_tree(block)
+        prefixes = node_prefixes(tree)
+        path: tuple[int, ...] = ()
+        kept = [0]  # flattened indices: the root, then node i at i + 1
+        while True:
+            chosen = target(history + list(path))
+            matches = [i for i, prefix in enumerate(prefixes) if prefix == path + (chosen,)]
+            if not matches:
+                break
+            path += (chosen,)
+            kept.append(matches[0] + 1)
+        trace.append({
+            "round_index": len(trace),
+            "budget": budget,
+            "tree_size": len(tree.nodes),
+            "acceptance_length": len(path),
+            "next_bonus": chosen,
+            "kept_indices": kept,
+        })
+        commit = [*path, chosen][: cfg.max_new_tokens - (len(tokens) - 1)]
+        if cfg.eos_token in commit:
+            commit = commit[: commit.index(cfg.eos_token) + 1]
+            done = True
+        tokens += commit
+        hist[len(commit) - 1] += 1
+
+    stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))
+    return EpisodeResult(
+        stats=stats, tokens=tuple(tokens), trace=tuple(trace) if cfg.collect_trace else ()
+    )

@@ -50,7 +50,7 @@ from drafttree.models import (
     drafter_marginals,
     random_model,
 )
-from drafttree.oracle import expected_acceptance_exact, random_valid_tree
+from drafttree.oracle import expected_acceptance_exact, random_valid_tree, reference_episode
 from drafttree.treebuild import ROOT_PARENT, build_tree, chain_tree, node_prefixes
 from drafttree.verify import flatten, verifier_walk
 
@@ -159,13 +159,15 @@ def test_criterion_3_losslessness():
     mismatches = 0
     for seed in range(50):
         for temperature in (0.0, 1.0):
-            base = run_episode(
-                model,
-                EpisodeConfig(
-                    seed=seed, max_new_tokens=128, block_len=8, mode="baseline",
-                    temperature=temperature, drafter_noise=0.3,
-                ),
+            base_cfg = EpisodeConfig(
+                seed=seed, max_new_tokens=128, block_len=8, mode="baseline",
+                temperature=temperature, drafter_noise=0.3,
             )
+            base = run_episode(model, base_cfg)
+            # Every engine mode reads one target stream; the naive reference
+            # decodes this one step by step from the full history.
+            if base.tokens != reference_episode(model, base_cfg).tokens:
+                mismatches += 1
             for budget in (8, 64):
                 spec = run_episode(
                     model,
@@ -178,7 +180,8 @@ def test_criterion_3_losslessness():
                     mismatches += 1
     ok = mismatches == 0
     report(3, "losslessness at temperatures 0.0 and 1.0", ok,
-           f"50 episodes x 2 budgets x 2 temperatures, mismatches={mismatches}")
+           f"50 episodes x 2 temperatures, baseline vs reference and 2 budgets vs "
+           f"baseline, mismatches={mismatches}")
     assert ok
 
 

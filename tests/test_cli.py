@@ -52,6 +52,12 @@ class TestOracleCheckCommand:
             run(["oracle-check", "--trials", "-1"])
         assert err.value.code == 2
 
+    def test_negative_seed_usage_error_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["oracle-check", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
     def test_report_counts_trials(self):
         report = run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=1)
         assert report.passed
@@ -223,6 +229,15 @@ class TestSweepCommand:
                  "--order", "3", "--out", str(out)])
         assert err.value.code == 2
         assert "16777216 table entries exceed the guard" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--model-seed"])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", flag, "-1", "--out", str(out)])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):

@@ -31,6 +31,7 @@ from drafttree.models import (
     random_model,
     target_next,
 )
+from drafttree.oracle import reference_episode
 from drafttree.treebuild import build_tree, node_prefixes
 from drafttree.verify import flatten, verifier_walk
 
@@ -67,6 +68,8 @@ class TestEpisodeConfig:
             small_cfg(drafter_noise=1.5)
         with pytest.raises(ValueError):
             small_cfg(max_rounds=-2)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            small_cfg(seed=-1)  # numpy refused it mid-episode
         assert small_cfg(max_rounds=0).max_rounds == 0  # trace --rounds 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -253,14 +256,15 @@ class TestLosslessness:
     @pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("mode", ["tree", "chain"])
     def test_speculative_matches_baseline(self, temperature, mode):
+        # Every mode reads one target stream, so the reference episode is what
+        # makes this check something.
         for seed in (1, 5, 9):
-            spec = run_episode(
-                MODEL, small_cfg(seed=seed, mode=mode, temperature=temperature)
-            )
-            base = run_episode(
-                MODEL, small_cfg(seed=seed, mode="baseline", temperature=temperature)
-            )
+            cfg = small_cfg(seed=seed, mode=mode, temperature=temperature)
+            spec = run_episode(MODEL, cfg)
+            base = run_episode(MODEL, replace(cfg, mode="baseline"))
             assert spec.tokens == base.tokens
+            assert spec == reference_episode(MODEL, cfg)
+            assert base == reference_episode(MODEL, replace(cfg, mode="baseline"))
 
     def test_temperature_sampling_matches_ancestral_loop(self):
         # The committed stream equals a hand-rolled target-only sampler fed by
@@ -598,6 +602,8 @@ class TestDraftCache:
         run_episodes(MODEL, cfg, episodes, workers)
         assert [r.tokens for r in recorded] == [r.tokens for r in alone]
         assert [r.stats for r in recorded] == [r.stats for r in alone]
+        configs = slice_configs(cfg, range(episodes))
+        assert recorded == [reference_episode(MODEL, c) for c in configs]
 
     @pytest.mark.parametrize("mode", ["tree", "chain"])
     def test_one_draft_per_window_and_no_state_between_calls(self, monkeypatch, mode):

@@ -59,6 +59,9 @@ class TestRandomModel:
             random_model(0, vocab_size=4, order=0)
         with pytest.raises(ValueError):
             random_model(0, vocab_size=4, order=1, concentration=0.0)
+        for make in (random_model, deterministic_model):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                make(-1, vocab_size=4, order=1)
 
     @pytest.mark.parametrize("concentration", [np.nan, np.inf, 1e-4])
     def test_rejects_concentration_without_finite_rows(self, concentration):
