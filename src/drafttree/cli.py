@@ -94,6 +94,8 @@ def run_oracle_check(
     optimal) valid tree additionally checks the additive identity: exhaustive
     expected acceptance equals the sum of node masses (1e-9 relative).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")  # numpy's message names no argument
     report = OracleCheckReport(trials=trials, failures={p: 0 for p in ORACLE_PROPERTIES})
     rng = np.random.default_rng(seed)
     for trial in range(trials):

@@ -79,15 +79,16 @@ def validate_block(raw) -> MarginalBlock:
         raise NonRectangular(
             f"need at least 1 row and 2 columns, got {table.shape}"
         )
-    if not np.all(np.isfinite(table)):
+    # Array methods and np.minimum/np.maximum skip the dispatch of np.all,
+    # np.any and np.clip; on finite input the clamp's bytes are np.clip's.
+    if not np.isfinite(table).all():
         raise NegativeEntry("table contains non-finite entries")
-    if np.any(table < 0.0):
+    if (table < 0.0).any():
         raise NegativeEntry("table contains negative entries")
-    row_sums = table.sum(axis=1)
-    if np.any(row_sums <= 0.0):
+    if (table.sum(axis=1) <= 0.0).any():
         raise RowSumZero("a row has zero total mass")
 
-    clamped = np.clip(table, EPS_Q, 1.0 - EPS_Q)
+    clamped = np.minimum(np.maximum(table, EPS_Q), 1.0 - EPS_Q)
     probs = clamped / clamped.sum(axis=1, keepdims=True)
     probs.flags.writeable = False
     return MarginalBlock(probs=probs)

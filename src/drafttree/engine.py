@@ -3,7 +3,9 @@
 Each round: take the current bonus token, draft a tree (the chain is a
 one-branch tree; the baseline's has no nodes and queries no drafter), walk it
 under the target's decoding rule, commit the accepted path plus the next bonus,
-and repeat.
+and repeat. A tree round hands ``build_tree`` the drafter's row chunks
+(``models.drafter_chunks``), so it drafts only the rows its tree reaches; the
+chain reaches depth L and drafts the whole block.
 
 Target stream: speculative decoding commits exactly the target's own tokens,
 so a round accepts the longest prefix of the target's stream that is a path
@@ -52,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .models import DrafterConfig, NgramModel, drafter_marginals, target_next
+from .models import DrafterConfig, NgramModel, drafter_chunks, drafter_marginals, target_next
 from .treebuild import DraftTree, build_tree, chain_tree
 from .verify import FlattenedTree, flatten, round_trace_record, verifier_walk
 
@@ -210,6 +212,7 @@ def _position_uniform(seed: int, position: int) -> float:
 
 def make_prompt(model: NgramModel, seed: int, prompt_len: int) -> tuple[int, ...]:
     """Seeded prompt over non-pad tokens."""
+    _require_count("seed", seed, 0)
     rng = np.random.default_rng([seed, _PROMPT_STREAM])
     return tuple(int(t) for t in rng.integers(1, model.vocab_size, size=prompt_len))
 
@@ -329,13 +332,12 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             entry = store.drafts.get(key)
             if entry is None or entry[0] < budget:
                 tree = DraftTree(nodes=())  # baseline: the bonus alone
-                if cfg.mode != "baseline":
-                    block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
-                    if cfg.mode == "tree":
-                        tree = build_tree(block, budget)
-                    else:
-                        tree = chain_tree(block)
-                entry = store.drafts[key] = (budget, flatten(tree, window[-1]))
+                context, bonus = window[:-1], window[-1]
+                if cfg.mode == "tree":  # drafts only the row chunks the tree reaches
+                    tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
+                elif cfg.mode == "chain":
+                    tree = chain_tree(drafter_marginals(model, context, bonus, drafter_cfg))
+                entry = store.drafts[key] = (budget, flatten(tree, bonus))
             flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
             outcome = verifier_walk(flat, lambda path: target(base_position + len(path)))

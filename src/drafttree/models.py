@@ -4,7 +4,10 @@ An n-gram table model stands in for the target: every conditional is an exact
 lookup, so per-position marginals, losslessness, and cache-replay checks can
 be verified to machine precision instead of statistically. The drafter is the
 target's exact marginals mixed with uniform noise, giving a single fidelity
-knob.
+knob. Its rows come from one dynamic program that runs a step per position
+drawn: ``drafter_chunks`` yields them in chunks of 4, 4, 8, 16, ... rows so
+that a tree builder drafts only as deep as its tree grows, and
+``drafter_marginals`` joins the same chunks into the whole block.
 
 Token id 0 is reserved as the context pad: rows assign it the clamp-minimum
 mass, and the target's decoding rule never generates it, but short contexts
@@ -15,16 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .distributions import EPS_Q, MarginalBlock, validate_block
 
 PAD_TOKEN = 0
-# Table entries: 80 MB of float64. Each drafter call also builds a joint array
-# of the table's size per position.
+# Table entries: 80 MB of float64. Each drafter call also holds a joint array
+# of the table's size.
 TABLE_GUARD = 10**7
+# The drafter's first chunk of rows; each later chunk doubles the rows so far.
+FIRST_CHUNK_ROWS = 4
 
 
 class TableTooLarge(ValueError):
@@ -136,29 +142,35 @@ def target_next(model: NgramModel, context: Sequence[int]) -> np.ndarray:
     return model.table[_context_index(model, context)]
 
 
-def _exact_marginal_rows(
-    model: NgramModel, context: Sequence[int], bonus: int, block_len: int
-) -> np.ndarray:
-    """Exact per-position marginals of the target's ancestral process.
+def _marginal_steps(
+    model: NgramModel, context: Sequence[int], bonus: int
+) -> Iterator[np.ndarray]:
+    """Exact per-position marginals of the target's ancestral process, one per step.
 
-    Dynamic program over the length-m context window: propagate the window
-    distribution one position at a time and read off each position's token
-    marginal. Exact because the state space is the full context table.
+    Dynamic program over the length-m context window: each step reads off the
+    next position's token marginal and propagates the window distribution one
+    position on. Exact because the state space is the full context table. The
+    generator never ends; a step runs only when its row is drawn.
     """
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
     v = model.vocab_size
     states = v**model.order
     window_dist = np.zeros(states, dtype=np.float64)
     window_dist[_context_index(model, list(context) + [bonus])] = 1.0
-
-    rows = np.empty((block_len, v), dtype=np.float64)
-    for i in range(block_len):
-        joint = window_dist[:, None] * model.table  # (states, v)
-        rows[i] = joint.sum(axis=0)
+    joint = np.empty((states, v), dtype=np.float64)
+    while True:
+        np.multiply(window_dist[:, None], model.table, out=joint)
+        yield joint.sum(axis=0)
         # Window shift drops the oldest token: new state = (old mod v^(m-1)) * v + next.
         window_dist = joint.reshape(v, states // v, v).sum(axis=0).reshape(states)
-    return rows
+
+
+def _exact_marginal_rows(
+    model: NgramModel, context: Sequence[int], bonus: int, block_len: int
+) -> np.ndarray:
+    """The first ``block_len`` rows of ``_marginal_steps`` as one (block_len, |V|) array."""
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
+    return np.array(list(islice(_marginal_steps(model, context, bonus), block_len)))
 
 
 def exact_marginals(
@@ -168,10 +180,32 @@ def exact_marginals(
     return validate_block(_exact_marginal_rows(model, context, bonus, block_len))
 
 
+def drafter_chunks(
+    model: NgramModel, context: Sequence[int], bonus: int, cfg: DrafterConfig
+) -> Iterator[MarginalBlock]:
+    """Noisy drafter rows, a convex mix of exact marginals and uniform, in chunks.
+
+    The chunks hold rows 0-3, 4-7, 8-15, 16-31, ...: after the first
+    ``FIRST_CHUNK_ROWS`` rows each chunk doubles the rows drafted so far, and
+    the last one ends at ``cfg.block_len``. A chunk's DP steps run when it is
+    drawn, so a reader that stops early drafts only the chunks it read. Mixing,
+    clamping and normalisation act row by row, so each chunk equals the same
+    rows of ``drafter_marginals``' block bit for bit.
+    """
+    steps = _marginal_steps(model, context, bonus)
+    uniform = 1.0 / model.vocab_size
+    drafted = 0
+    while drafted < cfg.block_len:
+        size = min(max(drafted, FIRST_CHUNK_ROWS), cfg.block_len - drafted)
+        rows = np.array(list(islice(steps, size)))
+        yield validate_block((1.0 - cfg.noise) * rows + cfg.noise * uniform)
+        drafted += size
+
+
 def drafter_marginals(
     model: NgramModel, context: Sequence[int], bonus: int, cfg: DrafterConfig
 ) -> MarginalBlock:
-    """Noisy drafter rows: convex mix of exact marginals and uniform."""
-    rows = _exact_marginal_rows(model, context, bonus, cfg.block_len)
-    uniform = 1.0 / model.vocab_size
-    return validate_block((1.0 - cfg.noise) * rows + cfg.noise * uniform)
+    """All ``cfg.block_len`` drafter rows: the ``drafter_chunks`` joined into one block."""
+    probs = np.concatenate([chunk.probs for chunk in drafter_chunks(model, context, bonus, cfg)])
+    probs.flags.writeable = False
+    return MarginalBlock(probs=probs)

@@ -15,6 +15,12 @@ at the next depth). The heap stage therefore does at most B pops and 2B
 pushes. ``chain_tree`` runs the same heap over each depth's top token only, at
 budget L, which yields the single per-depth argmax path.
 
+The heap reads a block's rows as consecutive chunks and ranks a chunk only
+when a pop first needs a child at one of its depths. ``build_tree`` also takes
+the drafter's chunks (``models.drafter_chunks``) in place of a whole block, so
+a tree whose deepest node sits at depth D drafts no row past the chunk that
+holds row D. Ranking is per row, so the tree is the one the whole block gives.
+
 Each pop asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of
 an fsum of its log factors. The heap holds 0-based ranks so that a rank
 indexes the per-depth lists directly, and pops emit plain ``TreeNode``
@@ -109,8 +115,13 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     return RankedDepths(token_ids=token_ids, probs=probs)
 
 
-def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
+def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> DraftTree:
     """Pop rank tuples from a max-heap in nonincreasing score order.
+
+    ``chunks`` are a block's rows in consecutive chunks of one vocabulary.
+    Each is ranked by ``top_k_per_depth`` at ``width`` when a pop first needs
+    a child at one of its depths, so a tree whose deepest node sits at depth D
+    draws the chunks up to the one holding row D and no further.
 
     Stops when ``budget`` nodes are placed or the heap runs dry (possible only
     when the whole restricted prefix space is smaller than the budget). Heap
@@ -120,10 +131,23 @@ def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
     best log factor. Every pop asserts that its incremental score matches an
     fsum of its log factors within ``SCORE_DRIFT_TOL``.
     """
-    token_ids = ranked.token_ids.tolist()
-    logq = np.log(ranked.probs).tolist()
+    pending = iter(chunks)
+    token_ids: list[list[int]] = []
+    logq: list[list[float]] = []
+
+    def rank_next_chunk() -> int:
+        """Rank the next chunk's depths; return the ranked depth count, or 0 if none is left."""
+        block = next(pending, None)
+        if block is None:
+            return 0
+        ranked = top_k_per_depth(block, width)
+        token_ids.extend(ranked.token_ids.tolist())
+        logq.extend(np.log(ranked.probs).tolist())
+        return len(logq)
+
+    depth_cap = rank_next_chunk()  # depths ranked so far
+    pull_at = depth_cap  # a pop at this depth ranks the next chunk; 0 once none is left
     k = len(token_ids[0])
-    depth_cap = len(token_ids)
     tol = SCORE_DRIFT_TOL
     fsum, factor = math.fsum, list.__getitem__
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -149,6 +173,9 @@ def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
         if last + 1 < k:
             sibling_score = score - logq_row[last] + logq_row[last + 1]
             heappush(heap, (-sibling_score, depth, ranks[:-1] + (last + 1,), parent))
+        if depth == pull_at:
+            pull_at = rank_next_chunk()
+            depth_cap = len(logq)
         if depth < depth_cap:
             child_score = score + logq[depth][0]
             heappush(heap, (-child_score, depth + 1, ranks + (0,), index))
@@ -157,9 +184,16 @@ def _best_first(ranked: RankedDepths, budget: int) -> DraftTree:
     return DraftTree(nodes=tuple(nodes), heap_pushes=pushes)
 
 
-def build_tree(block: MarginalBlock, budget: int) -> DraftTree:
-    """The optimal draft tree under ``budget`` nodes, built best-first."""
-    return _best_first(top_k_per_depth(block, budget), budget)
+def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> DraftTree:
+    """The optimal draft tree under ``budget`` nodes, built best-first.
+
+    ``block`` is a whole block, or its rows as consecutive chunks (as
+    ``models.drafter_chunks`` yields them), which are drawn only as deep as
+    the tree grows. Either way the tree equals the one built from the whole
+    block.
+    """
+    chunks = (block,) if isinstance(block, MarginalBlock) else block
+    return _best_first(chunks, budget, budget)
 
 
 def chain_tree(block: MarginalBlock) -> DraftTree:
@@ -169,7 +203,7 @@ def chain_tree(block: MarginalBlock) -> DraftTree:
     continuation instead of a tree. It is the best-first tree over each
     depth's top token at budget L.
     """
-    return _best_first(top_k_per_depth(block, 1), block.block_len)
+    return _best_first((block,), 1, block.block_len)
 
 
 def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:

@@ -21,6 +21,7 @@ import numpy as np
 from .treebuild import ROOT_PARENT, DraftTree
 
 NO_CHILD = -1
+_INT16_MAX = int(np.iinfo(np.int16).max)  # the widest tree an int16 child table indexes
 
 
 class DuplicateChildToken(ValueError):
@@ -128,7 +129,7 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     # Fill every (parent, token) slot at once; a slot taken twice keeps only
     # one index, so the other child reads back someone else's.
     tokens = np.array(token_col, dtype=np.intp)
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    dtype = np.int16 if n <= _INT16_MAX else np.int32
     child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=dtype)
     child_table[parents, tokens] = indices
     clashes = np.flatnonzero(child_table[parents, tokens] != indices)

@@ -58,6 +58,10 @@ class TestOracleCheckCommand:
         assert err.value.code == 2
         assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
+    def test_negative_seed_raises_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=-1)
+
     def test_report_counts_trials(self):
         report = run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=1)
         assert report.passed

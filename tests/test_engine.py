@@ -70,6 +70,8 @@ class TestEpisodeConfig:
             small_cfg(max_rounds=-2)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             small_cfg(seed=-1)  # numpy refused it mid-episode
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make_prompt(MODEL, -1, 8)
         assert small_cfg(max_rounds=0).max_rounds == 0  # trace --rounds 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -217,6 +219,7 @@ class TestBaselineMode:
             raise AssertionError("the baseline drafted")
 
         monkeypatch.setattr(engine, "drafter_marginals", refuse)
+        monkeypatch.setattr(engine, "drafter_chunks", refuse)
         run_episode(MODEL, small_cfg(mode="baseline", temperature=1.0))
         run_episodes(MODEL, small_cfg(mode="baseline"), episodes=3)
 
@@ -477,13 +480,17 @@ class CountingDrafts:
 
     def __init__(self, monkeypatch):
         self.events = []
-        real_draft, real_build, real_chain = (
-            engine.drafter_marginals, engine.build_tree, engine.chain_tree,
+        real_draft, real_chunks, real_build, real_chain = (
+            engine.drafter_marginals, engine.drafter_chunks, engine.build_tree, engine.chain_tree,
         )
 
         def draft(model, context, bonus, cfg):
             self.events.append(((tuple(context) + (bonus,))[-model.order:],))
             return real_draft(model, context, bonus, cfg)
+
+        def draft_chunks(model, context, bonus, cfg):  # the tree's drafter
+            self.events.append(((tuple(context) + (bonus,))[-model.order:],))
+            return real_chunks(model, context, bonus, cfg)
 
         def build(block, budget):
             self.events[-1] += ("tree", budget)
@@ -494,6 +501,7 @@ class CountingDrafts:
             return real_chain(block)
 
         monkeypatch.setattr(engine, "drafter_marginals", draft)
+        monkeypatch.setattr(engine, "drafter_chunks", draft_chunks)
         monkeypatch.setattr(engine, "build_tree", build)
         monkeypatch.setattr(engine, "chain_tree", chain)
 
@@ -608,16 +616,18 @@ class TestDraftCache:
     @pytest.mark.parametrize("mode", ["tree", "chain"])
     def test_one_draft_per_window_and_no_state_between_calls(self, monkeypatch, mode):
         windows = []
-        real = engine.drafter_marginals
+        drafter = "drafter_chunks" if mode == "tree" else "drafter_marginals"
+        real = getattr(engine, drafter)
 
         def counting(model, context, bonus, cfg):
             windows.append((tuple(context) + (bonus,))[-model.order:])
             return real(model, context, bonus, cfg)
 
-        monkeypatch.setattr(engine, "drafter_marginals", counting)
+        monkeypatch.setattr(engine, drafter, counting)
         cfg = small_cfg(mode=mode, temperature=1.0)
         first = run_episodes(MODEL, cfg, episodes=5)
         first_calls = len(windows)
+        assert first_calls
         assert first_calls == len(set(windows))
         assert first_calls < first.rounds  # windows did repeat
         windows.clear()
@@ -649,6 +659,7 @@ class TestDraftCache:
         cfg = small_cfg(temperature=temperature)
         rows = budget_sweep(MODEL, cfg, self.BUDGETS, episodes=4)
         trees = counts.builds("tree")
+        assert trees
         assert len(counts.events) == len(trees)  # every draft fed one build
         assert len({w for w, _ in trees}) == len(trees)  # one per distinct window
         assert len(trees) < sum(r.stats.rounds for r in rows)
@@ -661,6 +672,7 @@ class TestDraftCache:
         cfg = small_cfg(temperature=1.0)
         self.scoped_rows(cfg)
         trees, chains = counts.builds("tree"), counts.builds("chain")
+        assert trees
         assert len(counts.events) == len(trees) + len(chains)
         assert len({w for w, _ in trees}) == len(trees)
         assert len({w for w, _ in chains}) == len(chains)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drafttree.distributions import EPS_Q
 from drafttree.models import (
@@ -9,11 +11,14 @@ from drafttree.models import (
     DrafterConfig,
     NgramModel,
     TableTooLarge,
+    FIRST_CHUNK_ROWS,
     deterministic_model,
+    drafter_chunks,
     drafter_marginals,
     exact_marginals,
     random_model,
     target_next,
+    _context_index,
     _exact_marginal_rows,
 )
 
@@ -172,7 +177,39 @@ class TestExactMarginals:
         assert np.all(np.abs(freqs - raw) <= 3.0 * sigma + 1e-12)
 
 
+def loop_drafter_rows(model, context, bonus, noise, block_len):
+    """The drafter's block as one loop over positions, clamped by np.clip."""
+    v = model.vocab_size
+    states = v**model.order
+    window_dist = np.zeros(states)
+    window_dist[_context_index(model, list(context) + [bonus])] = 1.0
+    rows = np.empty((block_len, v))
+    for i in range(block_len):
+        joint = window_dist[:, None] * model.table
+        rows[i] = joint.sum(axis=0)
+        window_dist = joint.reshape(v, states // v, v).sum(axis=0).reshape(states)
+    clamped = np.clip((1.0 - noise) * rows + noise * (1.0 / v), EPS_Q, 1.0 - EPS_Q)
+    return clamped / clamped.sum(axis=1, keepdims=True)
+
+
 class TestDrafterMarginals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 24),  # vocab
+        st.integers(1, 3),  # order
+        st.integers(0, 2**16),  # seed
+        st.sampled_from([0.008, 0.1, 1.0]),  # concentration
+        st.floats(0.0, 1.0),  # noise
+        st.integers(1, 20),  # block_len
+    )
+    def test_equals_the_loop_dp_bit_for_bit(self, vocab, order, seed, conc, noise, block_len):
+        vocab = min(vocab, {1: 24, 2: 24, 3: 12}[order])
+        model = random_model(seed, vocab, order, concentration=conc)
+        context = tuple(int(t) for t in np.random.default_rng(seed).integers(1, vocab, size=order))
+        block = drafter_marginals(model, context[:-1], context[-1], DrafterConfig(noise, block_len))
+        reference = loop_drafter_rows(model, context[:-1], context[-1], noise, block_len)
+        assert block.probs.tobytes() == reference.tobytes()
+
     def test_zero_noise_equals_exact(self):
         model = random_model(6, vocab_size=5, order=2)
         cfg = DrafterConfig(noise=0.0, block_len=3)
@@ -193,6 +230,23 @@ class TestDrafterMarginals:
         model = NgramModel(order=1, vocab_size=2, table=table)
         block = drafter_marginals(model, (), 1, DrafterConfig(noise=0.5, block_len=1))
         assert np.allclose(block.probs[0], [0.65, 0.35], rtol=1e-12)
+
+    @pytest.mark.parametrize("block_len", [1, 3, 4, 5, 8, 9, 16, 17, 40])
+    def test_chunks_double_the_rows_drafted_and_join_to_the_block(self, block_len):
+        model = random_model(2, vocab_size=7, order=2, concentration=0.3)
+        cfg = DrafterConfig(noise=0.3, block_len=block_len)
+        chunks = list(drafter_chunks(model, (3,), 5, cfg))
+        sizes = [chunk.block_len for chunk in chunks]
+        assert sum(sizes) == block_len
+        assert sizes[0] == min(FIRST_CHUNK_ROWS, block_len)
+        for i, size in enumerate(sizes[1:-1], start=1):
+            assert size == sum(sizes[:i])  # each full chunk doubles the rows so far
+        if len(sizes) > 1:
+            assert sizes[-1] <= sum(sizes[:-1])
+        joined = np.concatenate([chunk.probs for chunk in chunks])
+        block = drafter_marginals(model, (3,), 5, cfg)
+        assert joined.tobytes() == block.probs.tobytes()
+        assert not block.probs.flags.writeable
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drafttree import treebuild
+from drafttree import engine, models, treebuild
 from drafttree.distributions import sample_continuations, validate_block
+from drafttree.models import (
+    DrafterConfig,
+    deterministic_model,
+    drafter_chunks,
+    drafter_marginals,
+    random_model,
+)
 from drafttree.oracle import optimal_tree_exhaustive
 from drafttree.treebuild import (
     ROOT_PARENT,
@@ -20,6 +27,7 @@ from drafttree.treebuild import (
     top_k_per_depth,
     tree_from_prefixes,
 )
+from drafttree.verify import flatten
 
 from blocks import EXAMPLE_ROWS, random_block
 
@@ -296,3 +304,96 @@ class TestTreeFromPrefixes:
         assert rebuilt.surrogate_value == pytest.approx(
             built.surrogate_value, rel=1e-9
         )
+
+
+def draft_window(kind, vocab, order, seed):
+    """A model of ``kind`` (a concentration, or "one-hot") and a window over its tokens."""
+    if kind == "one-hot":
+        model = deterministic_model(seed, vocab, order)
+    else:
+        model = random_model(seed, vocab, order, concentration=kind)
+    window = np.random.default_rng(seed).integers(1, vocab, size=order)
+    return model, tuple(int(t) for t in window[:-1]), int(window[-1])
+
+
+def counting_dp_steps(monkeypatch):
+    """Count the marginal DP's steps; returns the list each step appends to."""
+    steps = []
+    real = models._marginal_steps
+
+    def counted(*args):
+        for row in real(*args):
+            steps.append(1)
+            yield row
+
+    monkeypatch.setattr(models, "_marginal_steps", counted)
+    return steps
+
+
+def rows_drafted(block_len, depth):
+    """Rows the chunked drafter computes for a tree whose deepest node is at ``depth``."""
+    edge = models.FIRST_CHUNK_ROWS
+    while edge < depth + 1:
+        edge *= 2
+    return min(block_len, edge)
+
+
+class TestChunkedBuild:
+    """A tree fed the drafter's row chunks equals the tree of the whole block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["one-hot", 0.008, 0.1, 1.0]),  # target: depths 1..L all occur
+        st.integers(2, 40),  # vocab
+        st.integers(1, 3),  # order
+        st.integers(0, 2**16),  # seed
+        st.floats(0.0, 1.0),  # noise
+        st.integers(1, 16),  # block_len
+        st.integers(1, 1024),  # budget
+    )
+    def test_equals_the_whole_block_tree(self, kind, vocab, order, seed, noise, block_len, budget):
+        vocab = min(vocab, {1: 40, 2: 40, 3: 20}[order])  # keeps the DP desk-sized
+        model, context, bonus = draft_window(kind, vocab, order, seed)
+        cfg = DrafterConfig(noise=noise, block_len=block_len)
+        whole = build_tree(drafter_marginals(model, context, bonus, cfg), budget)
+        chunked = build_tree(drafter_chunks(model, context, bonus, cfg), budget)
+        assert chunked.nodes == whole.nodes
+        assert chunked.heap_pushes == whole.heap_pushes
+        a, b = flatten(chunked, bonus), flatten(whole, bonus)
+        assert (a.token_ids, a.position_offsets, a.parent_of) == (
+            b.token_ids, b.position_offsets, b.parent_of,
+        )
+        assert a.child_table.dtype == b.child_table.dtype
+        assert a.child_table.tobytes() == b.child_table.tobytes()
+
+    # One-hot rows put nearly all mass on one path, so a tree of B nodes is a
+    # path of depth min(B, L): these budgets end on each side of the 4- and
+    # 8-row chunk edges and at the block's end.
+    @pytest.mark.parametrize("budget", [1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 40])
+    @pytest.mark.parametrize("block_len", [3, 4, 8, 11, 16])
+    def test_drafts_only_the_chunks_its_depth_reaches(self, monkeypatch, budget, block_len):
+        steps = counting_dp_steps(monkeypatch)
+        model, context, bonus = draft_window("one-hot", 6, 2, 3)
+        cfg = DrafterConfig(noise=0.0, block_len=block_len)
+        tree = build_tree(drafter_chunks(model, context, bonus, cfg), budget)
+        depth = max(node.depth for node in tree.nodes)
+        assert depth == min(budget, block_len)
+        assert len(steps) == rows_drafted(block_len, depth)
+
+    @pytest.mark.parametrize("kind", [0.008, 0.1, 1.0])
+    def test_a_sweep_drafts_the_rows_each_tree_reaches(self, monkeypatch, kind):
+        steps = counting_dp_steps(monkeypatch)
+        model = random_model(7, vocab_size=12, order=2, concentration=kind)
+        depths = []
+        real_build = engine.build_tree
+
+        def build(block, budget):
+            tree = real_build(block, budget)
+            depths.append(max(node.depth for node in tree.nodes))
+            return tree
+
+        monkeypatch.setattr(engine, "build_tree", build)
+        cfg = engine.EpisodeConfig(seed=5, max_new_tokens=48, temperature=1.0)
+        engine.budget_sweep(model, cfg, [4, 16, 64], episodes=3)
+        assert depths
+        assert len(steps) == sum(rows_drafted(cfg.block_len, d) for d in depths)
