@@ -14,7 +14,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -179,9 +181,12 @@ def _workers_from_env(parser: argparse.ArgumentParser) -> int:
     return workers
 
 
-def _open_output(path: str, parser: argparse.ArgumentParser):
+@contextmanager
+def _output(path: str, parser: argparse.ArgumentParser) -> Iterator[TextIO]:
+    """The output file; a failure to open, write or close it exits 2."""
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         parser.error(f"cannot write {path!r}: {exc}")
 
@@ -240,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for mode in ("chain", "baseline"):
             rows.append(run_episodes(model, replace(base, mode=mode), args.episodes, workers))
 
-    with _open_output(args.out, parser) as fh:
+    with _output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -281,7 +286,7 @@ def cmd_histogram(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         tree_stats = run_episodes(model, tree, args.episodes, workers)
         chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes, workers)
 
-    with _open_output(args.out, parser) as fh:
+    with _output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bin", "tree_count", "chain_count"])
@@ -302,7 +307,7 @@ def cmd_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         collect_trace=True,
     )
     result = run_episode(model, cfg)
-    with _open_output(args.out, parser) as fh:
+    with _output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
         for record in result.trace:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")

@@ -7,12 +7,13 @@ and repeat. A tree round hands ``build_tree`` the drafter's row chunks
 (``models.drafter_chunks``), so it drafts only the rows its tree reaches; the
 chain reaches depth L and drafts the whole block.
 
-Target stream: speculative decoding commits exactly the target's own tokens,
-so a round accepts the longest prefix of the target's stream that is a path
-of its draft. The token at output position t is decided once per sweep, from
-the last ``order`` tokens before it and a uniform derived only from (episode
-seed, t); every row and mode reads that one stream. Modes thus commit equal
-streams by construction, so losslessness is checked against
+Token sequence: speculative decoding commits exactly the target's own tokens,
+so an episode is a prefix of one sequence: the seeded prompt, then the
+target's decisions, each decided once per sweep from the last ``order`` tokens
+before it and a uniform derived only from (episode seed, output position). An
+episode is a cursor ``n`` into it; a round commits the longest run of decisions
+from ``n`` on that is a path of its draft, plus the next bonus. Modes thus
+commit equal tokens by construction, so losslessness is checked against
 ``oracle.reference_episode`` (full history, no store), not across modes.
 
 ``max_new_tokens`` budgets the tokens committed by verification rounds; the
@@ -30,9 +31,10 @@ node budget it was built at. A round at budget B reuses the entry when it was
 built at B or more and walks its first B + 1 entries; otherwise it builds at B
 and replaces the entry. ``budget_sweep`` runs its rows largest budget first,
 so each window's tree is built once, at the largest budget of the rows that
-meet the window. The store also keeps one target stream per (episode seed,
-prompt_len, temperature), so each output position is decided once per sweep.
-A hit returns exactly what a rebuild would, so every output is unchanged.
+meet the window. The store also keeps one token sequence per (episode seed,
+prompt_len, temperature), so each prompt is made and each output position
+decided once per sweep. A hit returns exactly what a rebuild would, so every
+output is unchanged.
 ``run_episode`` and ``run_episodes`` open a scope only when none is open. A
 scope serves one model and holds at most |V|^order windows per mode and
 config; the caller runs each row's slice 0 under it, and helper process k
@@ -245,16 +247,16 @@ _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
 class _SweepStore:
-    """What the rows of one sweep share: drafts, target streams and the helper processes.
+    """What the rows of one sweep share: drafts, token sequences and the helper processes.
 
-    ``streams[(seed, prompt_len, temperature)]`` is that episode's target
-    stream, extended on demand, so each position is decided once per sweep.
+    ``sequences[(seed, prompt_len, temperature)]`` is that episode's prompt
+    followed by the target's decisions, extended on demand.
     """
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
         self.drafts: dict[_DraftKey, tuple[int, FlattenedTree]] = {}  # (built at, draft)
-        self.streams: dict[tuple[int, int, float], list[int]] = {}
+        self.sequences: dict[tuple[int, int, float], list[int]] = {}
         self.helpers: list[ProcessPoolExecutor] = []  # helpers[k - 1] runs slice k
 
 
@@ -263,7 +265,7 @@ _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
 
 @contextmanager
 def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
-    """Share one store of drafts and target streams, and the helper processes, across rows.
+    """Share one store of drafts and token sequences, and the helper processes, across rows.
 
     Opens a store for ``model`` unless one is open already, in which case the
     open one serves; no draft key has a model field, so a scope open for
@@ -274,7 +276,7 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     a round at a larger budget rebuilds it. ``budget_sweep`` runs largest
     budget first, so each window's tree is built once, at the largest budget
     of the rows that meet the window. Drafts do not depend on temperature or
-    episode count, and streams are keyed by all they depend on besides the
+    episode count, and sequences are keyed by all they depend on besides the
     model, so any rows of one model may share a scope.
     """
     store = _scope.get()
@@ -299,35 +301,36 @@ def _init_worker(model: NgramModel) -> None:
 
 
 def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
-    """Run one full decoding episode and collect acceptance statistics."""
+    """Run one full decoding episode, a cursor into its stored sequence, and collect its stats."""
     if cfg.eos_token is not None and cfg.eos_token >= model.vocab_size:
         raise ValueError(f"eos_token {cfg.eos_token} is not below vocab_size {model.vocab_size}")
-    prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
     order = model.order
     with sweep_scope(model) as store:
-        stream = store.streams.setdefault((cfg.seed, cfg.prompt_len, cfg.temperature), [])
+        seq_key = (cfg.seed, cfg.prompt_len, cfg.temperature)
+        seq = store.sequences.get(seq_key)
+        if seq is None:
+            seq = store.sequences[seq_key] = list(make_prompt(model, cfg.seed, cfg.prompt_len))
 
-        def target(position: int) -> int:
-            while len(stream) <= position:
-                u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, len(stream))
-                window = (*prompt, *stream[-order:])[-order:]
-                stream.append(decode_next(model, window, cfg.temperature, u))
-            return stream[position]
+        def target(index: int) -> int:
+            while len(seq) <= index:
+                position = len(seq) - cfg.prompt_len
+                u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, position)
+                seq.append(decode_next(model, seq[-order:], cfg.temperature, u))
+            return seq[index]
 
-        history = [*prompt, target(0)]  # the prompt, the prefill bonus, every commit
+        n = cfg.prompt_len + 1  # the prompt and the prefill bonus
+        end = n + cfg.max_new_tokens
+        done = target(n - 1) == cfg.eos_token
         hist = [0] * (cfg.block_len + 1)
         rounds = 0
-        committed = 0
         trace: list[dict] = []
-        done = cfg.eos_token is not None and history[-1] == cfg.eos_token
 
-        while committed < cfg.max_new_tokens and not done:
+        while n < end and not done:
             if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
                 break
-            base_position = len(history) - len(prompt)
-            window = tuple(history[-order:])  # ends with the bonus
+            window = tuple(seq[max(0, n - order):n])  # ends with the bonus
             key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
             entry = store.drafts.get(key)
             if entry is None or entry[0] < budget:
@@ -340,27 +343,23 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 entry = store.drafts[key] = (budget, flatten(tree, bonus))
             flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
-            outcome = verifier_walk(flat, lambda path: target(base_position + len(path)))
-            round_tokens = [*outcome.accepted_tokens, outcome.next_bonus]
-            remaining = cfg.max_new_tokens - committed
-            round_tokens = round_tokens[:remaining]
-            if cfg.eos_token is not None and cfg.eos_token in round_tokens:
-                round_tokens = round_tokens[: round_tokens.index(cfg.eos_token) + 1]
+            outcome = verifier_walk(flat, lambda path: target(n + len(path)))
+            # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
+            k = min(outcome.acceptance_length + 1, end - n)
+            if cfg.eos_token in seq[n:n + k]:
+                k = seq.index(cfg.eos_token, n) - n + 1
                 done = True
 
-            history.extend(round_tokens)
-            committed += len(round_tokens)
+            n += k
             rounds += 1
-            hist[len(round_tokens) - 1] += 1
+            hist[k - 1] += 1
             if cfg.collect_trace:
                 # Walk-level values: a tail round truncated by the token budget
                 # still records what verification produced.
                 trace.append(round_trace_record(rounds - 1, budget, flat, outcome))
 
     stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))
-    return EpisodeResult(
-        stats=stats, tokens=tuple(history[len(prompt):]), trace=tuple(trace)
-    )
+    return EpisodeResult(stats=stats, tokens=tuple(seq[cfg.prompt_len:n]), trace=tuple(trace))
 
 
 def episode_seed(base_seed: int, episode_index: int) -> int:

@@ -164,22 +164,6 @@ def _marginal_steps(
         window_dist = joint.reshape(v, states // v, v).sum(axis=0).reshape(states)
 
 
-def _exact_marginal_rows(
-    model: NgramModel, context: Sequence[int], bonus: int, block_len: int
-) -> np.ndarray:
-    """The first ``block_len`` rows of ``_marginal_steps`` as one (block_len, |V|) array."""
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
-    return np.array(list(islice(_marginal_steps(model, context, bonus), block_len)))
-
-
-def exact_marginals(
-    model: NgramModel, context: Sequence[int], bonus: int, block_len: int
-) -> MarginalBlock:
-    """Validated exact marginals for the next ``block_len`` positions."""
-    return validate_block(_exact_marginal_rows(model, context, bonus, block_len))
-
-
 def drafter_chunks(
     model: NgramModel, context: Sequence[int], bonus: int, cfg: DrafterConfig
 ) -> Iterator[MarginalBlock]:
@@ -209,3 +193,10 @@ def drafter_marginals(
     probs = np.concatenate([chunk.probs for chunk in drafter_chunks(model, context, bonus, cfg)])
     probs.flags.writeable = False
     return MarginalBlock(probs=probs)
+
+
+def exact_marginals(
+    model: NgramModel, context: Sequence[int], bonus: int, block_len: int
+) -> MarginalBlock:
+    """Validated exact marginals for the next ``block_len`` positions: the drafter at noise 0."""
+    return drafter_marginals(model, context, bonus, DrafterConfig(noise=0.0, block_len=block_len))

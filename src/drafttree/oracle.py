@@ -74,22 +74,22 @@ def enumerate_prefixes(block: MarginalBlock) -> tuple[TableEntry, ...]:
     ranked = top_k_per_depth(block, block.vocab_size)  # full ranking, K = |V|
     logq = np.log(ranked.probs)
 
-    # Walk the sibling/child successor graph from (1); every rank tuple has a
+    # Walk the sibling/child successor graph from (0,); every rank tuple has a
     # unique predecessor so each prefix is visited exactly once.
     entries: list[TableEntry] = []
-    queue: deque[tuple[RankTuple, float]] = deque([((1,), float(logq[0, 0]))])
+    queue: deque[tuple[RankTuple, float]] = deque([((0,), float(logq[0, 0]))])
     while queue:
         ranks, score = queue.popleft()
         depth = len(ranks)
-        tokens = tuple(int(ranked.token_ids[i, r - 1]) for i, r in enumerate(ranks))
-        mass = math.prod(float(ranked.probs[i, r - 1]) for i, r in enumerate(ranks))
+        tokens = tuple(int(ranked.token_ids[i, r]) for i, r in enumerate(ranks))
+        mass = math.prod(float(ranked.probs[i, r]) for i, r in enumerate(ranks))
         entries.append(TableEntry(tokens=tokens, ranks=ranks, mass=mass, log_score=score))
         last = ranks[-1]
-        if last + 1 <= block.vocab_size:
-            sibling = score - float(logq[depth - 1, last - 1]) + float(logq[depth - 1, last])
+        if last + 1 < block.vocab_size:
+            sibling = score - float(logq[depth - 1, last]) + float(logq[depth - 1, last + 1])
             queue.append((ranks[:-1] + (last + 1,), sibling))
         if depth < block.block_len:
-            queue.append((ranks + (1,), score + float(logq[depth, 0])))
+            queue.append((ranks + (0,), score + float(logq[depth, 0])))
     assert len(entries) == total
 
     entries.sort(key=lambda e: (-e.log_score, len(e.ranks), e.ranks))

@@ -10,7 +10,7 @@ ancestor strictly dominates its descendants.
 ``build_tree`` recovers those B prefixes lazily: prefixes are indexed by
 per-depth probability ranks, and a max-heap enumerates rank tuples in
 nonincreasing score order, pushing at most two successors per pop (the next
-sibling, which bumps the last rank, and the first child, which appends rank 1
+sibling, which bumps the last rank, and the first child, which appends rank 0
 at the next depth). The heap stage therefore does at most B pops and 2B
 pushes. ``chain_tree`` runs the same heap over each depth's top token only, at
 budget L, which yields the single per-depth argmax path.
@@ -22,9 +22,9 @@ a tree whose deepest node sits at depth D drafts no row past the chunk that
 holds row D. Ranking is per row, so the tree is the one the whole block gives.
 
 Each pop asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of
-an fsum of its log factors. The heap holds 0-based ranks so that a rank
-indexes the per-depth lists directly, and pops emit plain ``TreeNode``
-tuples; both keep the per-pop cost down to a few interpreter steps.
+an fsum of its log factors. A rank indexes the per-depth lists directly, and
+pops emit plain ``TreeNode`` tuples; both keep the per-pop cost down to a few
+interpreter steps.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ import numpy as np
 
 from .distributions import MarginalBlock, Prefix, log_prefix_mass
 
-# Rank tuples are 1-based per-depth probability ranks; (1, 3) means the most
+# Rank tuples are 0-based per-depth probability ranks; (0, 2) means the most
 # probable token at depth 1 followed by the third most probable at depth 2.
-# The builder's heap keeps the same ranks 0-based, as (0, 2); the oracle's
-# table and everything outside the heap use this 1-based form.
 RankTuple = tuple[int, ...]
 
 ROOT_PARENT = -1
@@ -93,7 +91,7 @@ class DraftTree:
 
 
 class RankedDepths(NamedTuple):
-    """Per-depth top-K tokens: ``token_ids[i, k]`` is the rank-(k+1) token."""
+    """Per-depth top-K tokens: ``token_ids[i, k]`` is the rank-k token (0-based)."""
 
     token_ids: np.ndarray  # (L, K) int64
     probs: np.ndarray  # (L, K) float64
@@ -152,10 +150,9 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     fsum, factor = math.fsum, list.__getitem__
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    # Heap entries: (-score, depth, ranks, parent node index), with 0-based
-    # ranks, which order lexicographically as the 1-based RankTuple does. The
-    # first three fields form a total order, so the parent never gets compared.
-    heap: list[tuple[float, int, tuple[int, ...], int]] = [
+    # Heap entries: (-score, depth, ranks, parent node index). The first three
+    # fields form a total order, so the parent never gets compared.
+    heap: list[tuple[float, int, RankTuple, int]] = [
         (-logq[0][0], 1, (0,), ROOT_PARENT)
     ]
     nodes: list[TreeNode] = []

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -350,6 +351,21 @@ class TestTraceCommand:
         first = out.read_bytes()
         assert run(argv) == 0
         assert out.read_bytes() == first
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["sweep", *SWEEP_FLAGS, "--budgets", "8"],
+    ["histogram", *SWEEP_FLAGS, "--budget", "8"],
+    ["trace", *MODEL_FLAGS, "--budget", "8", "--rounds", "2"],
+])
+def test_failed_write_exits_2_naming_the_path(monkeypatch, capsys, argv):
+    # /dev/full opens, then fails every write with ENOSPC.
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--out", "/dev/full"])
+    assert err.value.code == 2
+    assert "error: cannot write '/dev/full': [Errno 28]" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -688,6 +688,22 @@ class TestDraftCache:
         assert self.scoped_rows(cfg) == first
         assert counts.events == first_events
 
+    def test_a_scope_makes_each_prompt_once(self, monkeypatch):
+        calls = []
+
+        def counting(model, seed, prompt_len):
+            calls.append(seed)
+            return make_prompt(model, seed, prompt_len)
+
+        monkeypatch.setattr(engine, "make_prompt", counting)
+        cfg = small_cfg()
+        with sweep_scope(MODEL):
+            budget_sweep(MODEL, cfg, [8, 16], episodes=3)
+            for mode in ("chain", "baseline"):
+                run_episodes(MODEL, replace(cfg, mode=mode), 3)
+        # Four rows of three episodes read three stored sequences.
+        assert sorted(calls) == sorted(episode_seed(cfg.seed, i) for i in range(3))
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_scoped_rows_equal_unscoped_rows(self, temperature, workers):

@@ -19,7 +19,6 @@ from drafttree.models import (
     random_model,
     target_next,
     _context_index,
-    _exact_marginal_rows,
 )
 
 
@@ -150,14 +149,14 @@ class TestExactMarginals:
 
     def test_matches_brute_force_path_enumeration(self):
         model = random_model(11, vocab_size=3, order=2, concentration=0.7)
-        raw = _exact_marginal_rows(model, (1, 2), 1, 4)
+        raw = exact_marginals(model, (1, 2), 1, 4).probs
         brute = brute_force_marginals(model, (1, 2), 1, 4)
         assert np.allclose(raw, brute, rtol=1e-12, atol=1e-15)
 
     def test_matches_monte_carlo_rollouts(self):
         model = random_model(13, vocab_size=4, order=1, concentration=1.0)
         context, bonus, block_len = (2,), 3, 3
-        raw = _exact_marginal_rows(model, context, bonus, block_len)
+        raw = exact_marginals(model, context, bonus, block_len).probs
         n = 100_000
         rng = np.random.default_rng(99)
         counts = np.zeros((block_len, 4))

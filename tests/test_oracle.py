@@ -111,7 +111,7 @@ class TestOptimalTreeExhaustive:
             table = enumerate_prefixes(block)
             unrestricted = math.fsum(e.mass for e in table[:budget])
             restricted_entries = [
-                e for e in table if all(r <= k for r in e.ranks)
+                e for e in table if all(r < k for r in e.ranks)
             ][:budget]
             restricted = math.fsum(e.mass for e in restricted_entries)
             assert restricted == pytest.approx(unrestricted, rel=1e-12)
