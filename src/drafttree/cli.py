@@ -36,7 +36,7 @@ from .oracle import (
     optimal_tree_exhaustive,
     random_valid_tree,
 )
-from .distributions import validate_block
+from .distributions import require_count, validate_block
 from .treebuild import build_tree, check_ancestor_dominance, check_prefix_closed, node_prefixes
 
 WORKERS_ENV = "DRAFTTREE_WORKERS"
@@ -96,8 +96,7 @@ def run_oracle_check(
     optimal) valid tree additionally checks the additive identity: exhaustive
     expected acceptance equals the sum of node masses (1e-9 relative).
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")  # numpy's message names no argument
+    require_count("seed", seed, 0)  # numpy's own error names no argument
     report = OracleCheckReport(trials=trials, failures={p: 0 for p in ORACLE_PROPERTIES})
     rng = np.random.default_rng(seed)
     for trial in range(trials):

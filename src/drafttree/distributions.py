@@ -4,12 +4,14 @@ A one-pass block drafter emits one probability row per future position in a
 block of length L. Those rows are independent marginals, so the distribution
 over whole continuations is their product. Everything downstream (tree
 construction, the oracle, the engine) consumes the validated ``MarginalBlock``
-produced here.
+produced here, and checks its counts (budgets, lengths, seeds) with
+``require_count``, the one rule for a count: an integer at or above a floor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,16 @@ EPS_Q = 1e-12
 ROW_SUM_ATOL = 1e-9
 
 Prefix = tuple[int, ...]
+
+
+def require_count(name: str, value: object, low: int | None = None) -> None:
+    """Reject a value that is not an integer (numpy integers pass) or is below ``low``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class NonRectangular(ValueError):

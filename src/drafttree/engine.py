@@ -56,6 +56,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .distributions import require_count
 from .models import DrafterConfig, NgramModel, drafter_chunks, drafter_marginals, target_next
 from .treebuild import DraftTree, build_tree, chain_tree
 from .verify import FlattenedTree, flatten, round_trace_record, verifier_walk
@@ -109,18 +110,19 @@ def estimate_speedup(mean_tau: float, budget: int, cost: CostModel = DEFAULT_COS
     )
 
 
-def _require_count(name: str, value: object, low: int | None = None) -> None:
-    """Reject a value that is not an integer (numpy integers pass) or is below ``low``."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
-
-
 @dataclass(frozen=True)
 class EpisodeConfig:
+    """One seeded episode of ``mode`` (one of ``MODES``); ``require_count`` checks each count.
+
+    ``seed`` fixes the ``prompt_len``-token prompt and every sampling uniform;
+    ``temperature`` 0 decodes greedily. ``budget`` is the tree's node count
+    per round; the chain verifies ``block_len`` nodes and the baseline 0. The
+    drafter drafts ``block_len`` rows mixed with uniform at ``drafter_noise``.
+    Rounds commit at most ``max_new_tokens`` tokens and stop early after
+    committing ``eos_token`` or after ``max_rounds`` rounds (None: no such
+    stop). ``collect_trace`` keeps each round's record in the result's trace.
+    """
+
     seed: int
     max_new_tokens: int
     prompt_len: int = 8
@@ -136,15 +138,15 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        _require_count("seed", self.seed, 0)
-        _require_count("max_new_tokens", self.max_new_tokens, 1)
-        _require_count("prompt_len", self.prompt_len, 1)
-        _require_count("budget", self.budget, None if self.mode == "baseline" else 1)
-        _require_count("block_len", self.block_len, 1)
+        require_count("seed", self.seed, 0)
+        require_count("max_new_tokens", self.max_new_tokens, 1)
+        require_count("prompt_len", self.prompt_len, 1)
+        require_count("budget", self.budget, None if self.mode == "baseline" else 1)
+        require_count("block_len", self.block_len, 1)
         if self.max_rounds is not None:
-            _require_count("max_rounds", self.max_rounds, 0)
+            require_count("max_rounds", self.max_rounds, 0)
         if self.eos_token is not None:
-            _require_count("eos_token", self.eos_token, 1)  # token 0 is the context pad
+            require_count("eos_token", self.eos_token, 1)  # token 0 is the context pad
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise ValueError("temperature must be finite and >= 0")
         if not 0.0 <= self.drafter_noise <= 1.0:
@@ -214,7 +216,7 @@ def _position_uniform(seed: int, position: int) -> float:
 
 def make_prompt(model: NgramModel, seed: int, prompt_len: int) -> tuple[int, ...]:
     """Seeded prompt over non-pad tokens."""
-    _require_count("seed", seed, 0)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng([seed, _PROMPT_STREAM])
     return tuple(int(t) for t in rng.integers(1, model.vocab_size, size=prompt_len))
 
@@ -271,13 +273,11 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     open one serves; no draft key has a model field, so a scope open for
     another model raises ValueError. The caller runs each row's slice 0 under
     the store and helper k always runs slice k under one of its own; both are
-    dropped when the scope that opened them exits. A stored draft remembers
-    the budget it was built at and serves every round at that budget or less;
-    a round at a larger budget rebuilds it. ``budget_sweep`` runs largest
-    budget first, so each window's tree is built once, at the largest budget
-    of the rows that meet the window. Drafts do not depend on temperature or
-    episode count, and sequences are keyed by all they depend on besides the
-    model, so any rows of one model may share a scope.
+    dropped when the scope that opened them exits. Stored drafts serve rounds
+    at their budget or less, as the module docstring sets out. Drafts do not
+    depend on temperature or episode count, and sequences are keyed by all
+    they depend on besides the model, so any rows of one model may share a
+    scope.
     """
     store = _scope.get()
     if store is not None:
@@ -389,8 +389,8 @@ def run_episodes(
     slice k under its own. Results are reduced in episode order, so output is
     identical for every worker count.
     """
-    _require_count("episodes", episodes, 1)
-    _require_count("workers", workers, 1)
+    require_count("episodes", episodes, 1)
+    require_count("workers", workers, 1)
     configs = [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in range(episodes)]
     workers = min(workers, episodes)
     size, extra = divmod(episodes, workers)

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import EPS_Q, MarginalBlock, validate_block
+from .distributions import EPS_Q, MarginalBlock, require_count, validate_block
 
 PAD_TOKEN = 0
 # Table entries: 80 MB of float64. Each drafter call also holds a joint array
@@ -61,21 +61,12 @@ class DrafterConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
-        if self.block_len < 1:
-            raise ValueError("block_len must be >= 1")
-
-
-def _check_seed(seed: int) -> None:
-    """Reject what numpy's generators refuse later with a message naming no field."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        require_count("block_len", self.block_len, 1)
 
 
 def _check_table_size(vocab_size: int, order: int) -> int:
-    if vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    require_count("vocab_size", vocab_size, 2)
+    require_count("order", order, 1)
     states = vocab_size**order
     if states * vocab_size > TABLE_GUARD:
         raise TableTooLarge(
@@ -95,7 +86,7 @@ def random_model(
     row's non-pad draws have no finite positive sum, as when a tiny
     concentration underflows every draw of a row to 0.
     """
-    _check_seed(seed)
+    require_count("seed", seed, 0)  # numpy's own error names no argument
     states = _check_table_size(vocab_size, order)
     if not (math.isfinite(concentration) and concentration > 0.0):
         raise ValueError("concentration must be finite and > 0")
@@ -118,7 +109,7 @@ def deterministic_model(seed: int, vocab_size: int, order: int) -> NgramModel:
     Greedy decoding of this target is a fixed trajectory, which pins down the
     perfect-drafter limit (full-block acceptance every round).
     """
-    _check_seed(seed)
+    require_count("seed", seed, 0)
     states = _check_table_size(vocab_size, order)
     rng = np.random.default_rng(seed)
     table = np.zeros((states, vocab_size), dtype=np.float64)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MarginalBlock
+from .distributions import MarginalBlock, require_count
 from .engine import (
     EpisodeConfig,
     EpisodeResult,
@@ -103,8 +103,7 @@ def optimal_tree_exhaustive(block: MarginalBlock, budget: int) -> DraftTree:
     strict ancestor has strictly larger mass, so it must already sit earlier
     in the table.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    require_count("budget", budget, 1)
     chosen = enumerate_prefixes(block)[:budget]
     index: dict[tuple[int, ...], int] = {}
     nodes: list[TreeNode] = []
@@ -177,8 +176,7 @@ def random_valid_tree(
     ones. Repeatedly promotes a uniformly chosen frontier prefix (a child of
     the current tree or a fresh depth-1 token) into the tree.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    require_count("budget", budget, 1)
     frontier: list[tuple[int, ...]] = [(t,) for t in range(block.vocab_size)]
     chosen: list[tuple[int, ...]] = []
     while frontier and len(chosen) < budget:

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .distributions import MarginalBlock, Prefix, log_prefix_mass
+from .distributions import MarginalBlock, Prefix, log_prefix_mass, require_count
 
 # Rank tuples are 0-based per-depth probability ranks; (0, 2) means the most
 # probable token at depth 1 followed by the third most probable at depth 2.
@@ -104,8 +104,7 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     top B tokens per depth can appear in an optimal B-node tree), 1 for the
     chain, and |V| for the oracle's full ranking. Deeper ranks are dropped.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    require_count("budget", budget, 1)
     k = min(budget, block.vocab_size)
     # A stable sort keeps equal probabilities in token-id order.
     token_ids = np.argsort(-block.probs, axis=1, kind="stable")[:, :k]

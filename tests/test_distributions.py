@@ -14,9 +14,14 @@ from drafttree.distributions import (
     RowSumZero,
     log_prefix_mass,
     prefix_mass,
+    require_count,
     sample_continuations,
     validate_block,
 )
+from drafttree.cli import run_oracle_check
+from drafttree.models import DrafterConfig, deterministic_model, random_model
+from drafttree.oracle import optimal_tree_exhaustive, random_valid_tree
+from drafttree.treebuild import build_tree, top_k_per_depth
 
 from blocks import EXAMPLE_ROWS, random_block
 
@@ -173,3 +178,51 @@ class TestSampling:
         samples = sample_continuations(block, 1000, np.random.default_rng(5))
         assert np.all(samples == np.array([0, 1]))
         assert EPS_Q == 1e-12
+
+
+EXAMPLE = validate_block(EXAMPLE_ROWS)
+
+# Each library boundary that takes a count, called with that count alone varied.
+COUNT_BOUNDARIES = {
+    "random_model seed": lambda n: random_model(n, 4, 1),
+    "random_model vocab_size": lambda n: random_model(0, n, 1),
+    "random_model order": lambda n: random_model(0, 4, n),
+    "deterministic_model seed": lambda n: deterministic_model(n, 4, 1),
+    "deterministic_model vocab_size": lambda n: deterministic_model(0, n, 1),
+    "deterministic_model order": lambda n: deterministic_model(0, 4, n),
+    "DrafterConfig block_len": lambda n: DrafterConfig(0.3, n),
+    "build_tree budget": lambda n: build_tree(EXAMPLE, n),
+    "top_k_per_depth budget": lambda n: top_k_per_depth(EXAMPLE, n),
+    "optimal_tree_exhaustive budget": lambda n: optimal_tree_exhaustive(EXAMPLE, n),
+    "random_valid_tree budget": lambda n: random_valid_tree(EXAMPLE, n, np.random.default_rng(0)),
+    "run_oracle_check seed": lambda n: run_oracle_check(4, 3, 8, 2, n),
+}
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("value", [0, 3, np.int64(3)])
+    def test_accepts_integers(self, value):
+        require_count("n", value, 0)
+        require_count("n", value)
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None])
+    def test_rejects_non_integers_naming_the_argument(self, value):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            require_count("budget", value, 1)
+
+    @pytest.mark.parametrize("value", [0, np.int64(-1)])
+    def test_rejects_a_value_below_the_floor(self, value):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            require_count("budget", value, 1)
+
+    @pytest.mark.parametrize("boundary", COUNT_BOUNDARIES)
+    @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3"])
+    def test_every_boundary_rejects_non_integers_naming_the_count(self, boundary, value):
+        # Before one rule held, these raised a TypeError naming no argument,
+        # and random_valid_tree built a tree of ceil(value) nodes.
+        with pytest.raises(ValueError, match=f"{boundary.split()[1]} must be an integer"):
+            COUNT_BOUNDARIES[boundary](value)
+
+    @pytest.mark.parametrize("boundary", COUNT_BOUNDARIES)
+    def test_every_boundary_accepts_numpy_integers(self, boundary):
+        COUNT_BOUNDARIES[boundary](np.int64(3))
