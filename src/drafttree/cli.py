@@ -96,6 +96,10 @@ def run_oracle_check(
     optimal) valid tree additionally checks the additive identity: exhaustive
     expected acceptance equals the sum of node masses (1e-9 relative).
     """
+    require_count("max_vocab", max_vocab, 2)
+    require_count("max_len", max_len, 1)
+    require_count("max_budget", max_budget, 1)
+    require_count("trials", trials, 0)
     require_count("seed", seed, 0)  # numpy's own error names no argument
     report = OracleCheckReport(trials=trials, failures={p: 0 for p in ORACLE_PROPERTIES})
     rng = np.random.default_rng(seed)

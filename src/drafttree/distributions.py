@@ -141,6 +141,7 @@ def sample_continuations(
     Monte Carlo use. Consumes ``count`` uniforms per position, so results are
     deterministic given the generator state.
     """
+    require_count("count", count, 0)
     cdf = np.cumsum(block.probs, axis=1)
     out = np.empty((count, block.block_len), dtype=np.int64)
     for i in range(block.block_len):

@@ -4,8 +4,13 @@ Each round: take the current bonus token, draft a tree (the chain is a
 one-branch tree; the baseline's has no nodes and queries no drafter), walk it
 under the target's decoding rule, commit the accepted path plus the next bonus,
 and repeat. A tree round hands ``build_tree`` the drafter's row chunks
-(``models.drafter_chunks``), so it drafts only the rows its tree reaches; the
-chain reaches depth L and drafts the whole block.
+(``models.drafter_chunks``), so it drafts only the rows its tree reaches. A
+chain round drafts only the rows its walks read: a window's first round draws
+the first chunk and walks the chain over it; a walk that accepts every drawn
+row makes the round draw the rest of the block, rebuild the chain and walk it
+again, and a later round that runs off a stored short chain drafts the whole
+block anew (never at temperature 0, where a window's walk is fixed). The chain
+still verifies, and is charged for, L nodes a round.
 
 Token sequence: speculative decoding commits exactly the target's own tokens,
 so an episode is a prefix of one sequence: the seeded prompt, then the
@@ -27,14 +32,15 @@ mode, block_len and drafter_noise, and for a tree the budget. The best-first
 heap pops prefixes in nonincreasing mass, so the tree at budget B is the first
 B pops of the tree at any larger budget. ``sweep_scope(model)`` opens one store
 for a whole sweep: per window and mode it keeps one flattened draft and the
-node budget it was built at. A round at budget B reuses the entry when it was
-built at B or more and walks its first B + 1 entries; otherwise it builds at B
-and replaces the entry. ``budget_sweep`` runs its rows largest budget first,
-so each window's tree is built once, at the largest budget of the rows that
-meet the window. The store also keeps one token sequence per (episode seed,
-prompt_len, temperature), so each prompt is made and each output position
-decided once per sweep. A hit returns exactly what a rebuild would, so every
-output is unchanged.
+node budget it was built at, never a live drafter. A round at budget B reuses
+the entry when it was built at B or more and walks its first B + 1 entries;
+otherwise it builds at B and replaces the entry. A chain entry is kept at
+budget L with the rows drawn so far, one node each. ``budget_sweep`` runs its
+rows largest budget first, so each window's tree is built once, at the largest
+budget of the rows that meet the window. The store also keeps one token
+sequence per (episode seed, prompt_len, temperature), so each prompt is made
+and each output position decided once per sweep. A hit returns exactly what a
+rebuild would, so every output is unchanged.
 ``run_episode`` and ``run_episodes`` open a scope only when none is open. A
 scope serves one model and holds at most |V|^order windows per mode and
 config; the caller runs each row's slice 0 under it, and helper process k
@@ -331,19 +337,34 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
                 break
             window = tuple(seq[max(0, n - order):n])  # ends with the bonus
+            context, bonus = window[:-1], window[-1]
             key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
             entry = store.drafts.get(key)
+            chunks = None  # the chain's drafter, while this round may draw more of it
             if entry is None or entry[0] < budget:
                 tree = DraftTree(nodes=())  # baseline: the bonus alone
-                context, bonus = window[:-1], window[-1]
                 if cfg.mode == "tree":  # drafts only the row chunks the tree reaches
                     tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
-                elif cfg.mode == "chain":
-                    tree = chain_tree(drafter_marginals(model, context, bonus, drafter_cfg))
+                elif cfg.mode == "chain":  # the first chunk, until a walk runs off its end
+                    chunks = drafter_chunks(model, context, bonus, drafter_cfg)
+                    first = next(chunks)
+                    tree = chain_tree([first])
                 entry = store.drafts[key] = (budget, flatten(tree, bonus))
             flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
-            outcome = verifier_walk(flat, lambda path: target(n + len(path)))
+            def decode(path: tuple[int, ...]) -> int:
+                return target(n + len(path))
+
+            outcome = verifier_walk(flat, decode)
+            if cfg.mode == "chain" and outcome.acceptance_length == len(flat) - 1 < budget:
+                # The walk accepted every drawn row: draw the rest of the block
+                # (from the start, in a later round) and walk the whole chain.
+                block = [first, *chunks] if chunks is not None else drafter_marginals(
+                    model, context, bonus, drafter_cfg
+                )
+                flat = flatten(chain_tree(block), bonus)
+                store.drafts[key] = (budget, flat)
+                outcome = verifier_walk(flat, decode)
             # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
             k = min(outcome.acceptance_length + 1, end - n)
             if cfg.eos_token in seq[n:n + k]:
@@ -355,8 +376,10 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             hist[k - 1] += 1
             if cfg.collect_trace:
                 # Walk-level values: a tail round truncated by the token budget
-                # still records what verification produced.
-                trace.append(round_trace_record(rounds - 1, budget, flat, outcome))
+                # still records what verification produced. A chain round
+                # verifies its whole block, however few rows its walk read.
+                verified = budget if cfg.mode == "chain" else len(flat) - 1
+                trace.append(round_trace_record(rounds - 1, budget, verified, flat, outcome))
 
     stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))
     return EpisodeResult(stats=stats, tokens=tuple(seq[cfg.prompt_len:n]), trace=tuple(trace))

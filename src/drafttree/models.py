@@ -6,8 +6,9 @@ be verified to machine precision instead of statistically. The drafter is the
 target's exact marginals mixed with uniform noise, giving a single fidelity
 knob. Its rows come from one dynamic program that runs a step per position
 drawn: ``drafter_chunks`` yields them in chunks of 4, 4, 8, 16, ... rows so
-that a tree builder drafts only as deep as its tree grows, and
-``drafter_marginals`` joins the same chunks into the whole block.
+that a tree builder drafts only as deep as its tree grows, and a chain only as
+deep as its walks read; ``drafter_marginals`` joins the same chunks into the
+whole block.
 
 Token id 0 is reserved as the context pad: rows assign it the clamp-minimum
 mass, and the target's decoding rule never generates it, but short contexts

@@ -12,8 +12,9 @@ per-depth probability ranks, and a max-heap enumerates rank tuples in
 nonincreasing score order, pushing at most two successors per pop (the next
 sibling, which bumps the last rank, and the first child, which appends rank 0
 at the next depth). The heap stage therefore does at most B pops and 2B
-pushes. ``chain_tree`` runs the same heap over each depth's top token only, at
-budget L, which yields the single per-depth argmax path.
+pushes. ``chain_tree`` runs the same heap over each depth's top token only,
+with no budget, which yields the single per-depth argmax path over the rows
+it is given.
 
 The heap reads a block's rows as consecutive chunks and ranks a chunk only
 when a pop first needs a child at one of its depths. ``build_tree`` also takes
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -69,9 +71,10 @@ class DraftTree:
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
     (successor insertions only; the initial seed entry is not counted). Each
     pop places one node, so pops are the node count. A ``build_tree`` tree
-    does at most B pops and 2B pushes; a ``chain_tree`` reports L pops and
-    L - 1 pushes, which nothing reads. Trees built any other way report zero
-    pushes. ``surrogate_value`` is derived from the nodes on first read.
+    does at most B pops and 2B pushes; a ``chain_tree`` reports a pop per row
+    it was given and one push fewer, which nothing reads. Trees built any
+    other way report zero pushes. ``surrogate_value`` is derived from the
+    nodes on first read.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -192,14 +195,18 @@ def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> D
     return _best_first(chunks, budget, budget)
 
 
-def chain_tree(block: MarginalBlock) -> DraftTree:
-    """Single-trajectory baseline: the per-depth argmax path of length L.
+def chain_tree(block: MarginalBlock | Iterable[MarginalBlock]) -> DraftTree:
+    """Single-trajectory baseline: the per-depth argmax path, one node per row.
 
     This is what a verifier sees when the drafter's block is collapsed to one
     continuation instead of a tree. It is the best-first tree over each
-    depth's top token at budget L.
+    depth's top token. ``block`` is a whole block or consecutive chunks of
+    one, as for ``build_tree``; the width-1 heap runs dry after the last row
+    it is given, so the chain of a block's first rows is the first nodes of
+    the block's chain.
     """
-    return _best_first((block,), 1, block.block_len)
+    chunks = (block,) if isinstance(block, MarginalBlock) else block
+    return _best_first(chunks, 1, sys.maxsize)
 
 
 def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:

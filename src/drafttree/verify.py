@@ -187,13 +187,17 @@ def compaction_plan(outcome: RoundOutcome, flat: FlattenedTree) -> tuple[int, ..
 
 
 def round_trace_record(
-    round_index: int, budget: int, flat: FlattenedTree, outcome: RoundOutcome
+    round_index: int, budget: int, tree_size: int, flat: FlattenedTree, outcome: RoundOutcome
 ) -> dict:
-    """One trace record of a round; tree size and kept indices are derived from ``flat``."""
+    """One trace record of a round that verifies ``tree_size`` nodes and walked ``flat``.
+
+    The kept indices are derived from ``flat``, which may be a prefix of the
+    verified tree: a chain round can walk its first drafted rows only.
+    """
     return {
         "round_index": round_index,
         "budget": budget,
-        "tree_size": len(flat) - 1,
+        "tree_size": tree_size,
         "acceptance_length": outcome.acceptance_length,
         "next_bonus": outcome.next_bonus,
         "kept_indices": list(compaction_plan(outcome, flat)),

@@ -1,9 +1,10 @@
-"""Marginal blocks and models shared by the test modules."""
+"""Marginal blocks, models and a drafter probe shared by the test modules."""
 
 import numpy as np
 from hypothesis import reject
 
 from drafttree.distributions import validate_block
+import drafttree.models as models
 from drafttree.models import random_model
 
 # Worked example: q1=(0.6,0.3,0.1), q2=(0.7,0.2,0.1).
@@ -34,3 +35,17 @@ def random_model_or_reject(seed, vocab_size, order, concentration):
     except ValueError as err:
         assert "without positive finite mass" in str(err)
         reject()
+
+
+def counting_dp_steps(monkeypatch):
+    """Count the marginal DP's steps; returns the list each step appends to."""
+    steps = []
+    real = models._marginal_steps
+
+    def counted(*args):
+        for row in real(*args):
+            steps.append(1)
+            yield row
+
+    monkeypatch.setattr(models, "_marginal_steps", counted)
+    return steps

@@ -63,6 +63,16 @@ class TestOracleCheckCommand:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=-1)
 
+    @pytest.mark.parametrize(
+        "field,value,floor",
+        [("trials", -3, 0), ("max_vocab", 1, 2), ("max_len", 0, 1), ("max_budget", 0, 1)],
+    )
+    def test_a_bound_below_its_floor_raises_naming_it(self, field, value, floor):
+        # Before, -3 trials returned a passing report and max_vocab=1 failed inside numpy.
+        bounds = dict(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=1)
+        with pytest.raises(ValueError, match=f"{field} must be >= {floor}, got {value}"):
+            run_oracle_check(**{**bounds, field: value})
+
     def test_report_counts_trials(self):
         report = run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=1)
         assert report.passed

@@ -179,6 +179,14 @@ class TestSampling:
         assert np.all(samples == np.array([0, 1]))
         assert EPS_Q == 1e-12
 
+    def test_zero_draws_give_an_empty_batch(self):
+        samples = sample_continuations(validate_block(EXAMPLE_ROWS), 0, np.random.default_rng(0))
+        assert samples.shape == (0, 2)
+
+    def test_a_negative_count_raises_naming_it(self):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            sample_continuations(validate_block(EXAMPLE_ROWS), -1, np.random.default_rng(0))
+
 
 EXAMPLE = validate_block(EXAMPLE_ROWS)
 
@@ -195,7 +203,14 @@ COUNT_BOUNDARIES = {
     "top_k_per_depth budget": lambda n: top_k_per_depth(EXAMPLE, n),
     "optimal_tree_exhaustive budget": lambda n: optimal_tree_exhaustive(EXAMPLE, n),
     "random_valid_tree budget": lambda n: random_valid_tree(EXAMPLE, n, np.random.default_rng(0)),
+    "run_oracle_check max_vocab": lambda n: run_oracle_check(n, 3, 8, 2, 0),
+    "run_oracle_check max_len": lambda n: run_oracle_check(4, n, 8, 2, 0),
+    "run_oracle_check max_budget": lambda n: run_oracle_check(4, 3, n, 2, 0),
+    "run_oracle_check trials": lambda n: run_oracle_check(4, 3, 8, n, 0),
     "run_oracle_check seed": lambda n: run_oracle_check(4, 3, 8, 2, n),
+    "sample_continuations count": lambda n: sample_continuations(
+        EXAMPLE, n, np.random.default_rng(0)
+    ),
 }
 
 

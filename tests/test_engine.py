@@ -24,7 +24,9 @@ from drafttree.engine import (
     sweep_scope,
     _position_uniform,
 )
+from drafttree.distributions import MarginalBlock
 from drafttree.models import (
+    FIRST_CHUNK_ROWS,
     DrafterConfig,
     deterministic_model,
     drafter_marginals,
@@ -35,7 +37,7 @@ from drafttree.oracle import reference_episode
 from drafttree.treebuild import build_tree, node_prefixes
 from drafttree.verify import flatten, verifier_walk
 
-from blocks import random_model_or_reject
+from blocks import counting_dp_steps, random_model_or_reject
 
 
 def small_cfg(**overrides):
@@ -281,17 +283,33 @@ class TestLosslessness:
 class TestStatsBookkeeping:
     @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_every_round_walks_its_draft(self, monkeypatch, mode):
-        walks = []
+        walks = []  # (nodes walked, acceptance length)
         real = engine.verifier_walk
 
         def counting(flat, decode):
-            walks.append(len(flat) - 1)
-            return real(flat, decode)
+            outcome = real(flat, decode)
+            walks.append((len(flat) - 1, outcome.acceptance_length))
+            return outcome
 
         monkeypatch.setattr(engine, "verifier_walk", counting)
-        result = run_episode(MODEL, small_cfg(mode=mode, collect_trace=True))
-        assert len(walks) == result.stats.rounds
-        assert walks == [r["tree_size"] for r in result.trace]
+        cfg = small_cfg(mode=mode, collect_trace=True)
+        result = run_episode(MODEL, cfg)
+        # Only a chain walk that accepts every row of its first chunk is
+        # followed, in the same round, by a walk of the whole chain.
+        walked_twice = 0
+        if mode == "chain":  # small_cfg's block is longer than the first chunk
+            walked_twice = sum(e[-1] == cfg.block_len for e in chain_rule_events(MODEL, [cfg]))
+            assert walked_twice
+        ran_off = [
+            mode == "chain" and size == accepted == FIRST_CHUNK_ROWS for size, accepted in walks
+        ]
+        assert sum(ran_off) == walked_twice
+        last = [w for w, again in zip(walks, ran_off) if not again]
+        assert len(last) == result.stats.rounds == len(result.trace)
+        assert [a for _, a in last] == [r["acceptance_length"] for r in result.trace]
+        # A chain round verifies its whole block, whatever it walked.
+        verified = [cfg.block_len if mode == "chain" else size for size, _ in last]
+        assert verified == [r["tree_size"] for r in result.trace]
         assert (result.stats.rounds, result.stats.committed_tokens) == (
             len(result.trace), len(result.tokens) - 1
         )
@@ -355,6 +373,63 @@ class TestStatsBookkeeping:
             assert record["budget"] == cfg.budget
             assert record["tree_size"] >= 1
             assert record["kept_indices"][0] == 0
+
+
+class TestChainDrafting:
+    """A chain draws its first chunk's rows, and the rest only when a walk reads past them."""
+
+    def test_a_sampled_chain_row_drafts_fewer_rows_than_its_blocks(self, monkeypatch):
+        steps = counting_dp_steps(monkeypatch)
+        model = random_model(13, vocab_size=32, order=2, concentration=0.1)
+        cfg = EpisodeConfig(seed=5, max_new_tokens=64, temperature=1.0, mode="chain")
+        run_episodes(model, cfg, episodes=4)
+        drafted = len(steps)
+        events = chain_rule_events(model, slice_configs(cfg, range(4)))
+        windows = {event[0] for event in events}
+        # The rule's events account for every row drawn: a draft ends at its last build.
+        assert drafted == sum(event[-1] for event in events)
+        assert drafted < len(windows) * cfg.block_len
+
+    def test_a_greedy_chain_on_a_one_hot_target_draws_each_block_once(self, monkeypatch):
+        steps = counting_dp_steps(monkeypatch)
+        counts = CountingDrafts(monkeypatch)
+        model = deterministic_model(3, vocab_size=8, order=2)
+        cfg = small_cfg(mode="chain", block_len=16, max_new_tokens=96)
+        stats = run_episodes(model, cfg, episodes=4)
+        windows = [event[0] for event in counts.events]
+        # Every walk accepts the whole block, so the first round to meet a
+        # window runs off its first chunk and draws the rest at once.
+        assert counts.events == [(w, "chain", FIRST_CHUNK_ROWS, "chain", 16) for w in windows]
+        assert len(set(windows)) == len(windows) < stats.rounds
+        assert len(steps) == len(windows) * cfg.block_len
+        assert stats.tau_histogram[-1] == stats.rounds - 4  # all but each episode's tail
+
+    @pytest.mark.parametrize("block_len", [3, 6, 16])
+    def test_a_greedy_chain_row_never_drafts_a_window_again(self, monkeypatch, block_len):
+        def refuse(*args):
+            raise AssertionError("a greedy chain round re-drafted its window")
+
+        monkeypatch.setattr(engine, "drafter_marginals", refuse)
+        for seed in range(3):
+            cfg = small_cfg(mode="chain", block_len=block_len, seed=seed)
+            assert run_episodes(MODEL, cfg, episodes=4).rounds
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_every_chain_round_reports_its_whole_block(self, monkeypatch, temperature):
+        walks = []
+        real = engine.verifier_walk
+
+        def recording(flat, decode):
+            outcome = real(flat, decode)
+            walks.append((len(flat) - 1, outcome.acceptance_length))
+            return outcome
+
+        monkeypatch.setattr(engine, "verifier_walk", recording)
+        cfg = small_cfg(mode="chain", temperature=temperature, collect_trace=True)
+        trace = [r for seed in range(4) for r in run_episode(MODEL, replace(cfg, seed=seed)).trace]
+        # Some rounds stopped inside the first chunk and walked no further.
+        assert any(size == FIRST_CHUNK_ROWS > accepted for size, accepted in walks)
+        assert {(r["budget"], r["tree_size"]) for r in trace} == {(cfg.block_len, cfg.block_len)}
 
 
 class TestBudgetMonotonicity:
@@ -472,7 +547,12 @@ def independent_episodes(cfg, episodes):
 
 
 class CountingDrafts:
-    """Records every drafted window with the builder that consumed its block."""
+    """Records every draft: its window, then each build that consumed its rows.
+
+    An event is ``(window, kind, size, ...)`` with one (kind, size) pair per
+    build: the budget of a tree, the rows of a chain. A chain round whose walk
+    runs off its first chunk builds twice from one draft.
+    """
 
     def __init__(self, monkeypatch):
         self.events = []
@@ -480,11 +560,11 @@ class CountingDrafts:
             engine.drafter_marginals, engine.drafter_chunks, engine.build_tree, engine.chain_tree,
         )
 
-        def draft(model, context, bonus, cfg):
+        def draft(model, context, bonus, cfg):  # the chain's whole-block re-draft
             self.events.append(((tuple(context) + (bonus,))[-model.order:],))
             return real_draft(model, context, bonus, cfg)
 
-        def draft_chunks(model, context, bonus, cfg):  # the tree's drafter
+        def draft_chunks(model, context, bonus, cfg):  # the tree's and the chain's first draft
             self.events.append(((tuple(context) + (bonus,))[-model.order:],))
             return real_chunks(model, context, bonus, cfg)
 
@@ -493,8 +573,9 @@ class CountingDrafts:
             return real_build(block, budget)
 
         def chain(block):
-            self.events[-1] += ("chain", block.block_len)
-            return real_chain(block)
+            blocks = (block,) if isinstance(block, MarginalBlock) else tuple(block)
+            self.events[-1] += ("chain", sum(b.block_len for b in blocks))
+            return real_chain(blocks)
 
         monkeypatch.setattr(engine, "drafter_marginals", draft)
         monkeypatch.setattr(engine, "drafter_chunks", draft_chunks)
@@ -502,7 +583,44 @@ class CountingDrafts:
         monkeypatch.setattr(engine, "chain_tree", chain)
 
     def builds(self, kind):
-        return [(window, size) for window, k, size in self.events if k == kind]
+        return [
+            (event[0], size)
+            for event in self.events
+            for k, size in zip(event[1::2], event[2::2])
+            if k == kind
+        ]
+
+
+def chain_rule_events(model, configs):
+    """The ``CountingDrafts`` events of chain episodes ``configs`` run in order in one scope.
+
+    The rule: the first round to meet a window drafts the first chunk's rows,
+    and draws the rest of the block in that round if its walk accepts all of
+    them; a later round whose walk accepts every row of a short chain drafts
+    the whole block again. Windows and acceptance lengths come from
+    ``reference_episode``, which keeps no store; no config may set an
+    ``eos_token``.
+    """
+    first = min(FIRST_CHUNK_ROWS, configs[0].block_len)
+    held, events = {}, []
+    for cfg in configs:
+        result = reference_episode(model, replace(cfg, collect_trace=True))
+        seq = make_prompt(model, cfg.seed, cfg.prompt_len) + result.tokens
+        n = cfg.prompt_len + 1
+        for record in result.trace:
+            window = seq[max(0, n - model.order):n]
+            fresh = window not in held
+            if fresh:
+                held[window] = first
+                events.append((window, "chain", first))
+            if record["acceptance_length"] >= held[window] < cfg.block_len:
+                held[window] = cfg.block_len
+                if fresh:
+                    events[-1] += ("chain", cfg.block_len)
+                else:
+                    events.append((window, "chain", cfg.block_len))
+            n += record["acceptance_length"] + 1
+    return events
 
 
 class InlinePool:
@@ -611,24 +729,25 @@ class TestDraftCache:
 
     @pytest.mark.parametrize("mode", ["tree", "chain"])
     def test_one_draft_per_window_and_no_state_between_calls(self, monkeypatch, mode):
-        windows = []
-        drafter = "drafter_chunks" if mode == "tree" else "drafter_marginals"
-        real = getattr(engine, drafter)
-
-        def counting(model, context, bonus, cfg):
-            windows.append((tuple(context) + (bonus,))[-model.order:])
-            return real(model, context, bonus, cfg)
-
-        monkeypatch.setattr(engine, drafter, counting)
+        counts = CountingDrafts(monkeypatch)
         cfg = small_cfg(mode=mode, temperature=1.0)
         first = run_episodes(MODEL, cfg, episodes=5)
-        first_calls = len(windows)
-        assert first_calls
-        assert first_calls == len(set(windows))
-        assert first_calls < first.rounds  # windows did repeat
-        windows.clear()
+        events = list(counts.events)
+        windows = {event[0] for event in events}
+        assert len(windows) < first.rounds  # windows did repeat
+        if mode == "tree":
+            assert events == [(window, "tree", cfg.budget) for window, *_ in events]
+            assert len(events) == len(windows)
+        else:
+            # Each window is drafted once at 4 rows; a later round may draft
+            # its whole block once more.
+            assert events == chain_rule_events(MODEL, slice_configs(cfg, range(5)))
+            assert [e[0] for e in events if e[2] == FIRST_CHUNK_ROWS] == list(dict.fromkeys(
+                e[0] for e in events
+            ))
+        counts.events.clear()
         assert run_episodes(MODEL, cfg, episodes=5) == first
-        assert len(windows) == first_calls
+        assert counts.events == events
 
     BUDGETS = [3, 8, 16, 40]
 
@@ -667,12 +786,18 @@ class TestDraftCache:
         counts = CountingDrafts(monkeypatch)
         cfg = small_cfg(temperature=1.0)
         self.scoped_rows(cfg)
-        trees, chains = counts.builds("tree"), counts.builds("chain")
+        trees = counts.builds("tree")
+        chains = [event for event in counts.events if event[1] == "chain"]
         assert trees
         assert len(counts.events) == len(trees) + len(chains)
         assert len({w for w, _ in trees}) == len(trees)
-        assert len({w for w, _ in chains}) == len(chains)
-        assert chains  # the chain row drafted under the shared scope
+        # The chain row drafted under the shared scope, by the chain's rule:
+        # the first meeting of a window at 4 rows, the rest of the block at
+        # most once more. This config takes every branch of the rule.
+        chain_row = slice_configs(replace(cfg, mode="chain"), range(4))
+        assert chains == chain_rule_events(MODEL, chain_row)
+        assert {len(e) for e in chains} == {3, 5}
+        assert {e[2] for e in chains} == {FIRST_CHUNK_ROWS, cfg.block_len}
         assert dict(trees) == self.largest_unscoped_budgets(counts, cfg)
 
     def test_consecutive_sweeps_share_no_state(self, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drafttree import engine, models, treebuild
-from drafttree.distributions import sample_continuations, validate_block
+from drafttree.distributions import MarginalBlock, sample_continuations, validate_block
 from drafttree.models import (
     DrafterConfig,
     deterministic_model,
@@ -29,7 +29,7 @@ from drafttree.treebuild import (
 )
 from drafttree.verify import flatten
 
-from blocks import EXAMPLE_ROWS, random_block, random_model_or_reject
+from blocks import EXAMPLE_ROWS, counting_dp_steps, random_block, random_model_or_reject
 
 
 small_instances = st.tuples(
@@ -289,6 +289,27 @@ class TestChainTree:
             running += math.log(row[node.token_id])
             assert node.log_mass == pytest.approx(running, rel=0, abs=1e-12)
 
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(2, 16),  # block_len
+        st.integers(2, 32),  # vocab
+        st.sampled_from([0.01, 0.3, 1.0, "ties"]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_chunks_give_the_whole_block_chain_and_a_first_chunk_its_prefix(
+        self, seed, block_len, vocab, concentration, data
+    ):
+        block = random_block(seed, block_len, vocab, concentration)
+        cut = data.draw(st.integers(1, block_len - 1))
+        head, tail = MarginalBlock(block.probs[:cut]), MarginalBlock(block.probs[cut:])
+        whole = chain_tree(block)
+        assert chain_tree([head, tail]) == whole
+        # The heap runs dry after the last row it is given.
+        short = chain_tree(iter([head]))
+        assert short.nodes == whole.nodes[:cut]
+        assert short.heap_pushes == cut - 1
+
 
 class TestTreeFromPrefixes:
     def test_rejects_non_closed_set(self):
@@ -314,20 +335,6 @@ def draft_window(kind, vocab, order, seed):
         model = random_model_or_reject(seed, vocab, order, kind)
     window = np.random.default_rng(seed).integers(1, vocab, size=order)
     return model, tuple(int(t) for t in window[:-1]), int(window[-1])
-
-
-def counting_dp_steps(monkeypatch):
-    """Count the marginal DP's steps; returns the list each step appends to."""
-    steps = []
-    real = models._marginal_steps
-
-    def counted(*args):
-        for row in real(*args):
-            steps.append(1)
-            yield row
-
-    monkeypatch.setattr(models, "_marginal_steps", counted)
-    return steps
 
 
 def rows_drafted(block_len, depth):

@@ -332,7 +332,7 @@ class TestCompactionPlan:
 def test_round_trace_record_fields():
     flat = flatten(BRANCHY, bonus=0)
     outcome = verifier_walk(flat, lambda path: 99)
-    record = round_trace_record(3, 64, flat, outcome)
+    record = round_trace_record(3, 64, 8, flat, outcome)
     assert record == {
         "round_index": 3,
         "budget": 64,
@@ -347,7 +347,7 @@ def test_round_trace_record_derives_the_kept_path():
     flat = flatten(BRANCHY, bonus=0)
     choices = {(): 1, (1,): 4, (1, 4): 55}
     outcome = verifier_walk(flat, lambda path: choices[path])
-    record = round_trace_record(0, 64, flat, outcome)
+    record = round_trace_record(0, 64, 8, flat, outcome)
     assert record["tree_size"] == 8
     assert record["acceptance_length"] == 2 and record["next_bonus"] == 55
     assert record["kept_indices"] == [0, 1, 4]
