@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -25,7 +24,6 @@ from .engine import (
     CostModel,
     EpisodeConfig,
     budget_sweep,
-    default_workers,
     run_episode,
     run_episodes,
     sweep_scope,
@@ -36,9 +34,10 @@ from .oracle import (
     optimal_tree_exhaustive,
     random_valid_tree,
 )
-from .distributions import require_count, validate_block
+from .distributions import NODE_GUARD, require_count, validate_block
 from .treebuild import build_tree, check_ancestor_dominance, check_prefix_closed, node_prefixes
 
+# No command reads this variable; ``perfbench/run.py`` still sets it by this name.
 WORKERS_ENV = "DRAFTTREE_WORKERS"
 
 ORACLE_PROPERTIES = (
@@ -98,7 +97,7 @@ def run_oracle_check(
     """
     require_count("max_vocab", max_vocab, 2)
     require_count("max_len", max_len, 1)
-    require_count("max_budget", max_budget, 1)
+    require_count("max_budget", max_budget, 1, NODE_GUARD)
     require_count("trials", trials, 0)
     require_count("seed", seed, 0)  # numpy's own error names no argument
     report = OracleCheckReport(trials=trials, failures={p: 0 for p in ORACLE_PROPERTIES})
@@ -171,19 +170,6 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _workers_from_env(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return default_workers()
-    try:
-        workers = int(raw)
-    except ValueError:
-        parser.error(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    if workers < 1:
-        parser.error(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 @contextmanager
 def _output(path: str, parser: argparse.ArgumentParser) -> Iterator[TextIO]:
     """The output file; a failure to open, write or close it exits 2."""
@@ -218,10 +204,6 @@ def _episode_config(args: argparse.Namespace, **fields) -> EpisodeConfig:
 
 
 def cmd_oracle_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.trials < 0:
-        parser.error("--trials must be >= 0")
-    if min(args.max_vocab, args.max_len, args.max_budget) < 1 or args.max_vocab < 2:
-        parser.error("--max-vocab must be >= 2, --max-len and --max-budget >= 1")
     report = run_oracle_check(
         max_vocab=args.max_vocab,
         max_len=args.max_len,
@@ -234,7 +216,6 @@ def cmd_oracle_check(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    workers = _workers_from_env(parser)
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
     base = _episode_config(args, max_new_tokens=args.max_new_tokens)
     cost = CostModel(
@@ -244,9 +225,9 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         kappa=args.kappa,
     )
     with sweep_scope(model):
-        rows = [r.stats for r in budget_sweep(model, base, args.budgets, args.episodes, workers)]
+        rows = [r.stats for r in budget_sweep(model, base, args.budgets, args.episodes)]
         for mode in ("chain", "baseline"):
-            rows.append(run_episodes(model, replace(base, mode=mode), args.episodes, workers))
+            rows.append(run_episodes(model, replace(base, mode=mode), args.episodes))
 
     with _output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")
@@ -282,12 +263,11 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    workers = _workers_from_env(parser)
     model = random_model(args.model_seed, args.vocab_size, args.order, args.concentration)
     tree = _episode_config(args, max_new_tokens=args.max_new_tokens, budget=args.budget)
     with sweep_scope(model):
-        tree_stats = run_episodes(model, tree, args.episodes, workers)
-        chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes, workers)
+        tree_stats = run_episodes(model, tree, args.episodes)
+        chain_stats = run_episodes(model, replace(tree, mode="chain"), args.episodes)
 
     with _output(args.out, parser) as fh:
         fh.write(_manifest(args).to_line() + "\n")

@@ -5,7 +5,8 @@ block of length L. Those rows are independent marginals, so the distribution
 over whole continuations is their product. Everything downstream (tree
 construction, the oracle, the engine) consumes the validated ``MarginalBlock``
 produced here, and checks its counts (budgets, lengths, seeds) with
-``require_count``, the one rule for a count: an integer at or above a floor.
+``require_count``, the one rule for a count: an integer at or above a floor
+and, for a node count, at most ``NODE_GUARD``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,23 @@ ROW_SUM_ATOL = 1e-9
 Prefix = tuple[int, ...]
 
 
-def require_count(name: str, value: object, low: int | None = None) -> None:
-    """Reject a value that is not an integer (numpy integers pass) or is below ``low``."""
+# The most nodes a draft tree may hold: its flattened entries, the root one of
+# them, are indexed by an int16 child table (``verify.flatten``).
+NODE_GUARD = 32766
+
+
+def require_count(
+    name: str, value: object, low: int | None = None, high: int | None = None
+) -> None:
+    """Reject a value that is not an integer (numpy integers pass) or lies outside [low, high]."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 class NonRectangular(ValueError):

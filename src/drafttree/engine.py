@@ -43,16 +43,13 @@ and each output position decided once per sweep. A hit returns exactly what a
 rebuild would, so every output is unchanged.
 ``run_episode`` and ``run_episodes`` open a scope only when none is open. A
 scope serves one model and holds at most |V|^order windows per mode and
-config; the caller runs each row's slice 0 under it, and helper process k
-always runs slice k under a store of its own.
+config. Every episode runs in the calling process, under the open scope.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -62,7 +59,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import require_count
+from .distributions import NODE_GUARD, require_count
 from .models import DrafterConfig, NgramModel, drafter_chunks, drafter_marginals, target_next
 from .treebuild import DraftTree, build_tree, chain_tree
 from .verify import FlattenedTree, flatten, round_trace_record, verifier_walk
@@ -147,8 +144,8 @@ class EpisodeConfig:
         require_count("seed", self.seed, 0)
         require_count("max_new_tokens", self.max_new_tokens, 1)
         require_count("prompt_len", self.prompt_len, 1)
-        require_count("budget", self.budget, None if self.mode == "baseline" else 1)
-        require_count("block_len", self.block_len, 1)
+        require_count("budget", self.budget, None if self.mode == "baseline" else 1, NODE_GUARD)
+        require_count("block_len", self.block_len, 1, NODE_GUARD)
         if self.max_rounds is not None:
             require_count("max_rounds", self.max_rounds, 0)
         if self.eos_token is not None:
@@ -255,7 +252,7 @@ _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
 class _SweepStore:
-    """What the rows of one sweep share: drafts, token sequences and the helper processes.
+    """What the rows of one sweep share: drafts and token sequences.
 
     ``sequences[(seed, prompt_len, temperature)]`` is that episode's prompt
     followed by the target's decisions, extended on demand.
@@ -265,7 +262,6 @@ class _SweepStore:
         self.model = model
         self.drafts: dict[_DraftKey, tuple[int, FlattenedTree]] = {}  # (built at, draft)
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
-        self.helpers: list[ProcessPoolExecutor] = []  # helpers[k - 1] runs slice k
 
 
 _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
@@ -273,17 +269,15 @@ _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
 
 @contextmanager
 def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
-    """Share one store of drafts and token sequences, and the helper processes, across rows.
+    """Share one store of drafts and token sequences across rows.
 
     Opens a store for ``model`` unless one is open already, in which case the
     open one serves; no draft key has a model field, so a scope open for
-    another model raises ValueError. The caller runs each row's slice 0 under
-    the store and helper k always runs slice k under one of its own; both are
-    dropped when the scope that opened them exits. Stored drafts serve rounds
-    at their budget or less, as the module docstring sets out. Drafts do not
-    depend on temperature or episode count, and sequences are keyed by all
-    they depend on besides the model, so any rows of one model may share a
-    scope.
+    another model raises ValueError. The store is dropped when the scope that
+    opened it exits. Stored drafts serve rounds at their budget or less, as
+    the module docstring sets out. Drafts do not depend on temperature or
+    episode count, and sequences are keyed by all they depend on besides the
+    model, so any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -297,13 +291,6 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
         yield store
     finally:
         _scope.reset(token)
-        for helper in store.helpers:
-            helper.shutdown()
-
-
-def _init_worker(model: NgramModel) -> None:
-    """Give a helper process the model and a store of its own for its life."""
-    _scope.set(_SweepStore(model))
 
 
 def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
@@ -390,42 +377,24 @@ def episode_seed(base_seed: int, episode_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, episode_index]).generate_state(1)[0])
 
 
-def _episode_stats_task(configs: list[EpisodeConfig]) -> list[EpisodeStats]:
-    """Run a slice of episodes under the open store.
-
-    In a helper process that is the helper's own store; inline, the caller's.
-    """
-    store = _scope.get()
-    return [run_episode(store.model, c).stats for c in configs]
-
-
 def run_episodes(
     model: NgramModel, cfg: EpisodeConfig, episodes: int, workers: int = 1
 ) -> EpisodeStats:
     """Run ``episodes`` seeded episodes of one config and pool their stats.
 
-    Episode seeds derive from (cfg.seed, episode index). The episodes run
-    under the open sweep scope, or under one opened here and dropped on
-    return; a scope serving another model raises ValueError. The caller runs
-    slice 0 of min(workers, episodes) contiguous slices under the scope's
-    store, and helper process k, started by the first row that needs it, runs
-    slice k under its own. Results are reduced in episode order, so output is
-    identical for every worker count.
+    Episode seeds derive from (cfg.seed, episode index). The episodes run in
+    episode order in this process, under the open sweep scope, or under one
+    opened here and dropped on return; a scope serving another model raises
+    ValueError. ``workers`` is kept only because ``perfbench/`` passes it: it
+    must be a count >= 1 and is otherwise unused.
     """
     require_count("episodes", episodes, 1)
     require_count("workers", workers, 1)
-    configs = [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in range(episodes)]
-    workers = min(workers, episodes)
-    size, extra = divmod(episodes, workers)
-    bounds = [w * size + min(w, extra) for w in range(workers + 1)]
-    slices = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with sweep_scope(model) as store:
-        while len(store.helpers) < workers - 1:
-            store.helpers.append(
-                ProcessPoolExecutor(max_workers=1, initializer=_init_worker, initargs=(model,))
-            )
-        futures = [h.submit(_episode_stats_task, part) for h, part in zip(store.helpers, slices[1:])]
-        stats = _episode_stats_task(slices[0]) + [s for f in futures for s in f.result()]
+    with sweep_scope(model):
+        stats = [
+            run_episode(model, replace(cfg, seed=episode_seed(cfg.seed, i))).stats
+            for i in range(episodes)
+        ]
     return reduce(EpisodeStats.merge, stats)
 
 
@@ -449,7 +418,9 @@ def budget_sweep(
 
     The rows share one sweep scope and run largest budget first, so each
     window's tree is built once, at the largest budget of the rows that meet
-    it; they are returned in ascending budget order.
+    it; they are returned in ascending budget order. ``workers`` is kept only
+    because ``perfbench/`` passes it; ``run_episodes`` checks it and
+    otherwise ignores it.
     """
     if not budgets:
         raise ValueError("budgets must be nonempty")
@@ -465,11 +436,3 @@ def budget_sweep(
             cfg = replace(base_cfg, mode="tree", budget=budget)
             rows.append(SweepRow(run_episodes(model, cfg, episodes, workers)))
     return rows[::-1]
-
-
-def default_workers() -> int:
-    """Available parallelism, used as the worker-count default."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:
-        return max(1, os.cpu_count() or 1)

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import EPS_Q, MarginalBlock, require_count, validate_block
+from .distributions import EPS_Q, NODE_GUARD, MarginalBlock, require_count, validate_block
 
 PAD_TOKEN = 0
 # Table entries: 80 MB of float64. Each drafter call also holds a joint array
@@ -62,7 +62,7 @@ class DrafterConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
-        require_count("block_len", self.block_len, 1)
+        require_count("block_len", self.block_len, 1, NODE_GUARD)
 
 
 def _check_table_size(vocab_size: int, order: int) -> int:

@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .distributions import MarginalBlock, Prefix, log_prefix_mass, require_count
+from .distributions import NODE_GUARD, MarginalBlock, Prefix, log_prefix_mass, require_count
 
 # Rank tuples are 0-based per-depth probability ranks; (0, 2) means the most
 # probable token at depth 1 followed by the third most probable at depth 2.
@@ -189,8 +189,10 @@ def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> D
     ``block`` is a whole block, or its rows as consecutive chunks (as
     ``models.drafter_chunks`` yields them), which are drawn only as deep as
     the tree grows. Either way the tree equals the one built from the whole
-    block.
+    block. A budget above ``NODE_GUARD`` raises ValueError before any chunk
+    is drawn.
     """
+    require_count("budget", budget, 1, NODE_GUARD)
     chunks = (block,) if isinstance(block, MarginalBlock) else block
     return _best_first(chunks, budget, budget)
 

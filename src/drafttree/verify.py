@@ -18,10 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from .distributions import NODE_GUARD, require_count
 from .treebuild import ROOT_PARENT, DraftTree
 
 NO_CHILD = -1
-_INT16_MAX = int(np.iinfo(np.int16).max)  # the widest tree an int16 child table indexes
 
 
 class DuplicateChildToken(ValueError):
@@ -34,17 +34,17 @@ class FlattenedTree:
 
     ``child_table[i, t]`` is the index of entry i's child carrying token t, or
     ``NO_CHILD``; its columns run up to the largest child token id. It is
-    read-only and as narrow as the entry count allows, so stored trees stay
-    small. A ``prefix`` view shares its tree's table, so the table may have
-    more rows than the view has entries, and ``child`` reads an index past the
-    view's end as no child. ``mask`` is the ancestor-only attention mask,
-    built on first read.
+    read-only int16, which indexes every entry of a tree of at most
+    ``NODE_GUARD`` nodes, so stored trees stay small. A ``prefix`` view shares
+    its tree's table, so the table may have more rows than the view has
+    entries, and ``child`` reads an index past the view's end as no child.
+    ``mask`` is the ancestor-only attention mask, built on first read.
     """
 
     token_ids: tuple[int, ...]
     position_offsets: tuple[int, ...]  # depth of each entry; root is 0
     parent_of: tuple[int, ...]  # flattened parent index; -1 for the root slot
-    child_table: np.ndarray  # (n, max child token id + 1) int, read-only
+    child_table: np.ndarray  # (n, max child token id + 1) int16, read-only
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -114,8 +114,10 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
 
     Node order is taken as-is (builder pop order already places every parent
     before its children; that is asserted, not re-sorted). Raises
-    DuplicateChildToken when two children of one node carry the same token.
+    DuplicateChildToken when two children of one node carry the same token,
+    and ValueError for a tree of more than ``NODE_GUARD`` nodes.
     """
+    require_count("tree nodes", len(tree.nodes), None, NODE_GUARD)
     n = len(tree.nodes) + 1
     token_col = [node.token_id for node in tree.nodes]
     depth_col = [node.depth for node in tree.nodes]
@@ -129,8 +131,7 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     # Fill every (parent, token) slot at once; a slot taken twice keeps only
     # one index, so the other child reads back someone else's.
     tokens = np.array(token_col, dtype=np.intp)
-    dtype = np.int16 if n <= _INT16_MAX else np.int32
-    child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=dtype)
+    child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=np.int16)
     child_table[parents, tokens] = indices
     clashes = np.flatnonzero(child_table[parents, tokens] != indices)
     if clashes.size:

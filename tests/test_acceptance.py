@@ -89,11 +89,9 @@ def shape_sweep():
     model = random_model(**SHAPE_MODEL)
     base = EpisodeConfig(**SHAPE_CONFIG)
     start = time.perf_counter()
-    rows = budget_sweep(model, base, BUDGET_GRID, episodes=SHAPE_EPISODES, workers=1)
+    rows = budget_sweep(model, base, BUDGET_GRID, episodes=SHAPE_EPISODES)
     elapsed = time.perf_counter() - start
-    chain = run_episodes(
-        model, replace(base, mode="chain"), SHAPE_EPISODES, workers=1
-    )
+    chain = run_episodes(model, replace(base, mode="chain"), SHAPE_EPISODES)
     return rows, chain, elapsed
 
 

@@ -1,7 +1,8 @@
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -48,10 +49,21 @@ class TestOracleCheckCommand:
         assert "optimal_value: 10 trials, 10 failures [FAIL]" in out
         assert "RESULT: FAIL" in out
 
-    def test_negative_trials_usage_error(self):
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--trials", "-1", "trials must be >= 0, got -1"),
+            ("--max-vocab", "1", "max_vocab must be >= 2, got 1"),
+            ("--max-len", "0", "max_len must be >= 1, got 0"),
+            ("--max-budget", "0", "max_budget must be >= 1, got 0"),
+            ("--max-budget", "32767", "max_budget must be <= 32766, got 32767"),
+        ],
+    )
+    def test_a_bound_out_of_range_exits_2_naming_it(self, capsys, flag, value, message):
         with pytest.raises(SystemExit) as err:
-            run(["oracle-check", "--trials", "-1"])
+            run(["oracle-check", flag, value])
         assert err.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_negative_seed_usage_error_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -87,8 +99,7 @@ SWEEP_FLAGS = MODEL_FLAGS + ["--episodes", "2", "--max-new-tokens", "40"]
 
 
 class TestSweepCommand:
-    def test_single_budget_yields_three_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_single_budget_yields_three_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", *SWEEP_FLAGS, "--budgets", "16", "--out", str(out)]) == 0
         lines = read_lines(out)
@@ -103,8 +114,7 @@ class TestSweepCommand:
             ("16", "tree"), ("6", "chain"), ("0", "baseline"),
         ]
 
-    def test_multi_budget_rows_and_monotone_tree_tau(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_multi_budget_rows_and_monotone_tree_tau(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(
             ["sweep", *SWEEP_FLAGS, "--budgets", "4,8,16,32", "--out", str(out)]
@@ -119,8 +129,7 @@ class TestSweepCommand:
         assert float(baseline["mean_tau"]) == 1.0
         assert float(baseline["est_speedup"]) == 1.0
 
-    def test_full_budget_grid_yields_nine_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_full_budget_grid_yields_nine_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(
             ["sweep", "--vocab-size", "4", "--block-len", "2", "--episodes", "1",
@@ -133,8 +142,7 @@ class TestSweepCommand:
         assert len(rows) == 9
         assert [r["mode"] for r in rows] == ["tree"] * 7 + ["chain", "baseline"]
 
-    def test_reproducible_byte_for_byte(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_reproducible_byte_for_byte(self, tmp_path):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", *SWEEP_FLAGS, "--budgets", "8,16", "--out", str(out)]
         assert run(argv) == 0
@@ -142,8 +150,7 @@ class TestSweepCommand:
         assert run(argv) == 0
         assert out.read_bytes() == first
 
-    def test_manifest_replay_reproduces_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_manifest_replay_reproduces_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", *SWEEP_FLAGS, "--budgets", "8", "--out", str(out)]
         assert run(argv) == 0
@@ -163,8 +170,7 @@ class TestSweepCommand:
         assert run(rebuilt) == 0
         assert out.read_bytes() == first
 
-    def test_csv_is_locale_independent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_csv_is_locale_independent(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--out", str(out)]) == 0
         raw = out.read_bytes()
@@ -172,8 +178,7 @@ class TestSweepCommand:
         assert b"," in raw and b";" not in raw.split(b"\n")[1]
         raw.decode("utf-8")
 
-    def test_cost_flags_apply_to_library_stats(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_cost_flags_apply_to_library_stats(self, tmp_path):
         out = tmp_path / "sweep.csv"
         costs = ["--kappa", "0.05", "--t-draft", "0.3",
                  "--t-target", "1.5", "--t-verify-base", "0.8"]
@@ -203,8 +208,7 @@ class TestSweepCommand:
                  "--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
 
-    def test_unwritable_path_exits_2(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_unwritable_path_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["sweep", *SWEEP_FLAGS, "--budgets", "8",
                  "--out", "/nonexistent-dir/sweep.csv"])
@@ -212,8 +216,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--temperature", "--epsilon", "--kappa"])
-    def test_non_finite_float_exits_2(self, tmp_path, monkeypatch, flag, value):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_non_finite_float_exits_2(self, tmp_path, flag, value):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as err:
             run(["sweep", *SWEEP_FLAGS, "--budgets", "8", flag, value, "--out", str(out)])
@@ -222,10 +225,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e-4"])
     def test_bad_concentration_exits_2_with_the_model_message(
-        self, tmp_path, monkeypatch, capsys, value
+        self, tmp_path, capsys, value
     ):
         # At 1e-4 every gamma draw of some rows underflows to 0.
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as err:
             run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--concentration", value,
@@ -235,9 +237,8 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_oversized_model_table_exits_2_with_the_guard_message(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, capsys
     ):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as err:
             run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--vocab-size", "64",
@@ -255,17 +256,9 @@ class TestSweepCommand:
         assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "zero")
-        with pytest.raises(SystemExit) as err:
-            run(["sweep", *SWEEP_FLAGS, "--budgets", "8",
-                 "--out", str(tmp_path / "x.csv")])
-        assert err.value.code == 2
-
 
 class TestHistogramCommand:
-    def test_bins_and_totals(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_bins_and_totals(self, tmp_path):
         out = tmp_path / "hist.csv"
         assert run(
             ["histogram", *SWEEP_FLAGS, "--budget", "16", "--out", str(out)]
@@ -281,8 +274,7 @@ class TestHistogramCommand:
         assert weighted_tree == 2 * 40
         assert tree_total >= 1 and chain_total >= 1
 
-    def test_single_round_single_bin(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    def test_single_round_single_bin(self, tmp_path):
         out = tmp_path / "hist.csv"
         assert run(
             ["histogram", *MODEL_FLAGS, "--episodes", "1",
@@ -294,43 +286,6 @@ class TestHistogramCommand:
         assert sum(int(r["tree_count"]) for r in rows) == 1
         nonzero = [r for r in rows if int(r["tree_count"]) > 0]
         assert len(nonzero) == 1 and nonzero[0]["bin"] == "1"
-
-
-class TestOnePoolPerCommand:
-    ARGVS = [
-        ["sweep", *SWEEP_FLAGS, "--budgets", "4,8,16"],
-        ["histogram", *SWEEP_FLAGS, "--budget", "16"],
-    ]
-
-    def helpers_started(self, tmp_path, monkeypatch, argv, workers):
-        """Run ``argv`` with ``workers`` real processes, check its rows equal a
-        serial run's, and return the worker count of each helper started."""
-        pools = []
-
-        def recording(*args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            return ProcessPoolExecutor(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
-        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
-        pooled = tmp_path / "pooled.csv"
-        assert run([*argv, "--out", str(pooled)]) == 0
-        started = list(pools)
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
-        serial = tmp_path / "serial.csv"
-        assert run([*argv, "--out", str(serial)]) == 0
-        assert pools == started  # a serial run starts no helper
-        assert read_lines(pooled)[1:] == read_lines(serial)[1:]
-        return started
-
-    @pytest.mark.parametrize("argv", ARGVS)
-    def test_rows_share_one_pool_and_match_serial(self, tmp_path, monkeypatch, argv):
-        assert self.helpers_started(tmp_path, monkeypatch, argv, 2) == [1]
-
-    @pytest.mark.parametrize("argv", ARGVS)
-    def test_three_workers_share_two_helpers_and_match_serial(self, tmp_path, monkeypatch, argv):
-        argv = [*argv, "--episodes", "3"]  # one episode per slice
-        assert self.helpers_started(tmp_path, monkeypatch, argv, 3) == [1, 1]
 
 
 class TestTraceCommand:
@@ -363,15 +318,51 @@ class TestTraceCommand:
         assert out.read_bytes() == first
 
 
+class TestNodeGuard:
+    @pytest.mark.parametrize("argv,count", [
+        (["trace", *MODEL_FLAGS, "--budget", "32767"], "budget"),
+        (["trace", *MODEL_FLAGS, "--block-len", "32767"], "block_len"),
+        (["histogram", *SWEEP_FLAGS, "--budget", "32767"], "budget"),
+        (["sweep", *SWEEP_FLAGS, "--budgets", "8,32767"], "budget"),
+    ])
+    def test_a_node_count_past_the_guard_exits_2_before_any_draft(
+        self, tmp_path, monkeypatch, capsys, argv, count
+    ):
+        # Unguarded, trace --budget 10000000 ran for seconds toward gigabytes.
+        calls = []
+        for name in ("drafter_chunks", "drafter_marginals", "build_tree", "chain_tree"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: calls.append(name))
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"error: {count} must be <= 32766, got 32767" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # pytest itself imports concurrent.futures, so a fresh interpreter looks.
+    code = (
+        "import sys, drafttree.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
     ["sweep", *SWEEP_FLAGS, "--budgets", "8"],
     ["histogram", *SWEEP_FLAGS, "--budget", "8"],
     ["trace", *MODEL_FLAGS, "--budget", "8", "--rounds", "2"],
 ])
-def test_failed_write_exits_2_naming_the_path(monkeypatch, capsys, argv):
+def test_failed_write_exits_2_naming_the_path(capsys, argv):
     # /dev/full opens, then fails every write with ENOSPC.
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
     with pytest.raises(SystemExit) as err:
         run([*argv, "--out", "/dev/full"])
     assert err.value.code == 2

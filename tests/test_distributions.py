@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drafttree.distributions import (
     EPS_Q,
+    NODE_GUARD,
     ROW_SUM_ATOL,
     NegativeEntry,
     NonRectangular,
@@ -19,6 +20,7 @@ from drafttree.distributions import (
     validate_block,
 )
 from drafttree.cli import run_oracle_check
+from drafttree.engine import EpisodeConfig
 from drafttree.models import DrafterConfig, deterministic_model, random_model
 from drafttree.oracle import optimal_tree_exhaustive, random_valid_tree
 from drafttree.treebuild import build_tree, top_k_per_depth
@@ -214,6 +216,16 @@ COUNT_BOUNDARIES = {
 }
 
 
+# Every place a node count enters, called with that count.
+NODE_BOUNDARIES = {
+    "EpisodeConfig budget": lambda n: EpisodeConfig(seed=0, max_new_tokens=1, budget=n),
+    "EpisodeConfig block_len": lambda n: EpisodeConfig(seed=0, max_new_tokens=1, block_len=n),
+    "DrafterConfig block_len": lambda n: DrafterConfig(0.3, n),
+    "build_tree budget": lambda n: build_tree(EXAMPLE, n),
+    "run_oracle_check max_budget": lambda n: run_oracle_check(4, 3, n, 2, 0),
+}
+
+
 class TestRequireCount:
     @pytest.mark.parametrize("value", [0, 3, np.int64(3)])
     def test_accepts_integers(self, value):
@@ -229,6 +241,25 @@ class TestRequireCount:
     def test_rejects_a_value_below_the_floor(self, value):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             require_count("budget", value, 1)
+
+    @pytest.mark.parametrize("boundary", NODE_BOUNDARIES)
+    def test_every_node_count_stops_at_the_guard(self, boundary):
+        assert NODE_GUARD == np.iinfo(np.int16).max - 1  # the root is an entry too
+        NODE_BOUNDARIES[boundary](NODE_GUARD)
+        name = boundary.split()[1]
+        with pytest.raises(ValueError, match=f"{name} must be <= {NODE_GUARD}, got 32767"):
+            NODE_BOUNDARIES[boundary](NODE_GUARD + 1)
+
+    def test_build_tree_past_the_guard_draws_no_chunk(self):
+        drawn = []
+
+        def chunks():
+            drawn.append(EXAMPLE)
+            yield EXAMPLE
+
+        with pytest.raises(ValueError, match="budget must be <="):
+            build_tree(chunks(), NODE_GUARD + 1)
+        assert drawn == []
 
     @pytest.mark.parametrize("boundary", COUNT_BOUNDARIES)
     @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3"])

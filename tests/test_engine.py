@@ -1,8 +1,5 @@
-import contextvars
-import functools
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -481,11 +478,6 @@ class TestRunEpisodes:
         assert episode_seed(5, 0) != episode_seed(5, 1)
         assert episode_seed(5, 1) == episode_seed(5, 1)
 
-    def test_parallel_matches_serial(self):
-        serial = run_episodes(MODEL, small_cfg(), episodes=4, workers=1)
-        parallel = run_episodes(MODEL, small_cfg(), episodes=4, workers=2)
-        assert serial == parallel
-
     def test_uniform_drafter_accepts_rarely(self):
         # With B = 16 of 64 tokens covered at depth 1 the walk matches ~25%
         # of first steps; mean_tau stays near its floor of 1.
@@ -513,8 +505,7 @@ class TestRunEpisodes:
         with pytest.raises(ValueError, match="must be an integer"):
             run_episodes(MODEL, small_cfg(), episodes, workers)
 
-    def test_accepts_numpy_integer_counts(self, monkeypatch):
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    def test_accepts_numpy_integer_counts(self):
         counts = np.int64(3), np.int64(2)
         assert run_episodes(MODEL, small_cfg(), *counts) == run_episodes(MODEL, small_cfg(), 3, 1)
 
@@ -623,65 +614,13 @@ def chain_rule_events(model, configs):
     return events
 
 
-class InlinePool:
-    """A ProcessPoolExecutor stand-in that runs its tasks in this process.
-
-    Like one worker process, it runs the initializer and then every task in a
-    context of its own, so tasks see the worker's store, not the caller's. A
-    task runs when its result is first read, so episodes run in the order the
-    caller reads them; ``submitted`` keeps each task's arguments.
-    """
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.max_workers = max_workers
-        self.context = contextvars.copy_context()
-        self.is_shut_down = False
-        self.submitted = []
-        if initializer is not None:
-            self.context.run(initializer, *initargs)
-
-    def submit(self, fn, *args):
-        self.submitted.append(args)
-        return SimpleNamespace(result=functools.cache(lambda: self.context.run(fn, *args)))
-
-    def store(self):
-        return self.context.run(engine._scope.get)
-
-    def shutdown(self):
-        self.is_shut_down = True
-
-
-def recording_pools(monkeypatch):
-    """Make every pool the engine starts an InlinePool; return the list of them."""
-    pools = []
-
-    def recording(*args, **kwargs):
-        pools.append(InlinePool(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", recording)
-    return pools
-
-
 def slice_configs(cfg, indices):
     """The configs of episodes ``indices`` of a ``run_episodes`` row of ``cfg``."""
     return [replace(cfg, seed=episode_seed(cfg.seed, i)) for i in indices]
 
 
-def built_budgets(store):
-    return {key: built for key, (built, _) in store.drafts.items()}
-
-
-def drafts_of_slice(rows, indices):
-    """What a fresh store holds after episodes ``indices`` of each row, rows in order."""
-    with sweep_scope(MODEL) as store:
-        for cfg in rows:
-            engine._episode_stats_task(slice_configs(cfg, indices))
-    return built_budgets(store)
-
-
 class TestDraftCache:
-    SPLITS = [(1, 3), (2, 5), (4, 2)]  # (workers, episodes)
+    SPLITS = [(1, 3), (2, 5), (4, 2)]  # (workers, episodes); workers is checked, then unused
 
     @pytest.mark.parametrize("workers,episodes", SPLITS)
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
@@ -708,7 +647,6 @@ class TestDraftCache:
     def test_token_streams_equal_independent_episodes(
         self, monkeypatch, mode, temperature, workers, episodes
     ):
-        # The pool runs inline so the episodes of every slice can be recorded.
         cfg = small_cfg(mode=mode, temperature=temperature)
         alone = independent_episodes(cfg, episodes)
         recorded = []
@@ -720,7 +658,6 @@ class TestDraftCache:
             return result
 
         monkeypatch.setattr(engine, "run_episode", recording)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
         run_episodes(MODEL, cfg, episodes, workers)
         assert [r.tokens for r in recorded] == [r.tokens for r in alone]
         assert [r.stats for r in recorded] == [r.stats for r in alone]
@@ -866,47 +803,14 @@ class TestDraftCache:
             assert scoped == [run_episodes(MODEL, cfg, 2) for cfg in cfgs]
             assert scoped_drafts <= len(counts.events)
 
-    def test_the_scope_shuts_its_pool_down_on_exit(self, monkeypatch):
-        pools = recording_pools(monkeypatch)
-        rows = [small_cfg(), small_cfg(mode="chain")]
+    def test_the_scope_is_dropped_on_exit(self):
         with sweep_scope(MODEL) as store:
-            for cfg in rows:
-                run_episodes(MODEL, cfg, 4, 2)
-            assert len(pools) == 1 and not pools[0].is_shut_down
-        # The caller drafted episodes 0-1 only; the helper drafted 2-3 into its own store.
-        assert built_budgets(store) == drafts_of_slice(rows, range(0, 2))
-        assert pools[0].is_shut_down
-        pools.clear()
+            assert engine._scope.get() is store
+        assert engine._scope.get() is None
         with pytest.raises(ValueError, match="eos_token"):
             with sweep_scope(MODEL):
                 run_episodes(MODEL, small_cfg(eos_token=MODEL.vocab_size), 4, 2)
-        assert len(pools) == 1 and pools[0].is_shut_down
-
-    def test_each_process_keeps_its_slice_in_every_row(self, monkeypatch):
-        pools = recording_pools(monkeypatch)
-        cfg = small_cfg(temperature=1.0)
-        budgets = [4, 8, 16]
-        # budget_sweep runs largest budget first; the chain row follows.
-        rows = [replace(cfg, budget=b) for b in reversed(budgets)] + [replace(cfg, mode="chain")]
-        slices = [range(0, 2), range(2, 4), range(4, 5)]  # 5 episodes over 3 workers
-        with sweep_scope(MODEL) as store:
-            budget_sweep(MODEL, cfg, budgets, 5, 3)
-            run_episodes(MODEL, rows[-1], 5, 3)
-            helper_drafts = [built_budgets(pool.store()) for pool in pools]
-        assert [pool.max_workers for pool in pools] == [1, 1]
-        for pool, indices in zip(pools, slices[1:]):
-            assert pool.submitted == [(slice_configs(row, indices),) for row in rows]
-        assert built_budgets(store) == drafts_of_slice(rows, slices[0])
-        assert helper_drafts == [drafts_of_slice(rows, indices) for indices in slices[1:]]
-
-    def test_a_row_starts_only_the_helpers_it_lacks(self, monkeypatch):
-        pools = recording_pools(monkeypatch)
-        with sweep_scope(MODEL):
-            for workers, started in [(2, 1), (3, 2), (2, 2)]:
-                run_episodes(MODEL, small_cfg(), 4, workers)
-                assert len(pools) == started
-        assert [len(pool.submitted) for pool in pools] == [3, 1]
-        assert all(pool.is_shut_down for pool in pools)
+        assert engine._scope.get() is None
 
     def test_a_scope_serves_one_model(self):
         other = random_model(22, vocab_size=8, order=2, concentration=0.3)

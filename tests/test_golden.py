@@ -26,40 +26,31 @@ EPISODES = ["--episodes", "3", "--max-new-tokens", "48"]
 COSTS = ["--kappa", "0.05", "--t-draft", "0.3", "--t-target", "1.5", "--t-verify-base", "0.8"]
 T07 = ["--temperature", "0.7"]
 
-# file name -> (DRAFTTREE_WORKERS, argv without --out)
+# file name -> argv without --out
 CASES = {
-    "sweep_greedy.csv": ("1", ["sweep", *MODEL, *EPISODES, "--budgets", "4,16,64"]),
-    "sweep_t07_costs.csv": (
-        "2", ["sweep", *MODEL, *EPISODES, *T07, *COSTS, "--budgets", "4,16,64"]
-    ),
-    "sweep_t1_order3.csv": (
-        "1",
-        ["sweep", "--model-seed", "9", "--vocab-size", "12", "--order", "3",
-         "--concentration", "0.3", "--block-len", "5", "--temperature", "1.0",
-         "--seed", "5", *EPISODES, "--budgets", "8,32", "--kappa", "0.01"],
-    ),
-    "histogram_greedy.csv": ("1", ["histogram", *MODEL, *EPISODES, "--budget", "16"]),
-    "histogram_t07.csv": ("1", ["histogram", *MODEL, *EPISODES, *T07, "--budget", "16"]),
-    "trace_greedy.jsonl": ("1", ["trace", *MODEL, "--budget", "16", "--rounds", "6"]),
-    "trace_t07.jsonl": ("1", ["trace", *MODEL, *T07, "--budget", "16", "--rounds", "6"]),
+    "sweep_greedy.csv": ["sweep", *MODEL, *EPISODES, "--budgets", "4,16,64"],
+    "sweep_t07_costs.csv": ["sweep", *MODEL, *EPISODES, *T07, *COSTS, "--budgets", "4,16,64"],
+    "sweep_t1_order3.csv": [
+        "sweep", "--model-seed", "9", "--vocab-size", "12", "--order", "3",
+        "--concentration", "0.3", "--block-len", "5", "--temperature", "1.0",
+        "--seed", "5", *EPISODES, "--budgets", "8,32", "--kappa", "0.01",
+    ],
+    "histogram_greedy.csv": ["histogram", *MODEL, *EPISODES, "--budget", "16"],
+    "histogram_t07.csv": ["histogram", *MODEL, *EPISODES, *T07, "--budget", "16"],
+    "trace_greedy.jsonl": ["trace", *MODEL, "--budget", "16", "--rounds", "6"],
+    "trace_t07.jsonl": ["trace", *MODEL, *T07, "--budget", "16", "--rounds", "6"],
 }
 
 
 def generate(name: str, directory: Path) -> bytes:
     """Run one case inside ``directory`` and return the file it wrote."""
-    workers, argv = CASES[name]
-    cwd, env = os.getcwd(), os.environ.get(cli.WORKERS_ENV)
+    cwd = os.getcwd()
     os.chdir(directory)
-    os.environ[cli.WORKERS_ENV] = workers
     try:
-        assert cli.main([*argv, "--out", name]) == 0
+        assert cli.main([*CASES[name], "--out", name]) == 0
         return (directory / name).read_bytes()
     finally:
         os.chdir(cwd)
-        if env is None:
-            del os.environ[cli.WORKERS_ENV]
-        else:
-            os.environ[cli.WORKERS_ENV] = env
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

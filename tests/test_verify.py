@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drafttree.distributions import validate_block
+from drafttree.distributions import NODE_GUARD, validate_block
 from drafttree.models import random_model, target_next
 from drafttree.oracle import random_valid_tree
 from drafttree.treebuild import (
@@ -116,6 +116,24 @@ class TestFlatten:
         assert flat.child(8, 1) is None  # a leaf
         assert flat.child_table.dtype == np.int16
         assert not flat.child_table.flags.writeable
+
+    @staticmethod
+    def chain_of(nodes):
+        """A hand-built chain of ``nodes`` token-1 nodes, each the child of the last."""
+        return DraftTree(nodes=tuple(
+            TreeNode(token_id=1, depth=i + 1, parent=i - 1 if i else ROOT_PARENT, log_mass=-i - 1.0)
+            for i in range(nodes)
+        ))
+
+    def test_a_tree_at_the_guard_fits_an_int16_table(self):
+        flat = flatten(self.chain_of(NODE_GUARD), bonus=0)
+        assert flat.child_table.dtype == np.int16
+        assert flat.child(NODE_GUARD - 1, 1) == NODE_GUARD
+        assert flat.child(NODE_GUARD, 1) is None
+
+    def test_a_tree_past_the_guard_raises(self):
+        with pytest.raises(ValueError, match=f"tree nodes must be <= {NODE_GUARD}, got 32767"):
+            flatten(self.chain_of(NODE_GUARD + 1), bonus=0)
 
     def test_accepts_pop_orders_that_interleave_depths(self):
         # Builder node order is nonincreasing mass, not depth-sorted: here
