@@ -6,12 +6,15 @@ over whole continuations is their product. Everything downstream (tree
 construction, the oracle, the engine) consumes the validated ``MarginalBlock``
 produced here, and checks its counts (budgets, lengths, seeds) with
 ``require_count``, the one rule for a count: an integer at or above a floor
-and, for a node count, at most ``NODE_GUARD``.
+and, for a node count, at most ``NODE_GUARD``. ``require_real`` is the one
+rule for a real parameter (a temperature, a noise weight, a cost term): a
+finite real number within its bounds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -41,6 +44,28 @@ def require_count(
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+
+
+def require_real(
+    name: str,
+    value: object,
+    low: float | None = None,
+    high: float | None = None,
+    *,
+    strict: bool = False,
+) -> None:
+    """Reject a value that is not a finite real (numpy scalars pass) or lies outside [low, high].
+
+    ``strict`` excludes ``low`` itself, for a parameter that must be positive.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if low is not None and (value <= low if strict else value < low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
 

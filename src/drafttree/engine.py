@@ -48,7 +48,6 @@ config. Every episode runs in the calling process, under the open scope.
 
 from __future__ import annotations
 
-import math
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -59,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import NODE_GUARD, require_count
+from .distributions import NODE_GUARD, require_count, require_real
 from .models import DrafterConfig, NgramModel, drafter_chunks, drafter_marginals, target_next
 from .treebuild import DraftTree, build_tree, chain_tree
 from .verify import FlattenedTree, flatten, round_trace_record, verifier_walk
@@ -89,13 +88,13 @@ class CostModel:
     kappa: float = 0.002
 
     def __post_init__(self) -> None:
-        costs = (self.t_target, self.t_draft, self.t_verify_base, self.kappa)
-        if not all(map(math.isfinite, costs)):
-            raise NonPositiveCost("cost parameters must be finite")
-        if self.t_target <= 0.0 or self.t_verify_base <= 0.0:
-            raise NonPositiveCost("t_target and t_verify_base must be > 0")
-        if self.t_draft < 0.0 or self.kappa < 0.0:
-            raise NonPositiveCost("t_draft and kappa must be >= 0")
+        try:
+            require_real("t_target", self.t_target, 0.0, strict=True)
+            require_real("t_draft", self.t_draft, 0.0)
+            require_real("t_verify_base", self.t_verify_base, 0.0, strict=True)
+            require_real("kappa", self.kappa, 0.0)
+        except ValueError as exc:
+            raise NonPositiveCost(str(exc)) from None
 
 
 DEFAULT_COST = CostModel()
@@ -150,10 +149,8 @@ class EpisodeConfig:
             require_count("max_rounds", self.max_rounds, 0)
         if self.eos_token is not None:
             require_count("eos_token", self.eos_token, 1)  # token 0 is the context pad
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise ValueError("temperature must be finite and >= 0")
-        if not 0.0 <= self.drafter_noise <= 1.0:
-            raise ValueError("drafter_noise must lie in [0, 1]")
+        require_real("temperature", self.temperature, 0.0)
+        require_real("drafter_noise", self.drafter_noise, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,20 @@ can be padded with it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import EPS_Q, NODE_GUARD, MarginalBlock, require_count, validate_block
+from .distributions import (
+    EPS_Q,
+    NODE_GUARD,
+    MarginalBlock,
+    require_count,
+    require_real,
+    validate_block,
+)
 
 PAD_TOKEN = 0
 # Table entries: 80 MB of float64. Each drafter call also holds a joint array
@@ -60,8 +66,7 @@ class DrafterConfig:
     block_len: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError("noise must lie in [0, 1]")
+        require_real("noise", self.noise, 0.0, 1.0)
         require_count("block_len", self.block_len, 1, NODE_GUARD)
 
 
@@ -89,8 +94,7 @@ def random_model(
     """
     require_count("seed", seed, 0)  # numpy's own error names no argument
     states = _check_table_size(vocab_size, order)
-    if not (math.isfinite(concentration) and concentration > 0.0):
-        raise ValueError("concentration must be finite and > 0")
+    require_real("concentration", concentration, 0.0, strict=True)
     rng = np.random.default_rng(seed)
     table = rng.gamma(concentration, 1.0, size=(states, vocab_size))
     table[:, PAD_TOKEN] = 0.0

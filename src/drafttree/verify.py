@@ -1,13 +1,15 @@
 """Verifier-side compilation and traversal of a draft tree.
 
-The tree is flattened into a token sequence rooted at the bonus token,
-annotated with depth position ids and an ancestor-only attention mask (each
-entry may attend to the root, its ancestors, and itself). The verifier walk
-then follows the target model's own decoding rule through the tree: a step is
-accepted when the target's chosen token matches a child, and the first
-unmatched target token becomes the next round's bonus; a tree with no nodes
-verifies the bonus alone, as plain decoding does. Cache compaction is an index
-plan here; the synthetic targets are stateless-exact so no tensors move.
+The tree is flattened into a child table rooted at the bonus token: each
+(parent entry, token) cell holds its child's entry. The verifier inputs, the
+token sequence with depth position ids and an ancestor-only attention mask
+(each entry may attend to the root, its ancestors, and itself), are derived
+from that table on read. The verifier walk reads only the table and follows
+the target model's own decoding rule through the tree: a step is accepted
+when the target's chosen token matches a child, and the first unmatched target
+token becomes the next round's bonus; a tree with no nodes verifies the bonus
+alone, as plain decoding does. Cache compaction is an index plan here; the
+synthetic targets are stateless-exact so no tensors move.
 """
 
 from __future__ import annotations
@@ -32,44 +34,64 @@ class DuplicateChildToken(ValueError):
 class FlattenedTree:
     """Verifier-ready layout: root (bonus token) at index 0, nodes after.
 
-    ``child_table[i, t]`` is the index of entry i's child carrying token t, or
-    ``NO_CHILD``; its columns run up to the largest child token id. It is
-    read-only int16, which indexes every entry of a tree of at most
-    ``NODE_GUARD`` nodes, so stored trees stay small. A ``prefix`` view shares
-    its tree's table, so the table may have more rows than the view has
-    entries, and ``child`` reads an index past the view's end as no child.
-    ``mask`` is the ancestor-only attention mask, built on first read.
+    The tree is its child table: ``child_table[i, t]`` is the index of entry
+    i's child carrying token t, or ``NO_CHILD``; its columns run up to the
+    largest child token id. It is read-only int16, which indexes every entry
+    of a tree of at most ``NODE_GUARD`` nodes, so stored trees stay small. A
+    ``prefix`` view shares its tree's table and sets ``size``, so the table
+    may have more rows than the view has entries, and ``child`` reads an
+    index past the view's end as no child. ``token_ids``, ``position_offsets``
+    (depths; the root is 0), ``parent_of`` (-1 for the root) and the
+    ancestor-only attention ``mask`` are derived from the table on first read;
+    the walk needs none of them.
     """
 
-    token_ids: tuple[int, ...]
-    position_offsets: tuple[int, ...]  # depth of each entry; root is 0
-    parent_of: tuple[int, ...]  # flattened parent index; -1 for the root slot
-    child_table: np.ndarray  # (n, max child token id + 1) int16, read-only
+    bonus: int  # the root entry's token
+    child_table: np.ndarray  # (rows, max child token id + 1) int16, read-only
+    size: int  # entries in view
 
     def __len__(self) -> int:
-        return len(self.token_ids)
+        return self.size
 
     def child(self, index: int, token: int) -> int | None:
         """Index of entry ``index``'s child carrying ``token``, or None."""
         if not 0 <= token < self.child_table.shape[1]:
             return None
         child = int(self.child_table[index, token])
-        return None if child == NO_CHILD or child >= len(self) else child
+        return None if child == NO_CHILD or child >= self.size else child
 
     def prefix(self, size: int) -> FlattenedTree:
-        """The first ``size`` entries, sharing this tree's child table.
+        """The first ``size`` (at least 1) entries, sharing this tree's child table.
 
         For a best-first tree this is the flattened tree of its first
         ``size - 1`` pops. Returns ``self`` when ``size`` covers every entry.
         """
-        if size >= len(self):
+        require_count("size", size, 1)
+        if size >= self.size:
             return self
-        return FlattenedTree(
-            token_ids=self.token_ids[:size],
-            position_offsets=self.position_offsets[:size],
-            parent_of=self.parent_of[:size],
-            child_table=self.child_table,
-        )
+        return FlattenedTree(self.bonus, self.child_table, size)
+
+    def _links(self) -> tuple[list[int], list[int]]:
+        """(parent, token) of entries 1 .. size - 1 in entry order: the cells holding them."""
+        table = self.child_table
+        parents, tokens = np.nonzero((table > 0) & (table < self.size))
+        order = np.argsort(table[parents, tokens])
+        return parents[order].tolist(), tokens[order].tolist()
+
+    @cached_property
+    def token_ids(self) -> tuple[int, ...]:
+        return (self.bonus, *self._links()[1])
+
+    @cached_property
+    def parent_of(self) -> tuple[int, ...]:
+        return (ROOT_PARENT, *self._links()[0])
+
+    @cached_property
+    def position_offsets(self) -> tuple[int, ...]:
+        depths = [0]
+        for parent in self.parent_of[1:]:
+            depths.append(depths[parent] + 1)
+        return tuple(depths)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -119,18 +141,15 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     """
     require_count("tree nodes", len(tree.nodes), None, NODE_GUARD)
     n = len(tree.nodes) + 1
-    token_col = [node.token_id for node in tree.nodes]
-    depth_col = [node.depth for node in tree.nodes]
     # Node i is entry i + 1, so its flat parent is its parent + 1; a depth-1
     # node's ROOT_PARENT (-1) becomes the root entry 0.
-    parent_col = [node.parent + 1 for node in tree.nodes]
-    parents = np.array(parent_col, dtype=np.intp)
+    parents = np.array([node.parent + 1 for node in tree.nodes], dtype=np.intp)
     indices = np.arange(1, n)
     assert (parents < indices).all(), "parent must precede child in node order"
 
     # Fill every (parent, token) slot at once; a slot taken twice keeps only
     # one index, so the other child reads back someone else's.
-    tokens = np.array(token_col, dtype=np.intp)
+    tokens = np.array([node.token_id for node in tree.nodes], dtype=np.intp)
     child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=np.int16)
     child_table[parents, tokens] = indices
     clashes = np.flatnonzero(child_table[parents, tokens] != indices)
@@ -141,12 +160,7 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
         )
     child_table.flags.writeable = False
 
-    return FlattenedTree(
-        token_ids=(bonus, *token_col),
-        position_offsets=(0, *depth_col),
-        parent_of=(ROOT_PARENT, *parent_col),
-        child_table=child_table,
-    )
+    return FlattenedTree(bonus, child_table, n)
 
 
 def verifier_walk(

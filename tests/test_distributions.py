@@ -16,11 +16,12 @@ from drafttree.distributions import (
     log_prefix_mass,
     prefix_mass,
     require_count,
+    require_real,
     sample_continuations,
     validate_block,
 )
 from drafttree.cli import run_oracle_check
-from drafttree.engine import EpisodeConfig
+from drafttree.engine import CostModel, EpisodeConfig, NonPositiveCost
 from drafttree.models import DrafterConfig, deterministic_model, random_model
 from drafttree.oracle import optimal_tree_exhaustive, random_valid_tree
 from drafttree.treebuild import build_tree, top_k_per_depth
@@ -224,6 +225,59 @@ NODE_BOUNDARIES = {
     "build_tree budget": lambda n: build_tree(EXAMPLE, n),
     "run_oracle_check max_budget": lambda n: run_oracle_check(4, 3, n, 2, 0),
 }
+
+
+REAL_BOUNDARIES = {
+    "EpisodeConfig temperature": lambda x: EpisodeConfig(seed=0, max_new_tokens=1, temperature=x),
+    "EpisodeConfig drafter_noise": lambda x: EpisodeConfig(
+        seed=0, max_new_tokens=1, drafter_noise=x
+    ),
+    "DrafterConfig noise": lambda x: DrafterConfig(x, 4),
+    "CostModel t_target": lambda x: CostModel(t_target=x),
+    "CostModel t_draft": lambda x: CostModel(t_draft=x),
+    "CostModel t_verify_base": lambda x: CostModel(t_verify_base=x),
+    "CostModel kappa": lambda x: CostModel(kappa=x),
+    "random_model concentration": lambda x: random_model(0, 4, 1, x),
+}
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value", [0, 1, 0.5, np.float64(0.5), np.float32(0.25), np.int64(1)])
+    def test_accepts_real_numbers_in_range(self, value):
+        require_real("x", value, 0.0, 1.0)
+        require_real("x", value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-300])
+    def test_strict_excludes_the_floor(self, value):
+        require_real("x", value, -1.0)
+        with pytest.raises(ValueError, match="concentration must be > 0.0"):
+            require_real("concentration", value, 0.0, strict=True)
+
+    @pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
+    def test_every_boundary_accepts_an_in_range_value(self, boundary):
+        REAL_BOUNDARIES[boundary](0.5)
+        REAL_BOUNDARIES[boundary](np.float64(0.5))
+
+    @pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
+    @pytest.mark.parametrize("value", ["x", "0.5", None, 1j])
+    def test_every_boundary_rejects_a_non_real_naming_the_parameter(self, boundary, value):
+        # Before one rule held, these raised a TypeError naming no parameter:
+        # "must be real number, not str" or "'<=' not supported ...".
+        with pytest.raises(ValueError, match=f"{boundary.split()[1]} must be a real number"):
+            REAL_BOUNDARIES[boundary](value)
+
+    @pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_boundary_rejects_a_non_finite_value_naming_the_parameter(
+        self, boundary, value
+    ):
+        with pytest.raises(ValueError, match=f"{boundary.split()[1]} must be finite"):
+            REAL_BOUNDARIES[boundary](value)
+
+    @pytest.mark.parametrize("boundary", [b for b in REAL_BOUNDARIES if "CostModel" in b])
+    def test_a_cost_term_of_the_wrong_type_is_a_non_positive_cost(self, boundary):
+        with pytest.raises(NonPositiveCost, match=boundary.split()[1]):
+            REAL_BOUNDARIES[boundary](None)
 
 
 class TestRequireCount:

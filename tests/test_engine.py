@@ -706,6 +706,16 @@ class TestDraftCache:
         return largest
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_a_sweep_stores_only_child_tables(self, temperature):
+        # The walk reads only the child table: no stored draft holds token
+        # ids, parents, depths or a mask, which derive from it on read.
+        with sweep_scope(MODEL) as store:
+            self.scoped_rows(small_cfg(temperature=temperature))
+        assert {key[1] for key in store.drafts} == {"tree", "chain", "baseline"}
+        for _, flat in store.drafts.values():
+            assert vars(flat).keys() == {"bonus", "child_table", "size"}
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_sweep_drafts_and_builds_each_window_once(self, monkeypatch, temperature):
         counts = CountingDrafts(monkeypatch)
         cfg = small_cfg(temperature=temperature)

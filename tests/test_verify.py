@@ -198,6 +198,47 @@ class TestPrefixView:
         assert view.child(1, 3) is None
         assert view.child(0, 2) == 2
 
+    @pytest.mark.parametrize(
+        "size,message",
+        [(-1, "size must be >= 1"), (0, "size must be >= 1"), (2.5, "size must be an integer")],
+    )
+    def test_a_size_that_makes_no_tree_is_rejected(self, size, message):
+        # Unchecked, -1 gave every entry but the last, 0 a view with no root,
+        # and 2.5 a TypeError naming nothing.
+        flat = flatten(BRANCHY, bonus=0)
+        with pytest.raises(ValueError, match=message):
+            flat.prefix(size)
+
+
+class TestDerivedLayout:
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(1, 8),  # block_len
+        st.integers(2, 12),  # vocab
+        st.integers(1, 120),  # budget
+        st.integers(0, 23),  # bonus
+        st.booleans(),  # a random valid tree instead of a best-first build
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_prefix_reads_back_the_tree_nodes(
+        self, seed, block_len, vocab, budget, bonus, random_tree
+    ):
+        # The expected layout comes from the DraftTree nodes, not from another
+        # flat, which would share the derivation from the child table.
+        block = random_block(seed, block_len, vocab)
+        if random_tree:
+            tree = random_valid_tree(block, budget, np.random.default_rng(seed))
+        else:
+            tree = build_tree(block, budget)
+        flat = flatten(tree, bonus)
+        for size in range(1, len(tree.nodes) + 2):
+            view = flat.prefix(size)
+            nodes = tree.nodes[: size - 1]
+            assert len(view) == size
+            assert view.token_ids == (bonus, *(node.token_id for node in nodes))
+            assert view.parent_of == (ROOT_PARENT, *(node.parent + 1 for node in nodes))
+            assert view.position_offsets == (0, *(node.depth for node in nodes))
+
 
 class TestDuplicateChildGuard:
     def test_built_trees_pass(self):
