@@ -32,7 +32,6 @@ from .oracle import (
 from .verify import (
     FlattenedTree,
     RoundOutcome,
-    compaction_plan,
     duplicate_child_guard,
     flatten,
     verifier_walk,
@@ -80,7 +79,6 @@ __all__ = [
     "RoundOutcome",
     "flatten",
     "verifier_walk",
-    "compaction_plan",
     "duplicate_child_guard",
     "NgramModel",
     "DrafterConfig",

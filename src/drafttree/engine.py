@@ -2,8 +2,8 @@
 
 Each round: take the current bonus token, draft a tree (the chain is a
 one-branch tree; the baseline's has no nodes and queries no drafter), walk it
-under the target's decoding rule, commit the accepted path plus the next bonus,
-and repeat. A tree round hands ``build_tree`` the drafter's row chunks
+along the target's rollout, commit the accepted path plus the next bonus, and
+repeat. A tree round hands ``build_tree`` the drafter's row chunks
 (``models.drafter_chunks``), so it drafts only the rows its tree reaches. A
 chain round drafts only the rows its walks read: a window's first round draws
 the first chunk and walks the chain over it; a walk that accepts every drawn
@@ -336,10 +336,10 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 entry = store.drafts[key] = (budget, flatten(tree, bonus))
             flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
 
-            def decode(path: tuple[int, ...]) -> int:
-                return target(n + len(path))
+            def rollout(depth: int) -> int:  # the target's token at ``depth``; 0 follows the bonus
+                return target(n + depth)
 
-            outcome = verifier_walk(flat, decode)
+            outcome = verifier_walk(flat, rollout)
             if cfg.mode == "chain" and outcome.acceptance_length == len(flat) - 1 < budget:
                 # The walk accepted every drawn row: draw the rest of the block
                 # (from the start, in a later round) and walk the whole chain.
@@ -348,7 +348,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 )
                 flat = flatten(chain_tree(block), bonus)
                 store.drafts[key] = (budget, flat)
-                outcome = verifier_walk(flat, decode)
+                outcome = verifier_walk(flat, rollout)
             # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
             k = min(outcome.acceptance_length + 1, end - n)
             if cfg.eos_token in seq[n:n + k]:
@@ -363,7 +363,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 # still records what verification produced. A chain round
                 # verifies its whole block, however few rows its walk read.
                 verified = budget if cfg.mode == "chain" else len(flat) - 1
-                trace.append(round_trace_record(rounds - 1, budget, verified, flat, outcome))
+                trace.append(round_trace_record(rounds - 1, budget, verified, outcome))
 
     stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))
     return EpisodeResult(stats=stats, tokens=tuple(seq[cfg.prompt_len:n]), trace=tuple(trace))

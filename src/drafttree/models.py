@@ -57,6 +57,15 @@ class NgramModel:
     vocab_size: int
     table: np.ndarray  # (vocab_size**order, vocab_size), rows sum to 1
 
+    def __post_init__(self) -> None:
+        expected = (_check_table_size(self.vocab_size, self.order), self.vocab_size)
+        if np.shape(self.table) != expected:
+            raise ValueError(
+                f"table shape {np.shape(self.table)} is not {expected}, the "
+                f"(vocab_size**order, vocab_size) of vocab_size {self.vocab_size} "
+                f"and order {self.order}"
+            )
+
 
 @dataclass(frozen=True)
 class DrafterConfig:

@@ -4,12 +4,13 @@ The tree is flattened into a child table rooted at the bonus token: each
 (parent entry, token) cell holds its child's entry. The verifier inputs, the
 token sequence with depth position ids and an ancestor-only attention mask
 (each entry may attend to the root, its ancestors, and itself), are derived
-from that table on read. The verifier walk reads only the table and follows
-the target model's own decoding rule through the tree: a step is accepted
-when the target's chosen token matches a child, and the first unmatched target
+from that table on read. The verifier walk reads only the table and the
+target's rollout, its own tokens after the root: a step is accepted when the
+target's token at that depth matches a child, and the first unmatched target
 token becomes the next round's bonus; a tree with no nodes verifies the bonus
-alone, as plain decoding does. Cache compaction is an index plan here; the
-synthetic targets are stateless-exact so no tensors move.
+alone, as plain decoding does. The walk returns the entries it kept, the
+root-to-node path a cache would be compacted to; the synthetic targets are
+stateless-exact so no tensors move.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class DuplicateChildToken(ValueError):
     """Two children of one node carry the same token id."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlattenedTree:
     """Verifier-ready layout: root (bonus token) at index 0, nodes after.
 
@@ -43,7 +44,7 @@ class FlattenedTree:
     index past the view's end as no child. ``token_ids``, ``position_offsets``
     (depths; the root is 0), ``parent_of`` (-1 for the root) and the
     ancestor-only attention ``mask`` are derived from the table on first read;
-    the walk needs none of them.
+    the walk needs none of them. Equality is identity, so a flat is hashable.
     """
 
     bonus: int  # the root entry's token
@@ -112,12 +113,12 @@ class FlattenedTree:
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    accepted_tokens: tuple[int, ...]
+    kept_indices: tuple[int, ...]  # the root entry 0, then the accepted path in depth order
     next_bonus: int
 
     @property
     def acceptance_length(self) -> int:
-        return len(self.accepted_tokens)
+        return len(self.kept_indices) - 1
 
 
 def duplicate_child_guard(tree: DraftTree) -> DraftTree:
@@ -163,51 +164,33 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     return FlattenedTree(bonus, child_table, n)
 
 
-def verifier_walk(
-    flat: FlattenedTree, decode: Callable[[tuple[int, ...]], int]
-) -> RoundOutcome:
-    """Walk the tree under the target's decoding rule.
+def verifier_walk(flat: FlattenedTree, rollout: Callable[[int], int]) -> RoundOutcome:
+    """Walk the tree along the target's rollout.
 
-    ``decode(path)`` must return the target-chosen token after the context
-    and ``path``, the drafted tokens accepted so far (``()`` at the root;
-    ``len(path)`` is the depth decoded). The walk descends while the chosen
-    token matches a child; the first unmatched token is the next bonus. With
-    a greedy decode the walk is a pure function.
+    ``rollout(depth)`` must return the target's token at ``depth`` of its own
+    continuation after the root (0 is the token that follows the bonus). A
+    token is accepted only when it matches a child, so at depth d the accepted
+    path is the rollout's first d tokens and the depth is all the target
+    needs. The walk reads depths 0, 1, ... in order, once each, and stops at
+    the first token with no matching child, which is the next bonus.
     """
-    index = 0
-    accepted: tuple[int, ...] = ()
+    kept = (0,)
     while True:
-        chosen = decode(accepted)
-        child = flat.child(index, chosen)
+        chosen = rollout(len(kept) - 1)
+        child = flat.child(kept[-1], chosen)
         if child is None:
-            return RoundOutcome(accepted_tokens=accepted, next_bonus=chosen)
-        accepted += (chosen,)
-        index = child
-
-
-def compaction_plan(outcome: RoundOutcome, flat: FlattenedTree) -> tuple[int, ...]:
-    """Indices to retain in the cache: root plus the accepted path, in depth order.
-
-    Derived from the accepted tokens by descending the child table. Raises
-    ValueError for a token not in the tree.
-    """
-    keep = [0]
-    index = 0
-    for token in outcome.accepted_tokens:
-        index = flat.child(index, token)
-        if index is None:
-            raise ValueError(f"accepted token {token} is not in the tree")
-        keep.append(index)
-    return tuple(keep)
+            return RoundOutcome(kept_indices=kept, next_bonus=chosen)
+        kept += (child,)
 
 
 def round_trace_record(
-    round_index: int, budget: int, tree_size: int, flat: FlattenedTree, outcome: RoundOutcome
+    round_index: int, budget: int, tree_size: int, outcome: RoundOutcome
 ) -> dict:
-    """One trace record of a round that verifies ``tree_size`` nodes and walked ``flat``.
+    """One trace record of a round that verifies ``tree_size`` nodes.
 
-    The kept indices are derived from ``flat``, which may be a prefix of the
-    verified tree: a chain round can walk its first drafted rows only.
+    The kept indices are the walk's, into the tree it walked, which may be a
+    prefix of the verified tree: a chain round can walk its first drafted
+    rows only.
     """
     return {
         "round_index": round_index,
@@ -215,5 +198,5 @@ def round_trace_record(
         "tree_size": tree_size,
         "acceptance_length": outcome.acceptance_length,
         "next_bonus": outcome.next_bonus,
-        "kept_indices": list(compaction_plan(outcome, flat)),
+        "kept_indices": list(outcome.kept_indices),
     }

@@ -257,14 +257,13 @@ def _tree_vs_chain_rounds(model, base, budget):
         done = 1  # the prefill bonus
         for record in result.trace:
             window = (prompt + result.tokens[:done])[-order:]
+            rollout = []  # the greedy target's tokens after the bonus, deep enough for any walk
+            while len(rollout) <= base.block_len:
+                rollout.append(decode_next(model, (window + tuple(rollout))[-order:], 0.0, None))
 
             def acceptance(tree):
                 flat = flatten(tree, window[-1])
-
-                def decode(path):
-                    return decode_next(model, (window + path)[-order:], 0.0, None)
-
-                return verifier_walk(flat, decode).acceptance_length
+                return verifier_walk(flat, rollout.__getitem__).acceptance_length
 
             block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
             tree = build_tree(block, budget)

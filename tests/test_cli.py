@@ -341,6 +341,23 @@ class TestNodeGuard:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", *SWEEP_FLAGS, "--budgets", "8,x"], "argument --budgets: bad budget list '8,x'"),
+    (["sweep", *SWEEP_FLAGS, "--budgets", "8", "--seed", "abc"],
+     "argument --seed: expected an integer, got 'abc'"),
+    (["sweep", *SWEEP_FLAGS, "--budgets", "8", "--model-seed", "abc"],
+     "argument --model-seed: expected an integer, got 'abc'"),
+    (["trace", *MODEL_FLAGS, "--rounds", "-1"], "--rounds must be >= 0"),
+], ids=["budgets", "seed", "model-seed", "rounds"])
+def test_a_malformed_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--out", str(out)])
+    assert err.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_importing_the_cli_loads_no_process_machinery():
     # pytest itself imports concurrent.futures, so a fresh interpreter looks.
     code = (

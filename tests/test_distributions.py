@@ -48,6 +48,11 @@ class TestValidateBlock:
         with pytest.raises(NonRectangular):
             validate_block([[0.5, 0.5], [1.0]])
 
+    @pytest.mark.parametrize("table", [[0.5, 0.5], [[[0.5, 0.5]], [[0.5, 0.5]]]])
+    def test_a_table_that_is_not_2d_rejected(self, table):
+        with pytest.raises(NonRectangular, match="expected a 2-d table, got ndim="):
+            validate_block(table)
+
     def test_single_column_rejected(self):
         with pytest.raises(NonRectangular):
             validate_block([[1.0], [1.0]])

@@ -175,6 +175,11 @@ class TestSmallTemperature:
             for u in (0.01, 0.5, 0.99):
                 assert decode_next(model, (token,), 0.001, u) == greedy
 
+    def test_sampling_without_a_uniform_raises(self):
+        model = random_model(0, vocab_size=16, order=1)
+        with pytest.raises(ValueError, match="sampling requires a uniform draw"):
+            decode_next(model, (3,), 0.5, None)
+
 
 class TestPadNeverSampled:
     @given(
@@ -283,8 +288,8 @@ class TestStatsBookkeeping:
         walks = []  # (nodes walked, acceptance length)
         real = engine.verifier_walk
 
-        def counting(flat, decode):
-            outcome = real(flat, decode)
+        def counting(flat, rollout):
+            outcome = real(flat, rollout)
             walks.append((len(flat) - 1, outcome.acceptance_length))
             return outcome
 
@@ -416,8 +421,8 @@ class TestChainDrafting:
         walks = []
         real = engine.verifier_walk
 
-        def recording(flat, decode):
-            outcome = real(flat, decode)
+        def recording(flat, rollout):
+            outcome = real(flat, rollout)
             walks.append((len(flat) - 1, outcome.acceptance_length))
             return outcome
 
@@ -446,14 +451,13 @@ class TestBudgetMonotonicity:
             small = build_tree(block, 8)
             large = build_tree(block, 32)
             assert set(node_prefixes(small)) <= set(node_prefixes(large))
-            alphas = {}
-            for name, tree in (("small", small), ("large", large)):
-                flat = flatten(tree, bonus)
-
-                def decode(path):
-                    return decode_next(MODEL, prompt + committed + path, 0.0, None)
-
-                alphas[name] = verifier_walk(flat, decode).acceptance_length
+            rollout = []
+            while len(rollout) <= cfg.block_len:
+                rollout.append(decode_next(MODEL, prompt + committed + tuple(rollout), 0.0, None))
+            alphas = {
+                name: verifier_walk(flatten(tree, bonus), rollout.__getitem__).acceptance_length
+                for name, tree in (("small", small), ("large", large))
+            }
             assert alphas["small"] <= alphas["large"]
             advance = min(
                 record["acceptance_length"] + 1,

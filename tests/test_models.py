@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestRandomModel:
         for make in (random_model, deterministic_model):
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 make(-1, vocab_size=4, order=1)
+
+    @pytest.mark.parametrize("order, vocab_size", [(2, 3), (1, 4)])
+    def test_a_table_of_another_shape_is_rejected_naming_both(self, order, vocab_size):
+        # Unchecked, (2, 3) ran an episode until "token id 3 outside
+        # vocabulary" and (1, 4) hit a numpy broadcast error in the drafter.
+        table = random_model(0, vocab_size=4, order=2).table  # 16 x 4
+        expected = (vocab_size**order, vocab_size)
+        with pytest.raises(ValueError, match=re.escape(f"table shape (16, 4) is not {expected}")):
+            NgramModel(order=order, vocab_size=vocab_size, table=table)
 
     @pytest.mark.parametrize("concentration", [np.nan, np.inf, 1e-4])
     def test_rejects_concentration_without_finite_rows(self, concentration):

@@ -19,6 +19,7 @@ from drafttree.oracle import optimal_tree_exhaustive
 from drafttree.treebuild import (
     ROOT_PARENT,
     DraftTree,
+    TreeNode,
     build_tree,
     chain_tree,
     check_ancestor_dominance,
@@ -317,6 +318,11 @@ class TestTreeFromPrefixes:
         with pytest.raises(ValueError):
             tree_from_prefixes(block, [(0, 1)])
 
+    def test_rejects_an_empty_prefix(self):
+        block = validate_block(EXAMPLE_ROWS)
+        with pytest.raises(ValueError, match="prefixes must be nonempty"):
+            tree_from_prefixes(block, [(0,), ()])
+
     def test_roundtrips_node_set(self):
         block = random_block(4, 3, 4)
         built = build_tree(block, 10)
@@ -325,6 +331,20 @@ class TestTreeFromPrefixes:
         assert rebuilt.surrogate_value == pytest.approx(
             built.surrogate_value, rel=1e-9
         )
+
+
+class TestCheckPrefixClosed:
+    @pytest.mark.parametrize("nodes", [
+        [(0, 1, ROOT_PARENT), (1, 1, 0)],  # a depth-1 node with a parent
+        [(0, 1, ROOT_PARENT), (1, 2, 2)],  # a parent index out of range
+        [(0, 1, ROOT_PARENT), (1, 2, 0), (2, 3, 0)],  # a parent two levels up
+    ])
+    def test_a_broken_parent_link_is_not_prefix_closed(self, nodes):
+        tree = DraftTree(nodes=tuple(
+            TreeNode(token_id=token, depth=depth, parent=parent, log_mass=-1.0 - i)
+            for i, (token, depth, parent) in enumerate(nodes)
+        ))
+        assert not check_prefix_closed(tree)
 
 
 def draft_window(kind, vocab, order, seed):

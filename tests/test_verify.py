@@ -18,7 +18,6 @@ from drafttree.treebuild import (
 )
 from drafttree.verify import (
     DuplicateChildToken,
-    compaction_plan,
     duplicate_child_guard,
     flatten,
     round_trace_record,
@@ -61,6 +60,14 @@ class TestFlatten:
         assert flat.position_offsets == (0,)
         assert flat.mask.tolist() == [[True]]
         assert all(flat.child(0, token) is None for token in range(16))
+
+    def test_a_flat_equals_only_itself_and_is_hashable(self):
+        # Compared field by field, two flats of one tree raised on the child
+        # table's ambiguous truth value, and a flat could not be a dict key.
+        first, second = flatten(BRANCHY, bonus=0), flatten(BRANCHY, bonus=0)
+        assert first == first and first != second
+        assert first.prefix(3) != first
+        assert {first: 1, second: 2}[first] == 1
 
     def test_sibling_isolation(self):
         tree = hand_tree([(5, 1, ROOT_PARENT, -0.1), (6, 1, ROOT_PARENT, -0.2)])
@@ -262,14 +269,19 @@ class TestDuplicateChildGuard:
             flatten(bad, bonus=0)
 
 
+def kept_tokens(flat, outcome):
+    """The drafted tokens the walk accepted: those of its kept entries after the root."""
+    return tuple(flat.token_ids[i] for i in outcome.kept_indices[1:])
+
+
 class TestVerifierWalk:
     def test_immediate_mismatch(self):
         flat = flatten(BRANCHY, bonus=0)
-        outcome = verifier_walk(flat, lambda path: 99)
+        outcome = verifier_walk(flat, lambda depth: 99)
         assert outcome.acceptance_length == 0
-        assert outcome.accepted_tokens == ()
+        assert kept_tokens(flat, outcome) == ()
         assert outcome.next_bonus == 99
-        assert compaction_plan(outcome, flat) == (0,)
+        assert outcome.kept_indices == (0,)
 
     def test_full_chain_acceptance(self):
         block = validate_block([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -277,50 +289,49 @@ class TestVerifierWalk:
         flat = flatten(chain, bonus=0)
         path = node_prefixes(chain)[-1]
 
-        def decode(accepted):
-            depth = len(accepted)
+        def rollout(depth):
             return path[depth] if depth < len(path) else 7
 
-        outcome = verifier_walk(flat, decode)
+        outcome = verifier_walk(flat, rollout)
         assert outcome.acceptance_length == 3
-        assert list(outcome.accepted_tokens) == list(path)
+        assert list(kept_tokens(flat, outcome)) == list(path)
         assert outcome.next_bonus == 7
 
     def test_partial_walk_two_matches(self):
         # Target picks the first branch, then its second child, then a token
         # absent from the tree: two accepted nodes and a fresh bonus.
         flat = flatten(BRANCHY, bonus=0)
-        choices = {(): 1, (1,): 4, (1, 4): 55}
-        outcome = verifier_walk(flat, lambda path: choices[path])
-        assert outcome.accepted_tokens == (1, 4)
+        outcome = verifier_walk(flat, [1, 4, 55].__getitem__)
+        assert kept_tokens(flat, outcome) == (1, 4)
         assert outcome.acceptance_length == 2
         assert outcome.next_bonus == 55
-        assert compaction_plan(outcome, flat) == (0, 1, 4)
+        assert outcome.kept_indices == (0, 1, 4)
 
     def test_walk_is_pure_under_greedy_decode(self):
         flat = flatten(BRANCHY, bonus=0)
-        decode = lambda path: {(): 2, (2,): 5}.get(path, 42)  # noqa: E731
-        first = verifier_walk(flat, decode)
-        second = verifier_walk(flat, decode)
+        rollout = [2, 5, 42].__getitem__
+        first = verifier_walk(flat, rollout)
+        second = verifier_walk(flat, rollout)
         assert first == second
 
-    def test_decode_sees_the_accepted_path_in_order(self):
-        # Each call gets the drafted tokens accepted so far: (), (t1,),
-        # (t1, t2), ... A tree with no nodes decodes the bonus alone.
-        choices = {(): 1, (1,): 3, (1, 3): 7, (1, 3, 7): 0}
+    def test_the_rollout_is_read_at_each_depth_once_in_order(self):
+        # Each call gets the depth decoded: 0, 1, ..., a, where a is the
+        # acceptance length. A tree with no nodes reads depth 0 alone.
+        choices = [1, 3, 7, 0]
         for tree, expected in (
-            (BRANCHY, [(), (1,), (1, 3), (1, 3, 7)]),
-            (empty_tree(), [()]),
+            (BRANCHY, [0, 1, 2, 3]),
+            (empty_tree(), [0]),
         ):
             calls = []
 
-            def decode(path):
-                calls.append(path)
-                return choices[path]
+            def rollout(depth):
+                calls.append(depth)
+                return choices[depth]
 
-            outcome = verifier_walk(flatten(tree, bonus=0), decode)
+            flat = flatten(tree, bonus=0)
+            outcome = verifier_walk(flat, rollout)
             assert calls == expected
-            assert outcome.accepted_tokens == expected[-1]
+            assert kept_tokens(flat, outcome) == tuple(choices[: len(expected) - 1])
             assert outcome.acceptance_length == len(expected) - 1
 
     def test_acceptance_matches_tree_membership(self):
@@ -332,29 +343,58 @@ class TestVerifierWalk:
         flat = flatten(tree, bonus=0)
         continuation = [int(t) for t in rng.integers(0, 4, size=4)]
 
-        def decode(path):
-            depth = len(path)
+        def rollout(depth):
             return continuation[depth] if depth < 4 else 99
 
-        outcome = verifier_walk(flat, decode)
+        outcome = verifier_walk(flat, rollout)
         alpha = max(
             (d for d in range(1, 5) if tuple(continuation[:d]) in prefixes),
             default=0,
         )
         assert outcome.acceptance_length == alpha
 
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(1, 8),  # block_len
+        st.integers(2, 12),  # vocab
+        st.integers(1, 120),  # budget
+        st.booleans(),  # a random valid tree instead of a best-first build
+        st.integers(0, 120),  # the node whose path the rollout starts along
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kept_path_is_the_longest_rollout_prefix_in_the_tree(
+        self, seed, block_len, vocab, budget, random_tree, start
+    ):
+        # The expected path comes from the DraftTree's node prefixes (node i
+        # is entry i + 1), not from another descent of the child table.
+        block = random_block(seed, block_len, vocab)
+        rng = np.random.default_rng(seed)
+        tree = random_valid_tree(block, budget, rng) if random_tree else build_tree(block, budget)
+        prefixes = node_prefixes(tree)
+        # Along one node's path, then random tokens (``vocab`` is in no tree).
+        path = prefixes[start % len(prefixes)]
+        tail = rng.integers(0, vocab + 1, size=block_len + 1 - len(path))
+        rollout = [*path, *(int(t) for t in tail)]
+        entry = {prefix: i + 1 for i, prefix in enumerate(prefixes)}
+        depth = max(d for d in range(len(rollout)) if d == 0 or tuple(rollout[:d]) in entry)
+
+        outcome = verifier_walk(flatten(tree, bonus=0), rollout.__getitem__)
+        kept = (0, *(entry[tuple(rollout[:d])] for d in range(1, depth + 1)))
+        assert outcome.kept_indices == kept
+        assert outcome.acceptance_length == depth >= len(path)
+        assert outcome.next_bonus == rollout[depth]
+
 
 class TestCompactionPlan:
     def test_keep_only_root_on_no_acceptance(self):
         flat = flatten(BRANCHY, bonus=0)
-        outcome = verifier_walk(flat, lambda path: 99)
-        assert compaction_plan(outcome, flat) == (0,)
+        outcome = verifier_walk(flat, lambda depth: 99)
+        assert outcome.kept_indices == (0,)
 
     def test_partial_acceptance_keeps_path_in_depth_order(self):
         flat = flatten(BRANCHY, bonus=0)
-        choices = {(): 1, (1,): 4, (1, 4): 55}
-        outcome = verifier_walk(flat, lambda path: choices[path])
-        plan = compaction_plan(outcome, flat)
+        outcome = verifier_walk(flat, [1, 4, 55].__getitem__)
+        plan = outcome.kept_indices
         assert plan == (0, 1, 4)
         assert [flat.position_offsets[i] for i in plan] == [0, 1, 2]
 
@@ -363,10 +403,8 @@ class TestCompactionPlan:
         chain = chain_tree(block)
         flat = flatten(chain, bonus=0)
         path = node_prefixes(chain)[-1]
-        outcome = verifier_walk(
-            flat, lambda accepted: path[len(accepted)] if len(accepted) < len(path) else 9
-        )
-        assert compaction_plan(outcome, flat) == tuple(range(len(flat.token_ids)))
+        outcome = verifier_walk(flat, lambda depth: path[depth] if depth < len(path) else 9)
+        assert outcome.kept_indices == tuple(range(len(flat.token_ids)))
 
     def test_replaying_kept_path_reproduces_target_rows(self):
         # The kept indices reconstruct exactly the accepted context, so a
@@ -376,22 +414,23 @@ class TestCompactionPlan:
         tree = build_tree(block, 12)
         flat = flatten(tree, bonus=2)
         context = (1, 4, 2)
+        rollout = []  # the greedy target's tokens after the bonus, deep enough for any walk
+        while len(rollout) <= block.block_len:
+            rollout.append(int(np.argmax(target_next(model, context + tuple(rollout)))))
 
-        def decode(path):
-            return int(np.argmax(target_next(model, context + path)))
-
-        outcome = verifier_walk(flat, decode)
-        kept_tokens = [flat.token_ids[i] for i in compaction_plan(outcome, flat)]
-        assert kept_tokens[0] == 2 and tuple(kept_tokens[1:]) == outcome.accepted_tokens
-        replayed = context + tuple(kept_tokens[1:])
-        original = context + tuple(outcome.accepted_tokens)
+        outcome = verifier_walk(flat, rollout.__getitem__)
+        kept = [flat.token_ids[i] for i in outcome.kept_indices]
+        accepted = tuple(rollout[: outcome.acceptance_length])
+        assert kept[0] == 2 and tuple(kept[1:]) == accepted
+        replayed = context + tuple(kept[1:])
+        original = context + accepted
         assert np.array_equal(target_next(model, replayed), target_next(model, original))
 
 
 def test_round_trace_record_fields():
     flat = flatten(BRANCHY, bonus=0)
-    outcome = verifier_walk(flat, lambda path: 99)
-    record = round_trace_record(3, 64, 8, flat, outcome)
+    outcome = verifier_walk(flat, lambda depth: 99)
+    record = round_trace_record(3, 64, 8, outcome)
     assert record == {
         "round_index": 3,
         "budget": 64,
@@ -402,11 +441,10 @@ def test_round_trace_record_fields():
     }
 
 
-def test_round_trace_record_derives_the_kept_path():
+def test_round_trace_record_copies_the_kept_path():
     flat = flatten(BRANCHY, bonus=0)
-    choices = {(): 1, (1,): 4, (1, 4): 55}
-    outcome = verifier_walk(flat, lambda path: choices[path])
-    record = round_trace_record(0, 64, 8, flat, outcome)
+    outcome = verifier_walk(flat, [1, 4, 55].__getitem__)
+    record = round_trace_record(0, 64, 8, outcome)
     assert record["tree_size"] == 8
     assert record["acceptance_length"] == 2 and record["next_bonus"] == 55
     assert record["kept_indices"] == [0, 1, 4]
