@@ -5,10 +5,11 @@ lookup, so per-position marginals, losslessness, and cache-replay checks can
 be verified to machine precision instead of statistically. The drafter is the
 target's exact marginals mixed with uniform noise, giving a single fidelity
 knob. Its rows come from one dynamic program that runs a step per position
-drawn: ``drafter_chunks`` yields them in chunks of 4, 4, 8, 16, ... rows so
-that a tree builder drafts only as deep as its tree grows, and a chain only as
-deep as its walks read; ``drafter_marginals`` joins the same chunks into the
-whole block.
+drawn, each step over only the context windows the draft can reach by then:
+``drafter_chunks`` yields them in chunks of 4, 4, 8, 16, ... rows so that a
+tree builder drafts only as deep as its tree grows, and a chain only as deep
+as its walks read; ``drafter_marginals`` joins the same chunks into the whole
+block.
 
 Token id 0 is reserved as the context pad: rows assign it the clamp-minimum
 mass, and the target's decoding rule never generates it, but short contexts
@@ -33,8 +34,8 @@ from .distributions import (
 )
 
 PAD_TOKEN = 0
-# Table entries: 80 MB of float64. Each drafter call also holds a joint array
-# of the table's size.
+# Table entries: 80 MB of float64. A drafter step allocates only its row and
+# the next window distribution, 1/|V| of the table's entries at most.
 TABLE_GUARD = 10**7
 # The drafter's first chunk of rows; each later chunk doubles the rows so far.
 FIRST_CHUNK_ROWS = 4
@@ -136,8 +137,7 @@ def _context_index(model: NgramModel, context: Sequence[int]) -> int:
     window = ([PAD_TOKEN] * model.order + list(context))[-model.order :]
     index = 0
     for token in window:
-        if not 0 <= token < model.vocab_size:
-            raise ValueError(f"token id {token} outside vocabulary")
+        require_count("token id", token, 0, model.vocab_size - 1)
         index = index * model.vocab_size + token
     return index
 
@@ -154,19 +154,35 @@ def _marginal_steps(
 
     Dynamic program over the length-m context window: each step reads off the
     next position's token marginal and propagates the window distribution one
-    position on. Exact because the state space is the full context table. The
-    generator never ends; a step runs only when its row is drawn.
+    position on. Step j reads only the |V|^min(j, m) windows it can reach:
+    those whose oldest m - j tokens are the start window's newest, a
+    contiguous slice of the big-endian table. Exact because every other window
+    has probability 0. The generator never ends; a step runs only when its
+    row is drawn.
+
+    Both sums are ``np.einsum`` calls without ``optimize``, so numpy's own C
+    loop adds the products in window order with no BLAS call, as a
+    full-table multiply-then-sum along axis 0 does; adding the exact zeros of
+    unreachable windows changes no bit. The numpy baseline for x86-64 (X86_V2)
+    has no fused multiply-add, so each product is rounded before it is added.
+    Tests compare these bytes with the loop DP in ``oracle`` on any build.
     """
     v = model.vocab_size
     states = v**model.order
-    window_dist = np.zeros(states, dtype=np.float64)
-    window_dist[_context_index(model, list(context) + [bonus])] = 1.0
-    joint = np.empty((states, v), dtype=np.float64)
+    start = _context_index(model, list(context) + [bonus])
+    window_dist = np.ones(1)
+    width = 1
     while True:
-        np.multiply(window_dist[:, None], model.table, out=joint)
-        yield joint.sum(axis=0)
+        lo = start % (states // width) * width
+        reach = model.table[lo : lo + width]
+        yield np.einsum("i,ij->j", window_dist, reach)
         # Window shift drops the oldest token: new state = (old mod v^(m-1)) * v + next.
-        window_dist = joint.reshape(v, states // v, v).sum(axis=0).reshape(states)
+        # While the start window's tokens remain, the oldest is fixed; after, any of v.
+        oldest = 1 if width < states else v
+        window_dist = np.einsum(
+            "ab,abx->bx", window_dist.reshape(oldest, -1), reach.reshape(oldest, -1, v)
+        ).reshape(-1)
+        width = window_dist.size
 
 
 def drafter_chunks(

@@ -12,8 +12,11 @@ so node sets can be compared exactly instead of only values. The ``mass``
 field is an independent linear-domain product and is what value checks use.
 
 ``reference_episode`` is the same kind of anchor for ``engine.run_episode``:
-it shares no store, flattening or verifier walk with the engine, so the
-engine's episodes are trusted because they equal it.
+it shares no store, flattening or verifier walk with the engine, and it
+drafts with ``loop_drafter_rows``, which multiplies the whole window
+distribution into the whole table at every position instead of reading only
+the windows a draft can reach. The engine's episodes are trusted because
+they equal it.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .distributions import MarginalBlock, require_count
+from .distributions import MarginalBlock, require_count, validate_block
 from .engine import (
     EpisodeConfig,
     EpisodeResult,
@@ -33,7 +37,7 @@ from .engine import (
     decode_next,
     make_prompt,
 )
-from .models import DrafterConfig, NgramModel, drafter_marginals
+from .models import DrafterConfig, NgramModel, _context_index
 from .treebuild import (
     ROOT_PARENT,
     DraftTree,
@@ -189,15 +193,37 @@ def random_valid_tree(
     return tree_from_prefixes(block, chosen)
 
 
+def loop_drafter_rows(
+    model: NgramModel, context: Sequence[int], bonus: int, cfg: DrafterConfig
+) -> np.ndarray:
+    """The drafter's rows before ``validate_block``, one loop over the whole table per position.
+
+    Each position multiplies the full window distribution into every table
+    row, sums over windows for the row, and sums over the oldest token for the
+    next window distribution, then mixes the row with uniform noise.
+    """
+    v = model.vocab_size
+    states = v**model.order
+    window_dist = np.zeros(states)
+    window_dist[_context_index(model, list(context) + [bonus])] = 1.0
+    rows = np.empty((cfg.block_len, v))
+    for i in range(cfg.block_len):
+        joint = window_dist[:, None] * model.table
+        rows[i] = joint.sum(axis=0)
+        window_dist = joint.reshape(v, states // v, v).sum(axis=0).reshape(states)
+    return (1.0 - cfg.noise) * rows + cfg.noise * (1.0 / v)
+
+
 def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     """The episode ``engine.run_episode`` must return, computed the slow way.
 
-    Every round drafts from the full history, rebuilds its tree (``build_tree``
-    at the config's budget, ``chain_tree``, or no nodes for the baseline) and
-    walks it by scanning the tree's node prefixes for the target's chosen
-    child. Every step is a ``decode_next`` call on the whole history, with
-    the uniform of its absolute output position. The trace is always built
-    and returned only when ``cfg.collect_trace`` asks for it.
+    Every round drafts from the full history with ``loop_drafter_rows``,
+    rebuilds its tree (``build_tree`` at the config's budget, ``chain_tree``,
+    or no nodes for the baseline) and walks it by scanning the tree's node
+    prefixes for the target's chosen child. Every step is a ``decode_next``
+    call on the whole history, with the uniform of its absolute output
+    position. The trace is always built and returned only when
+    ``cfg.collect_trace`` asks for it.
     """
     prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
@@ -218,7 +244,7 @@ def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         history = [*prompt, *tokens]
         tree = DraftTree(nodes=())
         if cfg.mode != "baseline":
-            block = drafter_marginals(model, history[:-1], history[-1], drafter_cfg)
+            block = validate_block(loop_drafter_rows(model, history[:-1], history[-1], drafter_cfg))
             tree = build_tree(block, budget) if cfg.mode == "tree" else chain_tree(block)
         prefixes = node_prefixes(tree)
         path: tuple[int, ...] = ()

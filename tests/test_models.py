@@ -19,8 +19,8 @@ from drafttree.models import (
     exact_marginals,
     random_model,
     target_next,
-    _context_index,
 )
+from drafttree.oracle import loop_drafter_rows
 
 from blocks import random_model_or_reject
 
@@ -127,6 +127,18 @@ class TestTargetNext:
         with pytest.raises(ValueError):
             target_next(model, (5,))
 
+    def test_rejects_a_non_integer_token_by_name(self):
+        # Unchecked, numpy raised a bare IndexError that named nothing.
+        model = random_model(2, vocab_size=5, order=1)
+        with pytest.raises(ValueError, match="token id must be an integer, got 1.5"):
+            target_next(model, (1.5,))
+        with pytest.raises(ValueError, match="token id must be an integer, got 2.0"):
+            exact_marginals(model, [], 2.0, 2)
+
+    def test_accepts_a_numpy_integer_token(self):
+        model = random_model(2, vocab_size=5, order=2)
+        assert np.array_equal(target_next(model, (np.int64(1), 3)), target_next(model, (1, 3)))
+
 
 def brute_force_marginals(model, context, bonus, block_len):
     """Path-enumeration ground truth for the per-position marginals."""
@@ -188,39 +200,67 @@ class TestExactMarginals:
         assert np.all(np.abs(freqs - raw) <= 3.0 * sigma + 1e-12)
 
 
-def loop_drafter_rows(model, context, bonus, noise, block_len):
-    """The drafter's block as one loop over positions, clamped by np.clip."""
-    v = model.vocab_size
-    states = v**model.order
-    window_dist = np.zeros(states)
-    window_dist[_context_index(model, list(context) + [bonus])] = 1.0
-    rows = np.empty((block_len, v))
-    for i in range(block_len):
-        joint = window_dist[:, None] * model.table
-        rows[i] = joint.sum(axis=0)
-        window_dist = joint.reshape(v, states // v, v).sum(axis=0).reshape(states)
-    clamped = np.clip((1.0 - noise) * rows + noise * (1.0 / v), EPS_Q, 1.0 - EPS_Q)
-    return clamped / clamped.sum(axis=1, keepdims=True)
-
-
 class TestDrafterMarginals:
-    @settings(max_examples=60, deadline=None)
-    @example(2, 1, 5377, 0.008, 0.3, 16)  # a table random_model refuses
+    @settings(max_examples=100, deadline=None)
+    @example(2, 1, 5377, 0.008, 0.3, 16, 1)  # a table random_model refuses
+    @example(32, 2, 13, 0.1, 0.3, 16, 2)  # sampled-wide's shape
+    @example(64, 2, 13, 0.1, 0.3, 16, 2)
+    @example(3, 4, 0, "one-hot", 0.0, 20, 0)  # a pad-only window
     @given(
-        st.integers(2, 24),  # vocab
-        st.integers(1, 3),  # order
+        st.integers(2, 64),  # vocab
+        st.integers(1, 4),  # order
         st.integers(0, 2**16),  # seed
-        st.sampled_from([0.008, 0.1, 1.0]),  # concentration
+        st.sampled_from([0.008, 0.1, 1.0, "one-hot"]),  # concentration
         st.floats(0.0, 1.0),  # noise
         st.integers(1, 20),  # block_len
+        st.integers(0, 4),  # window tokens drawn, before pad fills the rest
     )
-    def test_equals_the_loop_dp_bit_for_bit(self, vocab, order, seed, conc, noise, block_len):
-        vocab = min(vocab, {1: 24, 2: 24, 3: 12}[order])
-        model = random_model_or_reject(seed, vocab, order, conc)
-        context = tuple(int(t) for t in np.random.default_rng(seed).integers(1, vocab, size=order))
-        block = drafter_marginals(model, context[:-1], context[-1], DrafterConfig(noise, block_len))
-        reference = loop_drafter_rows(model, context[:-1], context[-1], noise, block_len)
+    def test_equals_the_loop_dp_bit_for_bit(
+        self, vocab, order, seed, conc, noise, block_len, window_len
+    ):
+        # The window may be shorter than order (pad-filled) and may hold
+        # token 0; each chunk must carry the loop DP's rows byte for byte.
+        vocab = min(vocab, {1: 64, 2: 64, 3: 12, 4: 6}[order])
+        if conc == "one-hot":
+            model = deterministic_model(seed, vocab, order)
+        else:
+            model = random_model_or_reject(seed, vocab, order, conc)
+        window = [int(t) for t in np.random.default_rng(seed).integers(0, vocab, size=window_len)]
+        context, bonus = window[:-1], window[-1] if window else PAD_TOKEN
+        cfg = DrafterConfig(noise, block_len)
+        # validate_block's clamp, written here with np.clip.
+        clamped = np.clip(loop_drafter_rows(model, context, bonus, cfg), EPS_Q, 1.0 - EPS_Q)
+        reference = clamped / clamped.sum(axis=1, keepdims=True)
+        drafted = 0
+        for chunk in drafter_chunks(model, context, bonus, cfg):
+            rows = reference[drafted : drafted + chunk.block_len]
+            assert chunk.probs.tobytes() == rows.tobytes()
+            drafted += chunk.block_len
+        assert drafted == block_len
+        block = drafter_marginals(model, context, bonus, cfg)
         assert block.probs.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("order, vocab_size", [(1, 5), (2, 4), (3, 3)])
+    def test_steps_read_only_the_windows_they_can_reach(self, order, vocab_size):
+        # Step j < order reads only windows whose oldest order - j tokens are
+        # the start window's newest. NaN in every other row leaves those
+        # steps' rows as they are; a full-table product would read 0 x NaN.
+        clean = random_model(4, vocab_size, order)
+        context, bonus = [2] * (order - 1), 1
+        start = sum(t * vocab_size**k for k, t in enumerate(reversed([*context, bonus])))
+        reachable = {
+            start % vocab_size ** (order - j) * vocab_size**j + low
+            for j in range(order)
+            for low in range(vocab_size**j)
+        }
+        table = np.full_like(clean.table, np.nan)
+        table[sorted(reachable)] = clean.table[sorted(reachable)]
+        poisoned = NgramModel(order=order, vocab_size=vocab_size, table=table)
+        cfg = DrafterConfig(noise=0.3, block_len=order)
+        expected = drafter_marginals(clean, context, bonus, cfg)
+        assert drafter_marginals(poisoned, context, bonus, cfg).probs.tobytes() == (
+            expected.probs.tobytes()
+        )
 
     def test_zero_noise_equals_exact(self):
         model = random_model(6, vocab_size=5, order=2)
