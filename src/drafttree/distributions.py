@@ -147,8 +147,7 @@ def _check_prefix(block: MarginalBlock, prefix: Prefix) -> None:
             f"prefix length {len(prefix)} exceeds block length {block.block_len}"
         )
     for tok in prefix:
-        if not 0 <= tok < block.vocab_size:
-            raise ValueError(f"token id {tok} outside vocabulary of size {block.vocab_size}")
+        require_count("token id", tok, 0, block.vocab_size - 1)
 
 
 def prefix_mass(block: MarginalBlock, prefix: Prefix) -> float:

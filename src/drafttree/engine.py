@@ -1,16 +1,16 @@
 """Round-by-round speculative decoding episodes over synthetic targets.
 
-Each round: take the current bonus token, draft a tree (the chain is a
-one-branch tree; the baseline's has no nodes and queries no drafter), walk it
-along the target's rollout, commit the accepted path plus the next bonus, and
-repeat. A tree round hands ``build_tree`` the drafter's row chunks
-(``models.drafter_chunks``), so it drafts only the rows its tree reaches. A
-chain round drafts only the rows its walks read: a window's first round draws
-the first chunk and walks the chain over it; a walk that accepts every drawn
-row makes the round draw the rest of the block, rebuild the chain and walk it
-again, and a later round that runs off a stored short chain drafts the whole
-block anew (never at temperature 0, where a window's walk is fixed). The chain
-still verifies, and is charged for, L nodes a round.
+Each round verifies a draft off the current bonus token along the target's
+rollout, commits the accepted path plus the next bonus, and repeats, in one of
+two forms. A tree round walks its budgeted tree (``verifier_walk``), which
+``build_tree`` drafts from row chunks (``models.drafter_chunks``) only as deep
+as it grows. A chain or baseline round verifies a token path, accepting while
+it equals the rollout: the baseline's is empty and never drafted, the chain's
+is each row's argmax. A window's first chain round draws the first chunk; a
+walk that accepts every drawn row draws the rest of the block, from the same
+drafter in that round or anew in a later one (never at temperature 0, where a
+window's walk is fixed). The chain verifies, and is charged for, L nodes a
+round.
 
 Token sequence: speculative decoding commits exactly the target's own tokens,
 so an episode is a prefix of one sequence: the seeded prompt, then the
@@ -25,25 +25,21 @@ commit equal tokens by construction, so losslessness is checked against
 initial prefill token (round 1's bonus) is produced before any round and does
 not count against it.
 
-Sweep scope: the target reads only the last ``model.order`` tokens, so a
-round's draft is a pure function of its n-gram window (the last ``order``
-tokens of prompt plus committed tokens; the bonus is the last of them), the
-mode, block_len and drafter_noise, and for a tree the budget. The best-first
-heap pops prefixes in nonincreasing mass, so the tree at budget B is the first
-B pops of the tree at any larger budget. ``sweep_scope(model)`` opens one store
-for a whole sweep: per window and mode it keeps one flattened draft and the
-node budget it was built at, never a live drafter. A round at budget B reuses
-the entry when it was built at B or more and walks its first B + 1 entries;
-otherwise it builds at B and replaces the entry. A chain entry is kept at
-budget L with the rows drawn so far, one node each. ``budget_sweep`` runs its
-rows largest budget first, so each window's tree is built once, at the largest
-budget of the rows that meet the window. The store also keeps one token
-sequence per (episode seed, prompt_len, temperature), so each prompt is made
-and each output position decided once per sweep. A hit returns exactly what a
-rebuild would, so every output is unchanged.
-``run_episode`` and ``run_episodes`` open a scope only when none is open. A
-scope serves one model and holds at most |V|^order windows per mode and
-config. Every episode runs in the calling process, under the open scope.
+Sweep scope: a round's draft is a pure function of its n-gram window (the last
+``model.order`` tokens, ending with the bonus), the mode, block_len and
+drafter_noise, and for a tree the budget. ``sweep_scope(model)`` opens one
+store for a whole sweep. Per window and mode it keeps a chain's path over the
+rows drawn so far, or a flattened tree and the budget it was built at, never a
+live drafter; the baseline keeps nothing. The heap pops prefixes in
+nonincreasing mass, so a round at budget B walks the first B + 1 entries of a
+tree built at B or more, and otherwise builds at B and replaces the entry;
+``budget_sweep`` runs its rows largest budget first, so each window's tree is
+built once. The store also keeps one token sequence per (episode seed,
+prompt_len, temperature), so each prompt is made and each position decided
+once per sweep. A hit returns exactly what a rebuild would. ``run_episode``
+and ``run_episodes`` open a scope only when none is open; it serves one model,
+holds at most |V|^order windows per mode and config, and runs every episode in
+the calling process.
 """
 
 from __future__ import annotations
@@ -54,14 +50,15 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import NODE_GUARD, require_count, require_real
+from .distributions import NODE_GUARD, MarginalBlock, require_count, require_real
 from .models import DrafterConfig, NgramModel, drafter_chunks, drafter_marginals, target_next
-from .treebuild import DraftTree, build_tree, chain_tree
-from .verify import FlattenedTree, flatten, round_trace_record, verifier_walk
+# No round calls ``chain_tree``; ``perfbench/run.py`` still rebinds it by this name.
+from .treebuild import build_tree, chain_tree  # noqa: F401
+from .verify import FlattenedTree, RoundOutcome, flatten, round_trace_record, verifier_walk
 
 MODES = ("tree", "chain", "baseline")
 
@@ -107,6 +104,8 @@ def estimate_speedup(mean_tau: float, budget: int, cost: CostModel = DEFAULT_COS
     of one round: a draft pass plus verification of ``budget`` tree nodes.
     Non-monotone in the budget once mean_tau saturates.
     """
+    require_real("mean_tau", mean_tau, 0.0)
+    require_count("budget", budget, 0)
     return mean_tau * cost.t_target / (
         cost.t_draft + cost.t_verify_base * (1.0 + cost.kappa * budget)
     )
@@ -167,6 +166,14 @@ class EpisodeStats:
     budget: int
     episodes: int
     tau_histogram: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        require_count("budget", self.budget, 0)
+        require_count("episodes", self.episodes, 1)
+        for count in self.tau_histogram:
+            require_count("tau_histogram count", count, 0)
 
     @property
     def rounds(self) -> int:
@@ -229,22 +236,26 @@ def decode_next(
     Sampling consumes exactly one uniform ``u`` via the inverse CDF of the
     temperature-scaled row; temperature 1.0 uses the row as-is. The row is
     scaled to a maximum of 1 before tempering, so its largest weight stays 1
-    and small temperatures approach the argmax instead of underflowing. The
-    inverse CDF runs over tokens 1..|V|-1 only: tempering lifts the context
-    pad's clamp-minimum mass, and the pad is never generated.
+    and small temperatures approach the argmax instead of underflowing. Both
+    rules read tokens 1..|V|-1 only, so the context pad is never generated:
+    tempering lifts its clamp-minimum mass, and a hand-built row may peak at it.
     """
-    row = target_next(model, context)
+    row = target_next(model, context)[1:]
     if temperature == 0.0:
-        return int(np.argmax(row))
+        return 1 + int(np.argmax(row))
     if u is None:
         raise ValueError("sampling requires a uniform draw")
     weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
-    cdf = np.cumsum(weights[1:])
+    cdf = np.cumsum(weights)
     return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
 
 
-# A round's draft is a pure function of its n-gram window and these config
-# fields; a tree is stored with the budget it was built at and read as a prefix.
+def argmax_path(chunks: Iterable[MarginalBlock]) -> tuple[int, ...]:
+    """Each row's argmax, the lowest id on ties: the tokens of the rows' ``chain_tree``."""
+    return tuple(int(t) for chunk in chunks for t in chunk.probs.argmax(axis=1))
+
+
+# A round's draft is a pure function of its n-gram window and these config fields.
 _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
@@ -257,7 +268,8 @@ class _SweepStore:
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
-        self.drafts: dict[_DraftKey, tuple[int, FlattenedTree]] = {}  # (built at, draft)
+        # A tree's (built at, flat); a chain's argmax path over the rows drawn so far.
+        self.drafts: dict[_DraftKey, tuple[int, FlattenedTree] | tuple[int, ...]] = {}
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
 
 
@@ -271,10 +283,9 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     Opens a store for ``model`` unless one is open already, in which case the
     open one serves; no draft key has a model field, so a scope open for
     another model raises ValueError. The store is dropped when the scope that
-    opened it exits. Stored drafts serve rounds at their budget or less, as
-    the module docstring sets out. Drafts do not depend on temperature or
-    episode count, and sequences are keyed by all they depend on besides the
-    model, so any rows of one model may share a scope.
+    opened it exits. Drafts do not depend on temperature or episode count,
+    and sequences are keyed by all they depend on besides the model, so any
+    rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -310,6 +321,9 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 seq.append(decode_next(model, seq[-order:], cfg.temperature, u))
             return seq[index]
 
+        def rollout(depth: int) -> int:  # the target's token at ``depth``; 0 follows the bonus
+            return target(n + depth)
+
         n = cfg.prompt_len + 1  # the prompt and the prefill bonus
         end = n + cfg.max_new_tokens
         done = target(n - 1) == cfg.eos_token
@@ -317,38 +331,37 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         rounds = 0
         trace: list[dict] = []
 
+        def tree_round(key, context, bonus) -> tuple[RoundOutcome, int]:
+            entry = store.drafts.get(key)
+            if entry is None or entry[0] < budget:  # drafts only the row chunks the tree reaches
+                tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
+                entry = store.drafts[key] = (budget, flatten(tree, bonus))
+            flat = entry[1].prefix(budget + 1)  # the first B pops of the stored tree
+            return verifier_walk(flat, rollout), len(flat) - 1
+
+        def path_round(key, context, bonus) -> tuple[RoundOutcome, int]:
+            path, chunks, a = store.drafts.get(key, ()), None, 0
+            while True:
+                while a < len(path) and path[a] == rollout(a):
+                    a += 1
+                if a < len(path) or a == budget:  # the baseline's path stays empty
+                    return RoundOutcome(tuple(range(a + 1)), rollout(a)), budget
+                if not path:  # a window's first round draws the first chunk
+                    chunks = drafter_chunks(model, context, bonus, drafter_cfg)
+                    path = argmax_path([next(chunks)])
+                elif chunks is not None:  # this round drew it: draw the rest of the block
+                    path += argmax_path(chunks)
+                else:  # an earlier round stored a short path: draft the whole block again
+                    path = argmax_path([drafter_marginals(model, context, bonus, drafter_cfg)])
+                store.drafts[key] = path
+
+        play = tree_round if cfg.mode == "tree" else path_round
         while n < end and not done:
             if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
                 break
             window = tuple(seq[max(0, n - order):n])  # ends with the bonus
-            context, bonus = window[:-1], window[-1]
             key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
-            entry = store.drafts.get(key)
-            chunks = None  # the chain's drafter, while this round may draw more of it
-            if entry is None or entry[0] < budget:
-                tree = DraftTree(nodes=())  # baseline: the bonus alone
-                if cfg.mode == "tree":  # drafts only the row chunks the tree reaches
-                    tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
-                elif cfg.mode == "chain":  # the first chunk, until a walk runs off its end
-                    chunks = drafter_chunks(model, context, bonus, drafter_cfg)
-                    first = next(chunks)
-                    tree = chain_tree([first])
-                entry = store.drafts[key] = (budget, flatten(tree, bonus))
-            flat = entry[1].prefix(budget + 1)  # a tree's first B pops; chain and baseline whole
-
-            def rollout(depth: int) -> int:  # the target's token at ``depth``; 0 follows the bonus
-                return target(n + depth)
-
-            outcome = verifier_walk(flat, rollout)
-            if cfg.mode == "chain" and outcome.acceptance_length == len(flat) - 1 < budget:
-                # The walk accepted every drawn row: draw the rest of the block
-                # (from the start, in a later round) and walk the whole chain.
-                block = [first, *chunks] if chunks is not None else drafter_marginals(
-                    model, context, bonus, drafter_cfg
-                )
-                flat = flatten(chain_tree(block), bonus)
-                store.drafts[key] = (budget, flat)
-                outcome = verifier_walk(flat, rollout)
+            outcome, verified = play(key, window[:-1], window[-1])
             # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
             k = min(outcome.acceptance_length + 1, end - n)
             if cfg.eos_token in seq[n:n + k]:
@@ -359,10 +372,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             rounds += 1
             hist[k - 1] += 1
             if cfg.collect_trace:
-                # Walk-level values: a tail round truncated by the token budget
-                # still records what verification produced. A chain round
-                # verifies its whole block, however few rows its walk read.
-                verified = budget if cfg.mode == "chain" else len(flat) - 1
+                # A tail round cut short by the token budget records what it verified.
                 trace.append(round_trace_record(rounds - 1, budget, verified, outcome))
 
     stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))

@@ -13,14 +13,7 @@ nonincreasing score order, pushing at most two successors per pop (the next
 sibling, which bumps the last rank, and the first child, which appends rank 0
 at the next depth). The heap stage therefore does at most B pops and 2B
 pushes. ``chain_tree`` runs the same heap over each depth's top token only,
-with no budget, which yields the single per-depth argmax path over the rows
-it is given.
-
-The heap reads a block's rows as consecutive chunks and ranks a chunk only
-when a pop first needs a child at one of its depths. ``build_tree`` also takes
-the drafter's chunks (``models.drafter_chunks``) in place of a whole block, so
-a tree whose deepest node sits at depth D drafts no row past the chunk that
-holds row D. Ranking is per row, so the tree is the one the whole block gives.
+with no budget, which yields the single per-depth argmax path of a block.
 
 Each pop asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of
 an fsum of its log factors. A rank indexes the per-depth lists directly, and
@@ -72,9 +65,8 @@ class DraftTree:
     (successor insertions only; the initial seed entry is not counted). Each
     pop places one node, so pops are the node count. A ``build_tree`` tree
     does at most B pops and 2B pushes; a ``chain_tree`` reports a pop per row
-    it was given and one push fewer, which nothing reads. Trees built any
-    other way report zero pushes. ``surrogate_value`` is derived from the
-    nodes on first read.
+    and one push fewer, which nothing reads. Trees built any other way report
+    zero pushes. ``surrogate_value`` is derived from the nodes on first read.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -197,18 +189,15 @@ def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> D
     return _best_first(chunks, budget, budget)
 
 
-def chain_tree(block: MarginalBlock | Iterable[MarginalBlock]) -> DraftTree:
+def chain_tree(block: MarginalBlock) -> DraftTree:
     """Single-trajectory baseline: the per-depth argmax path, one node per row.
 
     This is what a verifier sees when the drafter's block is collapsed to one
     continuation instead of a tree. It is the best-first tree over each
-    depth's top token. ``block`` is a whole block or consecutive chunks of
-    one, as for ``build_tree``; the width-1 heap runs dry after the last row
-    it is given, so the chain of a block's first rows is the first nodes of
-    the block's chain.
+    depth's top token, and the width-1 heap runs dry after the block's last
+    row. The engine verifies a chain as its token path, not as this tree.
     """
-    chunks = (block,) if isinstance(block, MarginalBlock) else block
-    return _best_first(chunks, 1, sys.maxsize)
+    return _best_first((block,), 1, sys.maxsize)
 
 
 def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:

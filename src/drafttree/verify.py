@@ -7,10 +7,9 @@ token sequence with depth position ids and an ancestor-only attention mask
 from that table on read. The verifier walk reads only the table and the
 target's rollout, its own tokens after the root: a step is accepted when the
 target's token at that depth matches a child, and the first unmatched target
-token becomes the next round's bonus; a tree with no nodes verifies the bonus
-alone, as plain decoding does. The walk returns the entries it kept, the
-root-to-node path a cache would be compacted to; the synthetic targets are
-stateless-exact so no tensors move.
+token becomes the next round's bonus. The walk returns the entries it kept,
+the root-to-node path a cache would be compacted to; the synthetic targets
+are stateless-exact so no tensors move.
 """
 
 from __future__ import annotations
@@ -138,8 +137,10 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     Node order is taken as-is (builder pop order already places every parent
     before its children; that is asserted, not re-sorted). Raises
     DuplicateChildToken when two children of one node carry the same token,
-    and ValueError for a tree of more than ``NODE_GUARD`` nodes.
+    and ValueError for a bonus that is not a token id or a tree of more than
+    ``NODE_GUARD`` nodes.
     """
+    require_count("bonus", bonus, 0)
     require_count("tree nodes", len(tree.nodes), None, NODE_GUARD)
     n = len(tree.nodes) + 1
     # Node i is entry i + 1, so its flat parent is its parent + 1; a depth-1
@@ -186,11 +187,10 @@ def verifier_walk(flat: FlattenedTree, rollout: Callable[[int], int]) -> RoundOu
 def round_trace_record(
     round_index: int, budget: int, tree_size: int, outcome: RoundOutcome
 ) -> dict:
-    """One trace record of a round that verifies ``tree_size`` nodes.
+    """One trace record of a round that verifies ``tree_size`` nodes (a chain's L, drafted or not).
 
-    The kept indices are the walk's, into the tree it walked, which may be a
-    prefix of the verified tree: a chain round can walk its first drafted
-    rows only.
+    The kept indices are the accepted path, root first: entries of the tree
+    prefix a tree round walked, or a chain round's depths 0..a.
     """
     return {
         "round_index": round_index,

@@ -108,8 +108,14 @@ class TestPrefixMass:
 
     def test_bad_token_rejected(self):
         block = validate_block(EXAMPLE_ROWS)
-        with pytest.raises(ValueError):
-            prefix_mass(block, (3,))
+        for mass in (prefix_mass, log_prefix_mass):
+            for token, message in [
+                (3, "token id must be <= 2, got 3"),
+                (-1, "token id must be >= 0, got -1"),
+                (1.5, "token id must be an integer, got 1.5"),  # was numpy's bare IndexError
+            ]:
+                with pytest.raises(ValueError, match=message):
+                    mass(block, (token,))
 
     @given(
         seed=st.integers(0, 2**32 - 1),

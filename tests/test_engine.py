@@ -10,6 +10,7 @@ import drafttree.engine as engine
 from drafttree.engine import (
     CostModel,
     EpisodeConfig,
+    EpisodeStats,
     NonPositiveCost,
     budget_sweep,
     decode_next,
@@ -21,10 +22,10 @@ from drafttree.engine import (
     sweep_scope,
     _position_uniform,
 )
-from drafttree.distributions import MarginalBlock
 from drafttree.models import (
     FIRST_CHUNK_ROWS,
     DrafterConfig,
+    NgramModel,
     deterministic_model,
     drafter_marginals,
     random_model,
@@ -137,6 +138,19 @@ class TestEstimateSpeedup:
         with pytest.raises(NonPositiveCost):
             CostModel(**{field: value})
 
+    @pytest.mark.parametrize(
+        "mean_tau,budget,message",
+        [
+            (math.nan, 4, "mean_tau must be finite"),  # returned NaN
+            (-1.0, 4, "mean_tau must be >= 0"),
+            (3.0, -5, "budget must be >= 0"),  # returned 2.75
+            (3.0, 4.5, "budget must be an integer"),
+        ],
+    )
+    def test_rejects_a_mean_tau_or_budget_out_of_range(self, mean_tau, budget, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_speedup(mean_tau, budget)
+
 
 class TestEpisodeStats:
     @pytest.mark.parametrize(
@@ -155,6 +169,22 @@ class TestEpisodeStats:
         assert stats.est_speedup == stats.speedup() == estimate_speedup(stats.mean_tau, 12)
         baseline = run_episode(MODEL, small_cfg(mode="baseline")).stats
         assert baseline.speedup(cost) == baseline.est_speedup == 1.0
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("mode", "xx", "mode must be one of"),
+            ("budget", -1, "budget must be >= 0"),
+            ("episodes", -2, "episodes must be >= 1"),
+            ("episodes", 1.5, "episodes must be an integer"),
+            ("tau_histogram", (3, -1), "tau_histogram count must be >= 0"),
+        ],
+    )
+    def test_rejects_values_out_of_range(self, field, value, message):
+        # Unchecked, EpisodeStats("xx", -1, -2, (-1,)) constructed.
+        fields = dict(mode="tree", budget=12, episodes=1, tau_histogram=(3, 1))
+        with pytest.raises(ValueError, match=message):
+            EpisodeStats(**{**fields, field: value})
 
     def test_merge_rejects_another_config(self):
         tree = run_episode(MODEL, small_cfg()).stats
@@ -197,6 +227,17 @@ class TestPadNeverSampled:
         model = random_model_or_reject(seed, vocab, 1, concentration)
         context = (1 + seed % (vocab - 1),)
         assert decode_next(model, context, temperature, u) != 0
+
+    def test_a_greedy_target_never_emits_the_pad(self):
+        # Every row peaks at the pad. The greedy argmax read the pad too, so
+        # a T=0 episode emitted (0, 0, ...) while T=1 sampling never did.
+        table = np.tile([0.5, 0.25, 0.25], (3, 1))
+        model = NgramModel(order=1, vocab_size=3, table=table)
+        for temperature in (0.0, 1.0):
+            cfg = small_cfg(mode="baseline", temperature=temperature, max_new_tokens=6)
+            tokens = run_episode(model, cfg).tokens
+            assert len(tokens) == 7 and 0 not in tokens
+        assert decode_next(model, (1,), 0.0, None) == 1  # the lowest id of the tied maxima
 
     def test_hot_episode_emits_no_pad(self):
         model = random_model(0, vocab_size=16, order=2, concentration=1.0)
@@ -285,6 +326,21 @@ class TestLosslessness:
 class TestStatsBookkeeping:
     @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
     def test_every_round_walks_its_draft(self, monkeypatch, mode):
+        cfg = small_cfg(mode=mode, collect_trace=True)
+        if mode != "tree":
+            # A chain or baseline round verifies a token path: it builds,
+            # flattens and walks no tree.
+            def refuse(*args):
+                raise AssertionError(f"a {mode} round used the tree machinery")
+
+            for name in ("build_tree", "chain_tree", "flatten", "verifier_walk"):
+                monkeypatch.setattr(engine, name, refuse)
+            result = run_episode(MODEL, cfg)
+            assert result == reference_episode(MODEL, cfg)
+            assert {r["tree_size"] for r in result.trace} == {result.stats.budget}
+            if mode == "chain":  # a round ran off the first chunk and drew the rest
+                assert any(len(e) == 5 for e in chain_rule_events(MODEL, [cfg]))
+            return
         walks = []  # (nodes walked, acceptance length)
         real = engine.verifier_walk
 
@@ -294,24 +350,10 @@ class TestStatsBookkeeping:
             return outcome
 
         monkeypatch.setattr(engine, "verifier_walk", counting)
-        cfg = small_cfg(mode=mode, collect_trace=True)
         result = run_episode(MODEL, cfg)
-        # Only a chain walk that accepts every row of its first chunk is
-        # followed, in the same round, by a walk of the whole chain.
-        walked_twice = 0
-        if mode == "chain":  # small_cfg's block is longer than the first chunk
-            walked_twice = sum(e[-1] == cfg.block_len for e in chain_rule_events(MODEL, [cfg]))
-            assert walked_twice
-        ran_off = [
-            mode == "chain" and size == accepted == FIRST_CHUNK_ROWS for size, accepted in walks
-        ]
-        assert sum(ran_off) == walked_twice
-        last = [w for w, again in zip(walks, ran_off) if not again]
-        assert len(last) == result.stats.rounds == len(result.trace)
-        assert [a for _, a in last] == [r["acceptance_length"] for r in result.trace]
-        # A chain round verifies its whole block, whatever it walked.
-        verified = [cfg.block_len if mode == "chain" else size for size, _ in last]
-        assert verified == [r["tree_size"] for r in result.trace]
+        assert len(walks) == result.stats.rounds == len(result.trace)
+        assert [a for _, a in walks] == [r["acceptance_length"] for r in result.trace]
+        assert [size for size, _ in walks] == [r["tree_size"] for r in result.trace]
         assert (result.stats.rounds, result.stats.committed_tokens) == (
             len(result.trace), len(result.tokens) - 1
         )
@@ -417,20 +459,14 @@ class TestChainDrafting:
             assert run_episodes(MODEL, cfg, episodes=4).rounds
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
-    def test_every_chain_round_reports_its_whole_block(self, monkeypatch, temperature):
-        walks = []
-        real = engine.verifier_walk
-
-        def recording(flat, rollout):
-            outcome = real(flat, rollout)
-            walks.append((len(flat) - 1, outcome.acceptance_length))
-            return outcome
-
-        monkeypatch.setattr(engine, "verifier_walk", recording)
+    def test_every_chain_round_reports_its_whole_block(self, temperature):
         cfg = small_cfg(mode="chain", temperature=temperature, collect_trace=True)
-        trace = [r for seed in range(4) for r in run_episode(MODEL, replace(cfg, seed=seed)).trace]
-        # Some rounds stopped inside the first chunk and walked no further.
-        assert any(size == FIRST_CHUNK_ROWS > accepted for size, accepted in walks)
+        with sweep_scope(MODEL) as store:
+            results = [run_episode(MODEL, replace(cfg, seed=seed)) for seed in range(4)]
+        trace = [record for result in results for record in result.trace]
+        # A path still at its first chunk's rows: every round that met its
+        # window stopped inside them and drew no further.
+        assert FIRST_CHUNK_ROWS in {len(path) for path in store.drafts.values()}
         assert {(r["budget"], r["tree_size"]) for r in trace} == {(cfg.block_len, cfg.block_len)}
 
 
@@ -542,17 +578,19 @@ def independent_episodes(cfg, episodes):
 
 
 class CountingDrafts:
-    """Records every draft: its window, then each build that consumed its rows.
+    """Records every draft: its window, then what consumed its rows.
 
     An event is ``(window, kind, size, ...)`` with one (kind, size) pair per
-    build: the budget of a tree, the rows of a chain. A chain round whose walk
-    runs off its first chunk builds twice from one draft.
+    read: the budget of a tree build, or the rows a chain has drawn from
+    this draft once a round draws more of them. A chain round whose walk
+    runs off its first chunk draws twice from one draft; a re-draft draws
+    the whole block at once.
     """
 
     def __init__(self, monkeypatch):
         self.events = []
-        real_draft, real_chunks, real_build, real_chain = (
-            engine.drafter_marginals, engine.drafter_chunks, engine.build_tree, engine.chain_tree,
+        real_draft, real_chunks, real_build, real_path = (
+            engine.drafter_marginals, engine.drafter_chunks, engine.build_tree, engine.argmax_path,
         )
 
         def draft(model, context, bonus, cfg):  # the chain's whole-block re-draft
@@ -567,15 +605,16 @@ class CountingDrafts:
             self.events[-1] += ("tree", budget)
             return real_build(block, budget)
 
-        def chain(block):
-            blocks = (block,) if isinstance(block, MarginalBlock) else tuple(block)
-            self.events[-1] += ("chain", sum(b.block_len for b in blocks))
-            return real_chain(blocks)
+        def path(chunks):  # every chain draw: the first chunk, the rest, or a whole block
+            chunks = tuple(chunks)
+            drawn = self.events[-1][-1] if len(self.events[-1]) > 1 else 0
+            self.events[-1] += ("chain", drawn + sum(chunk.block_len for chunk in chunks))
+            return real_path(chunks)
 
         monkeypatch.setattr(engine, "drafter_marginals", draft)
         monkeypatch.setattr(engine, "drafter_chunks", draft_chunks)
         monkeypatch.setattr(engine, "build_tree", build)
-        monkeypatch.setattr(engine, "chain_tree", chain)
+        monkeypatch.setattr(engine, "argmax_path", path)
 
     def builds(self, kind):
         return [
@@ -711,13 +750,19 @@ class TestDraftCache:
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_sweep_stores_only_child_tables(self, temperature):
-        # The walk reads only the child table: no stored draft holds token
-        # ids, parents, depths or a mask, which derive from it on read.
+        # The walk reads only the child table: no stored tree holds token
+        # ids, parents, depths or a mask, which derive from it on read. A
+        # chain stores its path's tokens, and the baseline stores nothing.
+        cfg = small_cfg(temperature=temperature)
         with sweep_scope(MODEL) as store:
-            self.scoped_rows(small_cfg(temperature=temperature))
-        assert {key[1] for key in store.drafts} == {"tree", "chain", "baseline"}
-        for _, flat in store.drafts.values():
-            assert vars(flat).keys() == {"bonus", "child_table", "size"}
+            self.scoped_rows(cfg)
+        assert {key[1] for key in store.drafts} == {"tree", "chain"}
+        for key, entry in store.drafts.items():
+            if key[1] == "tree":
+                assert vars(entry[1]).keys() == {"bonus", "child_table", "size"}
+            else:
+                assert len(entry) in (FIRST_CHUNK_ROWS, cfg.block_len)
+                assert all(type(token) is int for token in entry)
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_sweep_drafts_and_builds_each_window_once(self, monkeypatch, temperature):

@@ -49,7 +49,7 @@ def configs(draw, vocab_size):
         drafter_noise=draw(st.floats(0.0, 1.0)),
         eos_token=draw(st.none() | st.integers(1, vocab_size - 1)),
         max_rounds=draw(st.none() | st.integers(0, 5)),
-        collect_trace=True,
+        collect_trace=draw(st.booleans()),  # every sweep runs untraced
     )
 
 

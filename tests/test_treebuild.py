@@ -301,15 +301,13 @@ class TestChainTree:
     def test_chunks_give_the_whole_block_chain_and_a_first_chunk_its_prefix(
         self, seed, block_len, vocab, concentration, data
     ):
+        # The engine verifies a chain as the argmax path over the chunks it drew.
         block = random_block(seed, block_len, vocab, concentration)
-        cut = data.draw(st.integers(1, block_len - 1))
-        head, tail = MarginalBlock(block.probs[:cut]), MarginalBlock(block.probs[cut:])
-        whole = chain_tree(block)
-        assert chain_tree([head, tail]) == whole
-        # The heap runs dry after the last row it is given.
-        short = chain_tree(iter([head]))
-        assert short.nodes == whole.nodes[:cut]
-        assert short.heap_pushes == cut - 1
+        cuts = sorted(data.draw(st.sets(st.integers(1, block_len - 1), min_size=1)))
+        chunks = [MarginalBlock(rows) for rows in np.split(block.probs, cuts)]
+        whole = tuple(node.token_id for node in chain_tree(block).nodes)
+        assert engine.argmax_path(chunks) == engine.argmax_path([block]) == whole
+        assert engine.argmax_path(chunks[:1]) == whole[:cuts[0]]
 
 
 class TestTreeFromPrefixes:

@@ -142,6 +142,14 @@ class TestFlatten:
         with pytest.raises(ValueError, match=f"tree nodes must be <= {NODE_GUARD}, got 32767"):
             flatten(self.chain_of(NODE_GUARD + 1), bonus=0)
 
+    @pytest.mark.parametrize(
+        "bonus,message", [(-3, "bonus must be >= 0, got -3"), (1.5, "bonus must be an integer")]
+    )
+    def test_a_bonus_that_is_no_token_id_raises(self, bonus, message):
+        # Unchecked, both made a flat with that bonus.
+        with pytest.raises(ValueError, match=message):
+            flatten(BRANCHY, bonus)
+
     def test_accepts_pop_orders_that_interleave_depths(self):
         # Builder node order is nonincreasing mass, not depth-sorted: here
         # (0,0) outweighs (1) and pops before it. Flattening must only rely
