@@ -79,7 +79,11 @@ class RowSumZero(ValueError):
 
 
 class NegativeEntry(ValueError):
-    """A raw row contains a negative (or non-finite) entry."""
+    """A raw row contains a negative entry."""
+
+
+class NonFiniteEntry(ValueError):
+    """A raw row contains a NaN or infinite entry."""
 
 
 class PrefixTooLong(ValueError):
@@ -112,8 +116,9 @@ def validate_block(raw) -> MarginalBlock:
     """Build a MarginalBlock from a raw L x V table of nonnegative weights.
 
     Rows are clamped into [EPS_Q, 1 - EPS_Q] and renormalized. Raises
-    NonRectangular for ragged or mis-shaped input, NegativeEntry for negative
-    or non-finite entries, and RowSumZero for rows with no mass.
+    NonRectangular for ragged or mis-shaped input, NonFiniteEntry for NaN or
+    infinite entries, NegativeEntry for negative ones, and RowSumZero for rows
+    with no mass.
     """
     try:
         table = np.asarray(raw, dtype=np.float64)
@@ -129,7 +134,7 @@ def validate_block(raw) -> MarginalBlock:
     # Array methods and np.minimum/np.maximum skip the dispatch of np.all,
     # np.any and np.clip; on finite input the clamp's bytes are np.clip's.
     if not np.isfinite(table).all():
-        raise NegativeEntry("table contains non-finite entries")
+        raise NonFiniteEntry("table contains non-finite entries")
     if (table < 0.0).any():
         raise NegativeEntry("table contains negative entries")
     if (table.sum(axis=1) <= 0.0).any():

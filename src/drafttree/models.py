@@ -27,6 +27,7 @@ import numpy as np
 from .distributions import (
     EPS_Q,
     NODE_GUARD,
+    ROW_SUM_ATOL,
     MarginalBlock,
     require_count,
     require_real,
@@ -51,7 +52,9 @@ class NgramModel:
 
     ``table[ctx]`` indexes contexts big-endian in base ``vocab_size`` (oldest
     token highest). Immutable after construction. The table is the whole
-    model; the parameters that generated it are not kept.
+    model; the parameters that generated it are not kept. Its entries must be
+    finite and non-negative and each row must sum to 1 within
+    ``ROW_SUM_ATOL``; the constructor raises ValueError otherwise.
     """
 
     order: int
@@ -65,6 +68,20 @@ class NgramModel:
                 f"table shape {np.shape(self.table)} is not {expected}, the "
                 f"(vocab_size**order, vocab_size) of vocab_size {self.vocab_size} "
                 f"and order {self.order}"
+            )
+        table = np.asarray(self.table, dtype=np.float64)
+        if not np.isfinite(table).all():
+            raise ValueError("table has non-finite entries")
+        if (table < 0.0).any():
+            raise ValueError("table has negative entries")
+        # A row is a next-token distribution; ROW_SUM_ATOL is the tolerance a
+        # drafted block's rows meet too.
+        sums = table.sum(axis=1)
+        off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_ATOL)
+        if off.size:
+            row = off[0]
+            raise ValueError(
+                f"table row {row} sums to {float(sums[row])!r}, not 1 within {ROW_SUM_ATOL}"
             )
 
 

@@ -15,10 +15,15 @@ at the next depth). The heap stage therefore does at most B pops and 2B
 pushes. ``chain_tree`` runs the same heap over each depth's top token only,
 with no budget, which yields the single per-depth argmax path of a block.
 
-Each pop asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of
-an fsum of its log factors. A rank indexes the per-depth lists directly, and
-pops emit plain ``TreeNode`` tuples; both keep the per-pop cost down to a few
-interpreter steps.
+A heap entry holds its rank tuple as one integer code, the ranks written in
+base k (the tokens ranked per depth): the next sibling is ``code + 1``, the
+first child ``code * k``, and at equal depth codes order as the tuples do.
+A pop reads the top and replaces it with the queued sibling in one sift, or
+pops it when its depth's ranks are spent; the child's push is the only other
+sift. Each pop asserts that its incremental score is within
+``SCORE_DRIFT_TOL`` of its path sum, the parent's path sum plus the node's
+own log factor: its log factors added root to node, never through the
+sibling swaps whose drift the check exists to catch.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .distributions import NODE_GUARD, MarginalBlock, Prefix, log_prefix_mass, r
 
 # Rank tuples are 0-based per-depth probability ranks; (0, 2) means the most
 # probable token at depth 1 followed by the third most probable at depth 2.
+# The heap carries one as its base-k code: (0, 2) is 0 * k + 2.
 RankTuple = tuple[int, ...]
 
 ROOT_PARENT = -1
@@ -59,14 +65,17 @@ class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
 
     ``nodes`` holds ``TreeNode`` tuples. A node's ``parent`` is the index of
-    an earlier node in ``nodes``, or ROOT_PARENT at depth 1.
+    an earlier node in ``nodes``, or ROOT_PARENT at depth 1. A built node's
+    ``log_mass`` is the heap's incremental score, which its pop checked
+    against the node's path sum of log factors within ``SCORE_DRIFT_TOL``.
 
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
-    (successor insertions only; the initial seed entry is not counted). Each
-    pop places one node, so pops are the node count. A ``build_tree`` tree
-    does at most B pops and 2B pushes; a ``chain_tree`` reports a pop per row
-    and one push fewer, which nothing reads. Trees built any other way report
-    zero pushes. ``surrogate_value`` is derived from the nodes on first read.
+    (successor insertions only, a sibling that replaces the popped top among
+    them; the initial seed entry is not counted). Each pop places one node,
+    so pops are the node count. A ``build_tree`` tree does at most B pops
+    and 2B pushes; a ``chain_tree`` reports a pop per row and one push fewer,
+    which nothing reads. Trees built any other way report zero pushes.
+    ``surrogate_value`` is derived from the nodes on first read.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -108,7 +117,7 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
 
 
 def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> DraftTree:
-    """Pop rank tuples from a max-heap in nonincreasing score order.
+    """Pop rank codes from a max-heap in nonincreasing score order.
 
     ``chunks`` are a block's rows in consecutive chunks of one vocabulary.
     Each is ranked by ``top_k_per_depth`` at ``width`` when a pop first needs
@@ -118,10 +127,13 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     Stops when ``budget`` nodes are placed or the heap runs dry (possible only
     when the whole restricted prefix space is smaller than the budget). Heap
     keys break score ties deterministically: shallower depth first, then
-    lexicographically smaller rank tuple. Sibling scores are updated by
-    swapping the last rank's log factor; child scores append the next depth's
-    best log factor. Every pop asserts that its incremental score matches an
-    fsum of its log factors within ``SCORE_DRIFT_TOL``.
+    smaller rank code, which at one depth is the lexicographically smaller
+    rank tuple. Sibling scores are updated by swapping the last rank's log
+    factor and child scores append the next depth's best log factor. A pop
+    that queues a sibling does it with ``heapreplace``, one sift for both;
+    keys are unique, so the pop order is that of a pop and a push. Every pop
+    asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of its
+    path sum, kept per node in ``path_sums``.
     """
     pending = iter(chunks)
     token_ids: list[list[int]] = []
@@ -141,35 +153,42 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     pull_at = depth_cap  # a pop at this depth ranks the next chunk; 0 once none is left
     k = len(token_ids[0])
     tol = SCORE_DRIFT_TOL
-    fsum, factor = math.fsum, list.__getitem__
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    # TreeNode(...) runs the NamedTuple's Python-level __new__, a frame that
+    # only makes this call; calling it directly builds the same TreeNode.
+    new_node = tuple.__new__
 
-    # Heap entries: (-score, depth, ranks, parent node index). The first three
-    # fields form a total order, so the parent never gets compared.
-    heap: list[tuple[float, int, RankTuple, int]] = [
-        (-logq[0][0], 1, (0,), ROOT_PARENT)
-    ]
+    # Heap entries: (-score, depth, code, last rank, parent node index). code
+    # is the rank tuple in base k, so at equal depth codes order as the tuples
+    # do; the first three fields are unique per node, so the rest never gets
+    # compared.
+    heap: list[tuple[float, int, int, int, int]] = [(-logq[0][0], 1, 0, 0, ROOT_PARENT)]
+    # path_sums[i + 1] is node i's log factors summed root to node in depth
+    # order; path_sums[0] is the root's empty sum.
+    path_sums = [0.0]
     nodes: list[TreeNode] = []
     append = nodes.append
     for index in range(budget):
         if not heap:
             break
-        neg_score, depth, ranks, parent = heappop(heap)
+        neg_score, depth, code, last, parent = heap[0]
         score = -neg_score
-        # map pairs each depth's logq row with that depth's rank.
-        assert abs(score - fsum(map(factor, logq, ranks))) <= tol
-        last = ranks[-1]
         logq_row = logq[depth - 1]
-        append(TreeNode(token_ids[depth - 1][last], depth, parent, score))
+        direct = path_sums[parent + 1] + logq_row[last]
+        assert abs(score - direct) <= tol
+        path_sums.append(direct)
+        append(new_node(TreeNode, (token_ids[depth - 1][last], depth, parent, score)))
         if last + 1 < k:
             sibling_score = score - logq_row[last] + logq_row[last + 1]
-            heappush(heap, (-sibling_score, depth, ranks[:-1] + (last + 1,), parent))
+            heapreplace(heap, (-sibling_score, depth, code + 1, last + 1, parent))
+        else:
+            heappop(heap)
         if depth == pull_at:
             pull_at = rank_next_chunk()
             depth_cap = len(logq)
         if depth < depth_cap:
             child_score = score + logq[depth][0]
-            heappush(heap, (-child_score, depth + 1, ranks + (0,), index))
+            heappush(heap, (-child_score, depth + 1, code * k, 0, index))
     # Every push is popped or still queued; the seed entry is not a push.
     pushes = len(nodes) + len(heap) - 1
     return DraftTree(nodes=tuple(nodes), heap_pushes=pushes)

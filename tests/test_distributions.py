@@ -10,6 +10,7 @@ from drafttree.distributions import (
     NODE_GUARD,
     ROW_SUM_ATOL,
     NegativeEntry,
+    NonFiniteEntry,
     NonRectangular,
     PrefixTooLong,
     RowSumZero,
@@ -62,8 +63,13 @@ class TestValidateBlock:
             validate_block([[0.5, -0.1]])
 
     def test_nan_rejected(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(NonFiniteEntry, match="non-finite"):
             validate_block([[0.5, float("nan")]])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_inf_rejected(self, bad):
+        with pytest.raises(NonFiniteEntry, match="non-finite"):
+            validate_block([[0.5, bad]])
 
     def test_zero_row_rejected(self):
         with pytest.raises(RowSumZero):

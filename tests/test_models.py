@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drafttree.distributions import EPS_Q
+from drafttree.distributions import EPS_Q, ROW_SUM_ATOL
 from drafttree.models import (
     PAD_TOKEN,
     DrafterConfig,
@@ -78,6 +78,31 @@ class TestRandomModel:
         expected = (vocab_size**order, vocab_size)
         with pytest.raises(ValueError, match=re.escape(f"table shape (16, 4) is not {expected}")):
             NgramModel(order=order, vocab_size=vocab_size, table=table)
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [
+            ((1, 2), np.nan, "table has non-finite entries"),
+            ((0, 0), np.inf, "table has non-finite entries"),
+            ((3, 1), -0.25, "table has negative entries"),
+            ((2, 3), 0.5, "table row 2 sums to"),
+        ],
+    )
+    def test_a_table_that_is_not_a_distribution_per_row_is_rejected(
+        self, entry, value, message
+    ):
+        # Unchecked, a table of NaN ran a greedy baseline episode to the end.
+        table = random_model(0, vocab_size=4, order=1).table.copy()
+        table[entry] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NgramModel(order=1, vocab_size=4, table=table)
+
+    def test_a_row_sum_within_the_tolerance_passes(self):
+        # random_model and deterministic_model (one-hot rows, exact zeros
+        # included) build through the same check in every other test.
+        row = np.full(4, 0.25)
+        row[0] += 0.5 * ROW_SUM_ATOL
+        NgramModel(order=1, vocab_size=4, table=np.tile(row, (4, 1)))
 
     @pytest.mark.parametrize("concentration", [np.nan, np.inf, 1e-4])
     def test_rejects_concentration_without_finite_rows(self, concentration):
@@ -255,7 +280,9 @@ class TestDrafterMarginals:
         }
         table = np.full_like(clean.table, np.nan)
         table[sorted(reachable)] = clean.table[sorted(reachable)]
-        poisoned = NgramModel(order=order, vocab_size=vocab_size, table=table)
+        # The constructor refuses NaN, so the poisoned table goes in afterwards.
+        poisoned = NgramModel(order=order, vocab_size=vocab_size, table=clean.table)
+        object.__setattr__(poisoned, "table", table)
         cfg = DrafterConfig(noise=0.3, block_len=order)
         expected = drafter_marginals(clean, context, bonus, cfg)
         assert drafter_marginals(poisoned, context, bonus, cfg).probs.tobytes() == (

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import sys
 
@@ -7,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drafttree import engine, models, treebuild
-from drafttree.distributions import MarginalBlock, sample_continuations, validate_block
+from drafttree.distributions import (
+    MarginalBlock,
+    log_prefix_mass,
+    sample_continuations,
+    validate_block,
+)
 from drafttree.models import (
     DrafterConfig,
     deterministic_model,
@@ -136,15 +143,17 @@ class TestBuildTree:
     @pytest.mark.skipif(sys.flags.optimize, reason="assertions are stripped")
     def test_drift_assert_runs_on_every_pop(self, monkeypatch):
         block = random_block(5, 4, 6)
-        fsum_calls = []
-        real_fsum = math.fsum
+        comparisons = []
 
-        def counting_fsum(terms):
-            fsum_calls.append(1)
-            return real_fsum(terms)
+        class CountingTol(float):
+            # ``drift <= tol`` with a float subclass on the right calls its
+            # reflected ``__ge__`` first.
+            def __ge__(self, drift):
+                comparisons.append(drift)
+                return float(self) >= drift
 
-        monkeypatch.setattr(math, "fsum", counting_fsum)
-        assert len(build_tree(block, 18)) == len(fsum_calls) == 18
+        monkeypatch.setattr(treebuild, "SCORE_DRIFT_TOL", CountingTol(treebuild.SCORE_DRIFT_TOL))
+        assert len(build_tree(block, 18)) == len(comparisons) == 18
         # No score is within a negative tolerance, so the first pop must fail.
         monkeypatch.setattr(treebuild, "SCORE_DRIFT_TOL", -1.0)
         with pytest.raises(AssertionError):
@@ -178,6 +187,50 @@ class TestBuildTree:
         small = build_tree(block, budget)
         large = build_tree(block, budget + extra)
         assert small.nodes == large.nodes[: len(small)]
+
+
+def corpus_block(seed, block_len, vocab, kind):
+    """``random_block``, or for ``kind="all ties"`` a block whose every row is uniform."""
+    if kind == "all ties":
+        return validate_block(np.ones((block_len, vocab)))
+    return random_block(seed, block_len, vocab, kind)
+
+
+# sha256 of the corpus below as built by the fsum-checked, rank-tuple heap
+# this builder replaced. The oracle enumerates at most PREFIX_GUARD prefixes,
+# so it cannot cross-check a B=1024 tree at |V|=16, L=16; this digest can.
+IDENTITY_DIGEST = "e6d836519f04fb87dac55468ece2c7dda99098ccd8a40f56e453e4257838272b"
+
+
+class TestBuilderIdentity:
+    def test_a_fixed_corpus_builds_the_recorded_trees(self):
+        digest = hashlib.sha256()
+        shapes = itertools.product(
+            (2, 5, 16, 64),  # vocab
+            (1, 3, 16),  # block_len
+            (0.01, 0.3, 1.0, "ties", "all ties"),
+        )
+        for seed, (vocab, block_len, kind) in enumerate(shapes):
+            block = corpus_block(seed, block_len, vocab, kind)
+            trees = [chain_tree(block)] + [build_tree(block, b) for b in (1, 7, 64, 1024)]
+            for tree in trees:
+                digest.update(repr((tree.nodes, tree.heap_pushes)).encode())
+        assert digest.hexdigest() == IDENTITY_DIGEST
+
+    @pytest.mark.parametrize("kind", [0.01, 0.1, 1.0, "ties"])
+    def test_every_log_mass_is_within_1e_12_of_its_fsum(self, kind):
+        # The heap's scores come from sibling swaps and child appends; the
+        # exact reference is the fsum of the node's log factors.
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for _ in range(150):
+            vocab, block_len = int(rng.integers(2, 65)), int(rng.integers(1, 17))
+            budget = int(rng.choice([1, 7, 64, 1024]))
+            block = random_block(int(rng.integers(2**32)), block_len, vocab, kind)
+            tree = build_tree(block, budget)
+            for node, prefix in zip(tree.nodes, node_prefixes(tree)):
+                worst = max(worst, abs(node.log_mass - log_prefix_mass(block, prefix)))
+        assert worst <= 1e-12
 
 
 class TestSurrogateValue:
