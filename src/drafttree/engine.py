@@ -6,11 +6,12 @@ two forms. A tree round walks its budgeted tree (``verifier_walk``), which
 ``build_tree`` drafts from row chunks (``models.drafter_chunks``) only as deep
 as it grows. A chain or baseline round verifies a token path, accepting while
 it equals the rollout: the baseline's is empty and never drafted, the chain's
-is each row's argmax. A window's first chain round draws the first chunk; a
-walk that accepts every drawn row draws the rest of the block, from the same
-drafter in that round or anew in a later one (never at temperature 0, where a
-window's walk is fixed). The chain verifies, and is charged for, L nodes a
-round.
+is each row's argmax. A chain round draws rows only when its walk reads past
+the rows drawn: a walk that accepts every token of the stored path (or finds
+none) opens a drafter and draws its chunks from row 0 until the path is
+longer than the tokens accepted, so at temperature 0, where a window's walk
+is fixed, no window is drawn twice. The chain verifies, and is charged for,
+L nodes a round.
 
 Token sequence: speculative decoding commits exactly the target's own tokens,
 so an episode is a prefix of one sequence: the seeded prompt, then the
@@ -50,13 +51,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .distributions import NODE_GUARD, MarginalBlock, require_count, require_real
+# No round calls ``drafter_marginals`` or ``chain_tree``; ``perfbench/run.py``
+# still rebinds both by these names.
 from .models import DrafterConfig, NgramModel, drafter_chunks, drafter_marginals, target_next
-# No round calls ``chain_tree``; ``perfbench/run.py`` still rebinds it by this name.
 from .treebuild import build_tree, chain_tree  # noqa: F401
 from .verify import FlattenedTree, RoundOutcome, flatten, round_trace_record, verifier_walk
 
@@ -250,9 +252,9 @@ def decode_next(
     return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
 
 
-def argmax_path(chunks: Iterable[MarginalBlock]) -> tuple[int, ...]:
-    """Each row's argmax, the lowest id on ties: the tokens of the rows' ``chain_tree``."""
-    return tuple(int(t) for chunk in chunks for t in chunk.probs.argmax(axis=1))
+def argmax_path(block: MarginalBlock) -> tuple[int, ...]:
+    """Each row's argmax, the lowest id on ties: the tokens of the block's ``chain_tree``."""
+    return tuple(int(t) for t in block.probs.argmax(axis=1))
 
 
 # A round's draft is a pure function of its n-gram window and these config fields.
@@ -346,13 +348,10 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                     a += 1
                 if a < len(path) or a == budget:  # the baseline's path stays empty
                     return RoundOutcome(tuple(range(a + 1)), rollout(a)), budget
-                if not path:  # a window's first round draws the first chunk
-                    chunks = drafter_chunks(model, context, bonus, drafter_cfg)
-                    path = argmax_path([next(chunks)])
-                elif chunks is not None:  # this round drew it: draw the rest of the block
-                    path += argmax_path(chunks)
-                else:  # an earlier round stored a short path: draft the whole block again
-                    path = argmax_path([drafter_marginals(model, context, bonus, drafter_cfg)])
+                if chunks is None:  # the store holds no drafter: draw anew from row 0
+                    chunks, path = drafter_chunks(model, context, bonus, drafter_cfg), ()
+                while len(path) <= a:  # only the chunks the walk reads into
+                    path += argmax_path(next(chunks))
                 store.drafts[key] = path
 
         play = tree_round if cfg.mode == "tree" else path_round

@@ -51,10 +51,12 @@ class NgramModel:
     """Order-m table model: one probability row per length-m context.
 
     ``table[ctx]`` indexes contexts big-endian in base ``vocab_size`` (oldest
-    token highest). Immutable after construction. The table is the whole
-    model; the parameters that generated it are not kept. Its entries must be
-    finite and non-negative and each row must sum to 1 within
-    ``ROW_SUM_ATOL``; the constructor raises ValueError otherwise.
+    token highest). Immutable after construction: the model keeps its own
+    read-only float64 copy of the table it is given, so later changes to the
+    caller's array reach no episode. The table is the whole model; the
+    parameters that generated it are not kept. Its entries must be finite and
+    non-negative and each row must sum to 1 within ``ROW_SUM_ATOL``; the
+    constructor raises ValueError otherwise.
     """
 
     order: int
@@ -69,7 +71,9 @@ class NgramModel:
                 f"(vocab_size**order, vocab_size) of vocab_size {self.vocab_size} "
                 f"and order {self.order}"
             )
-        table = np.asarray(self.table, dtype=np.float64)
+        table = np.array(self.table, dtype=np.float64)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
         if not np.isfinite(table).all():
             raise ValueError("table has non-finite entries")
         if (table < 0.0).any():
@@ -131,7 +135,6 @@ def random_model(
     table /= sums
     table *= 1.0 - EPS_Q
     table[:, PAD_TOKEN] = EPS_Q
-    table.flags.writeable = False
     return NgramModel(order=order, vocab_size=vocab_size, table=table)
 
 
@@ -146,7 +149,6 @@ def deterministic_model(seed: int, vocab_size: int, order: int) -> NgramModel:
     rng = np.random.default_rng(seed)
     table = np.zeros((states, vocab_size), dtype=np.float64)
     table[np.arange(states), rng.integers(1, vocab_size, size=states)] = 1.0
-    table.flags.writeable = False
     return NgramModel(order=order, vocab_size=vocab_size, table=table)
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import MarginalBlock, require_count, validate_block
+from .distributions import MarginalBlock, _check_prefix, require_count, validate_block
 from .engine import (
     EpisodeConfig,
     EpisodeResult,
@@ -137,7 +137,9 @@ def expected_acceptance_exact(block: MarginalBlock, tree: DraftTree) -> float:
     probability, and scores how deep it stays inside the tree. This is the
     definition of the objective, independent of the additive
     sum-of-prefix-masses shortcut, so agreement with ``surrogate_value`` is an
-    executable proof of that identity.
+    executable proof of that identity. Every node's prefix must fit the block
+    as ``prefix_mass`` requires: ``PrefixTooLong`` or a ValueError naming the
+    token id otherwise.
     """
     n_cont = block.vocab_size**block.block_len
     if n_cont > PREFIX_GUARD:
@@ -152,6 +154,7 @@ def expected_acceptance_exact(block: MarginalBlock, tree: DraftTree) -> float:
     # leading depths of each continuation appear in the tree.
     tree_codes: list[set[int]] = [set() for _ in range(block.block_len)]
     for prefix in node_prefixes(tree):
+        _check_prefix(block, prefix)
         code = 0
         for tok in prefix:
             code = code * block.vocab_size + tok

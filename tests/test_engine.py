@@ -338,8 +338,8 @@ class TestStatsBookkeeping:
             result = run_episode(MODEL, cfg)
             assert result == reference_episode(MODEL, cfg)
             assert {r["tree_size"] for r in result.trace} == {result.stats.budget}
-            if mode == "chain":  # a round ran off the first chunk and drew the rest
-                assert any(len(e) == 5 for e in chain_rule_events(MODEL, [cfg]))
+            if mode == "chain":  # a round ran off its first chunk and drew the next
+                assert any(len(e) > 3 for e in chain_rule_events(MODEL, [cfg]))
             return
         walks = []  # (nodes walked, acceptance length)
         real = engine.verifier_walk
@@ -442,21 +442,36 @@ class TestChainDrafting:
         stats = run_episodes(model, cfg, episodes=4)
         windows = [event[0] for event in counts.events]
         # Every walk accepts the whole block, so the first round to meet a
-        # window runs off its first chunk and draws the rest at once.
-        assert counts.events == [(w, "chain", FIRST_CHUNK_ROWS, "chain", 16) for w in windows]
+        # window draws each of its chunks, and no later round draws again.
+        assert counts.events == [(w, "chain", 4, "chain", 8, "chain", 16) for w in windows]
         assert len(set(windows)) == len(windows) < stats.rounds
         assert len(steps) == len(windows) * cfg.block_len
         assert stats.tau_histogram[-1] == stats.rounds - 4  # all but each episode's tail
 
     @pytest.mark.parametrize("block_len", [3, 6, 16])
     def test_a_greedy_chain_row_never_drafts_a_window_again(self, monkeypatch, block_len):
+        # Under greedy decoding a window's walk is fixed, so the first round
+        # to meet it draws every row a later round reads.
+        counts = CountingDrafts(monkeypatch)
+        for seed in range(3):
+            counts.events.clear()
+            cfg = small_cfg(mode="chain", block_len=block_len, seed=seed)
+            stats = run_episodes(MODEL, cfg, episodes=4)
+            windows = [event[0] for event in counts.events]
+            assert len(set(windows)) == len(windows) < stats.rounds
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("block_len", [3, 6, 16])
+    def test_a_chain_row_draws_by_the_rule(self, monkeypatch, block_len, temperature):
+        # Below, inside and on the chunk edges; no round drafts a whole block.
         def refuse(*args):
-            raise AssertionError("a greedy chain round re-drafted its window")
+            raise AssertionError("a chain round drafted a whole block")
 
         monkeypatch.setattr(engine, "drafter_marginals", refuse)
-        for seed in range(3):
-            cfg = small_cfg(mode="chain", block_len=block_len, seed=seed)
-            assert run_episodes(MODEL, cfg, episodes=4).rounds
+        counts = CountingDrafts(monkeypatch)
+        cfg = small_cfg(mode="chain", block_len=block_len, temperature=temperature)
+        run_episodes(MODEL, cfg, episodes=4)
+        assert counts.events == chain_rule_events(MODEL, slice_configs(cfg, range(4)))
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_every_chain_round_reports_its_whole_block(self, temperature):
@@ -582,22 +597,18 @@ class CountingDrafts:
 
     An event is ``(window, kind, size, ...)`` with one (kind, size) pair per
     read: the budget of a tree build, or the rows a chain has drawn from
-    this draft once a round draws more of them. A chain round whose walk
-    runs off its first chunk draws twice from one draft; a re-draft draws
-    the whole block at once.
+    this draft once a round draws its next chunk. A chain round draws from
+    row 0 of a draft it opens, one chunk per pair, until its walk stops
+    inside the rows drawn.
     """
 
     def __init__(self, monkeypatch):
         self.events = []
-        real_draft, real_chunks, real_build, real_path = (
-            engine.drafter_marginals, engine.drafter_chunks, engine.build_tree, engine.argmax_path,
+        real_chunks, real_build, real_path = (
+            engine.drafter_chunks, engine.build_tree, engine.argmax_path,
         )
 
-        def draft(model, context, bonus, cfg):  # the chain's whole-block re-draft
-            self.events.append(((tuple(context) + (bonus,))[-model.order:],))
-            return real_draft(model, context, bonus, cfg)
-
-        def draft_chunks(model, context, bonus, cfg):  # the tree's and the chain's first draft
+        def draft_chunks(model, context, bonus, cfg):  # every tree and chain draft
             self.events.append(((tuple(context) + (bonus,))[-model.order:],))
             return real_chunks(model, context, bonus, cfg)
 
@@ -605,13 +616,11 @@ class CountingDrafts:
             self.events[-1] += ("tree", budget)
             return real_build(block, budget)
 
-        def path(chunks):  # every chain draw: the first chunk, the rest, or a whole block
-            chunks = tuple(chunks)
+        def path(block):  # every chain draw: the draft's next chunk
             drawn = self.events[-1][-1] if len(self.events[-1]) > 1 else 0
-            self.events[-1] += ("chain", drawn + sum(chunk.block_len for chunk in chunks))
-            return real_path(chunks)
+            self.events[-1] += ("chain", drawn + block.block_len)
+            return real_path(block)
 
-        monkeypatch.setattr(engine, "drafter_marginals", draft)
         monkeypatch.setattr(engine, "drafter_chunks", draft_chunks)
         monkeypatch.setattr(engine, "build_tree", build)
         monkeypatch.setattr(engine, "argmax_path", path)
@@ -628,14 +637,17 @@ class CountingDrafts:
 def chain_rule_events(model, configs):
     """The ``CountingDrafts`` events of chain episodes ``configs`` run in order in one scope.
 
-    The rule: the first round to meet a window drafts the first chunk's rows,
-    and draws the rest of the block in that round if its walk accepts all of
-    them; a later round whose walk accepts every row of a short chain drafts
-    the whole block again. Windows and acceptance lengths come from
-    ``reference_episode``, which keeps no store; no config may set an
-    ``eos_token``.
+    The rule: a round whose walk accepts every token of its window's stored
+    path (an empty one when none is stored) opens a draft and draws its
+    chunks from row 0 until the path is longer than the walk's acceptance,
+    or is the whole block; the path drawn replaces the stored one. Windows
+    and acceptance lengths come from ``reference_episode``, which keeps no
+    store; no config may set an ``eos_token``.
     """
-    first = min(FIRST_CHUNK_ROWS, configs[0].block_len)
+    block_len = configs[0].block_len
+    edges = [min(FIRST_CHUNK_ROWS, block_len)]  # rows drawn after each chunk: 4, 8, 16, ...
+    while edges[-1] < block_len:
+        edges.append(min(2 * edges[-1], block_len))
     held, events = {}, []
     for cfg in configs:
         result = reference_episode(model, replace(cfg, collect_trace=True))
@@ -643,17 +655,15 @@ def chain_rule_events(model, configs):
         n = cfg.prompt_len + 1
         for record in result.trace:
             window = seq[max(0, n - model.order):n]
-            fresh = window not in held
-            if fresh:
-                held[window] = first
-                events.append((window, "chain", first))
-            if record["acceptance_length"] >= held[window] < cfg.block_len:
-                held[window] = cfg.block_len
-                if fresh:
-                    events[-1] += ("chain", cfg.block_len)
-                else:
-                    events.append((window, "chain", cfg.block_len))
-            n += record["acceptance_length"] + 1
+            a = record["acceptance_length"]
+            if a >= held.get(window, 0) < cfg.block_len:
+                events.append((window,))
+                for edge in edges:
+                    events[-1] += ("chain", edge)
+                    if edge > a:
+                        break
+                held[window] = events[-1][-1]
+            n += a + 1
     return events
 
 
@@ -719,12 +729,13 @@ class TestDraftCache:
             assert events == [(window, "tree", cfg.budget) for window, *_ in events]
             assert len(events) == len(windows)
         else:
-            # Each window is drafted once at 4 rows; a later round may draft
-            # its whole block once more.
+            # Each draft draws from row 0, and a window's later draft reads
+            # past every row its earlier ones drew.
             assert events == chain_rule_events(MODEL, slice_configs(cfg, range(5)))
-            assert [e[0] for e in events if e[2] == FIRST_CHUNK_ROWS] == list(dict.fromkeys(
-                e[0] for e in events
-            ))
+            assert {e[1:3] for e in events} == {("chain", FIRST_CHUNK_ROWS)}
+            for window in windows:
+                ends = [e[-1] for e in events if e[0] == window]
+                assert ends == sorted(set(ends))
         counts.events.clear()
         assert run_episodes(MODEL, cfg, episodes=5) == first
         assert counts.events == events
@@ -787,13 +798,13 @@ class TestDraftCache:
         assert trees
         assert len(counts.events) == len(trees) + len(chains)
         assert len({w for w, _ in trees}) == len(trees)
-        # The chain row drafted under the shared scope, by the chain's rule:
-        # the first meeting of a window at 4 rows, the rest of the block at
-        # most once more. This config takes every branch of the rule.
+        # The chain row drafted under the shared scope, by the chain's rule.
+        # This config takes every case of it: a draft that stops at its
+        # first chunk, one that draws the next, and a window drafted again.
         chain_row = slice_configs(replace(cfg, mode="chain"), range(4))
         assert chains == chain_rule_events(MODEL, chain_row)
         assert {len(e) for e in chains} == {3, 5}
-        assert {e[2] for e in chains} == {FIRST_CHUNK_ROWS, cfg.block_len}
+        assert len({e[0] for e in chains}) < len(chains)
         assert dict(trees) == self.largest_unscoped_budgets(counts, cfg)
 
     def test_consecutive_sweeps_share_no_state(self, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drafttree.distributions import EPS_Q, ROW_SUM_ATOL
+from drafttree.engine import EpisodeConfig, run_episode
 from drafttree.models import (
     PAD_TOKEN,
     DrafterConfig,
@@ -110,6 +111,32 @@ class TestRandomModel:
         # normalising them would leave NaN rows.
         with pytest.raises(ValueError, match="concentration"):
             random_model(0, vocab_size=16, order=2, concentration=concentration)
+
+
+class TestNgramModelTable:
+    def test_a_change_to_the_source_array_reaches_no_episode(self):
+        # Kept by reference, the caller's array set to NaN turned this
+        # greedy baseline into (1, 1, 1, ...).
+        source = random_model(0, vocab_size=4, order=1).table.copy()
+        model = NgramModel(order=1, vocab_size=4, table=source)
+        kept = model.table.copy()
+        cfg = EpisodeConfig(seed=3, max_new_tokens=24, mode="baseline")
+        before = run_episode(model, cfg)
+        source[:] = np.nan
+        assert not model.table.flags.writeable
+        assert np.array_equal(model.table, kept)
+        assert run_episode(model, cfg) == before
+
+    def test_a_list_table_gives_the_array_model(self):
+        # Kept as a list, the table passed every check and then broke the
+        # tree's drafter on ``reshape``.
+        array_model = random_model(5, vocab_size=4, order=2, concentration=0.5)
+        list_model = NgramModel(order=2, vocab_size=4, table=array_model.table.tolist())
+        assert isinstance(list_model.table, np.ndarray)
+        assert list_model.table.dtype == np.float64 and not list_model.table.flags.writeable
+        assert np.array_equal(list_model.table, array_model.table)
+        cfg = EpisodeConfig(seed=3, max_new_tokens=32, temperature=1.0, budget=8, block_len=6)
+        assert run_episode(list_model, cfg) == run_episode(array_model, cfg)
 
 
 class TestDeterministicModel:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from drafttree.distributions import prefix_mass, validate_block
+from drafttree.distributions import PrefixTooLong, prefix_mass, validate_block
 from drafttree.oracle import (
     InstanceTooLarge,
     enumerate_prefixes,
@@ -13,7 +13,9 @@ from drafttree.oracle import (
     random_valid_tree,
 )
 from drafttree.treebuild import (
+    ROOT_PARENT,
     DraftTree,
+    TreeNode,
     build_tree,
     check_ancestor_dominance,
     check_prefix_closed,
@@ -144,6 +146,19 @@ class TestExpectedAcceptanceExact:
             tree = random_valid_tree(block, int(rng.integers(1, 15)), rng)
             exact = expected_acceptance_exact(block, tree)
             assert exact == pytest.approx(tree.surrogate_value, rel=1e-9)
+
+    def test_a_tree_that_does_not_fit_the_block_is_rejected(self):
+        # Unchecked, tokens outside the vocabulary were dropped (0.0 here) and
+        # a tree deeper than the block raised a bare IndexError.
+        block = random_block(0, 2, 4)
+        outside = DraftTree(
+            nodes=(TreeNode(5, 1, ROOT_PARENT, 0.0), TreeNode(6, 1, ROOT_PARENT, 0.0))
+        )
+        with pytest.raises(ValueError, match="token id"):
+            expected_acceptance_exact(block, outside)
+        deep = tree_from_prefixes(random_block(0, 3, 4), [(1,), (1, 2), (1, 2, 3)])
+        with pytest.raises(PrefixTooLong):
+            expected_acceptance_exact(block, deep)
 
     def test_guard(self):
         block = random_block(0, 8, 8)
