@@ -37,8 +37,13 @@ NODE_GUARD = 32766
 def require_count(
     name: str, value: object, low: int | None = None, high: int | None = None
 ) -> None:
-    """Reject a value that is not an integer (numpy integers pass) or lies outside [low, high]."""
+    """Reject a value that is not an integer (numpy integers pass) or lies outside [low, high].
+
+    A bool is refused although Python counts it an integer: numpy reads it as a mask.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -59,8 +64,9 @@ def require_real(
     """Reject a value that is not a finite real (numpy scalars pass) or lies outside [low, high].
 
     ``strict`` excludes ``low`` itself, for a parameter that must be positive.
+    A bool is refused, as ``require_count`` refuses it.
     """
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -90,7 +96,7 @@ class PrefixTooLong(ValueError):
     """Prefix length exceeds the block length."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalBlock:
     """Validated per-position token distributions for one drafted block.
 
@@ -99,6 +105,7 @@ class MarginalBlock:
     shape. Rows sum to 1 within ``ROW_SUM_ATOL`` and every entry lies strictly
     in (0, 1). Build instances with ``validate_block``. They are immutable
     (the array is flagged read-only) and safe to share across threads.
+    Equality is identity, so a block is hashable.
     """
 
     probs: np.ndarray

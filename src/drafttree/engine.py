@@ -430,10 +430,9 @@ def budget_sweep(
     """
     if not budgets:
         raise ValueError("budgets must be nonempty")
-    try:
-        budgets = [operator.index(b) for b in budgets]
-    except TypeError:
-        raise ValueError("budgets must be integers") from None
+    for budget in budgets:
+        require_count("budget", budget)
+    budgets = [operator.index(b) for b in budgets]
     if budgets != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
     rows = []

@@ -46,7 +46,7 @@ class TableTooLarge(ValueError):
     """The |V|^order x |V| table exceeds the desk-scale guard on its entries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NgramModel:
     """Order-m table model: one probability row per length-m context.
 
@@ -56,7 +56,8 @@ class NgramModel:
     caller's array reach no episode. The table is the whole model; the
     parameters that generated it are not kept. Its entries must be finite and
     non-negative and each row must sum to 1 within ``ROW_SUM_ATOL``; the
-    constructor raises ValueError otherwise.
+    constructor raises ValueError otherwise. Equality is identity, so a model
+    is hashable.
     """
 
     order: int

@@ -119,10 +119,11 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
 def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> DraftTree:
     """Pop rank codes from a max-heap in nonincreasing score order.
 
-    ``chunks`` are a block's rows in consecutive chunks of one vocabulary.
-    Each is ranked by ``top_k_per_depth`` at ``width`` when a pop first needs
-    a child at one of its depths, so a tree whose deepest node sits at depth D
-    draws the chunks up to the one holding row D and no further.
+    ``chunks`` are a block's rows in consecutive chunks of one vocabulary;
+    no chunk, or a chunk of another vocabulary, raises ValueError. Each is
+    ranked by ``top_k_per_depth`` at ``width`` when a pop first needs a child
+    at one of its depths, so a tree whose deepest node sits at depth D draws
+    the chunks up to the one holding row D and no further.
 
     Stops when ``budget`` nodes are placed or the heap runs dry (possible only
     when the whole restricted prefix space is smaller than the budget). Heap
@@ -136,20 +137,25 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     path sum, kept per node in ``path_sums``.
     """
     pending = iter(chunks)
+    first = next(pending, None)
+    if first is None:
+        raise ValueError("block must hold at least one chunk of rows")
     token_ids: list[list[int]] = []
     logq: list[list[float]] = []
 
-    def rank_next_chunk() -> int:
-        """Rank the next chunk's depths; return the ranked depth count, or 0 if none is left."""
-        block = next(pending, None)
-        if block is None:
-            return 0
+    def rank(block: MarginalBlock) -> int:
+        """Rank a chunk's depths; return the ranked depth count."""
+        if block.vocab_size != first.vocab_size:  # the base-k codes hold one k
+            raise ValueError(
+                f"block chunks must share one vocabulary: {block.vocab_size} tokens "
+                f"after {first.vocab_size}"
+            )
         ranked = top_k_per_depth(block, width)
         token_ids.extend(ranked.token_ids.tolist())
         logq.extend(np.log(ranked.probs).tolist())
         return len(logq)
 
-    depth_cap = rank_next_chunk()  # depths ranked so far
+    depth_cap = rank(first)  # depths ranked so far
     pull_at = depth_cap  # a pop at this depth ranks the next chunk; 0 once none is left
     k = len(token_ids[0])
     tol = SCORE_DRIFT_TOL
@@ -184,7 +190,8 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
         else:
             heappop(heap)
         if depth == pull_at:
-            pull_at = rank_next_chunk()
+            block = next(pending, None)
+            pull_at = 0 if block is None else rank(block)
             depth_cap = len(logq)
         if depth < depth_cap:
             child_score = score + logq[depth][0]
@@ -201,7 +208,8 @@ def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> D
     ``models.drafter_chunks`` yields them), which are drawn only as deep as
     the tree grows. Either way the tree equals the one built from the whole
     block. A budget above ``NODE_GUARD`` raises ValueError before any chunk
-    is drawn.
+    is drawn; no chunk, or a chunk of another vocabulary than the first,
+    raises ValueError naming ``block``.
     """
     require_count("budget", budget, 1, NODE_GUARD)
     chunks = (block,) if isinstance(block, MarginalBlock) else block

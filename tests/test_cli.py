@@ -49,42 +49,6 @@ class TestOracleCheckCommand:
         assert "optimal_value: 10 trials, 10 failures [FAIL]" in out
         assert "RESULT: FAIL" in out
 
-    @pytest.mark.parametrize(
-        "flag,value,message",
-        [
-            ("--trials", "-1", "trials must be >= 0, got -1"),
-            ("--max-vocab", "1", "max_vocab must be >= 2, got 1"),
-            ("--max-len", "0", "max_len must be >= 1, got 0"),
-            ("--max-budget", "0", "max_budget must be >= 1, got 0"),
-            ("--max-budget", "32767", "max_budget must be <= 32766, got 32767"),
-        ],
-    )
-    def test_a_bound_out_of_range_exits_2_naming_it(self, capsys, flag, value, message):
-        with pytest.raises(SystemExit) as err:
-            run(["oracle-check", flag, value])
-        assert err.value.code == 2
-        assert f"error: {message}" in capsys.readouterr().err
-
-    def test_negative_seed_usage_error_names_the_flag(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(["oracle-check", "--seed", "-1"])
-        assert err.value.code == 2
-        assert "argument --seed: must be >= 0" in capsys.readouterr().err
-
-    def test_negative_seed_raises_naming_it(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=-1)
-
-    @pytest.mark.parametrize(
-        "field,value,floor",
-        [("trials", -3, 0), ("max_vocab", 1, 2), ("max_len", 0, 1), ("max_budget", 0, 1)],
-    )
-    def test_a_bound_below_its_floor_raises_naming_it(self, field, value, floor):
-        # Before, -3 trials returned a passing report and max_vocab=1 failed inside numpy.
-        bounds = dict(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=1)
-        with pytest.raises(ValueError, match=f"{field} must be >= {floor}, got {value}"):
-            run_oracle_check(**{**bounds, field: value})
-
     def test_report_counts_trials(self):
         report = run_oracle_check(max_vocab=4, max_len=3, max_budget=8, trials=5, seed=1)
         assert report.passed
@@ -202,35 +166,17 @@ class TestSweepCommand:
         # The library's own est_speedup keeps the default cost.
         assert float(rows[0]["est_speedup"]) != library[0].est_speedup
 
-    def test_unsorted_budgets_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run(["sweep", *SWEEP_FLAGS, "--budgets", "32,16",
-                 "--out", str(tmp_path / "x.csv")])
-        assert err.value.code == 2
-
     def test_unwritable_path_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["sweep", *SWEEP_FLAGS, "--budgets", "8",
                  "--out", "/nonexistent-dir/sweep.csv"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--temperature", "--epsilon", "--kappa"])
-    def test_non_finite_float_exits_2(self, tmp_path, flag, value):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as err:
-            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", flag, value, "--out", str(out)])
-        assert err.value.code == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e-4"])
-    def test_bad_concentration_exits_2_with_the_model_message(
-        self, tmp_path, capsys, value
-    ):
+    def test_bad_concentration_exits_2_with_the_model_message(self, tmp_path, capsys):
         # At 1e-4 every gamma draw of some rows underflows to 0.
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as err:
-            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--concentration", value,
+            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", "--concentration", "1e-4",
                  "--out", str(out)])
         assert err.value.code == 2
         assert "error: concentration" in capsys.readouterr().err
@@ -245,15 +191,6 @@ class TestSweepCommand:
                  "--order", "3", "--out", str(out)])
         assert err.value.code == 2
         assert "16777216 table entries exceed the guard" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--seed", "--model-seed"])
-    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, flag):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as err:
-            run(["sweep", *SWEEP_FLAGS, "--budgets", "8", flag, "-1", "--out", str(out)])
-        assert err.value.code == 2
-        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -339,23 +276,6 @@ class TestNodeGuard:
         assert f"error: {count} must be <= 32766, got 32767" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["sweep", *SWEEP_FLAGS, "--budgets", "8,x"], "argument --budgets: bad budget list '8,x'"),
-    (["sweep", *SWEEP_FLAGS, "--budgets", "8", "--seed", "abc"],
-     "argument --seed: expected an integer, got 'abc'"),
-    (["sweep", *SWEEP_FLAGS, "--budgets", "8", "--model-seed", "abc"],
-     "argument --model-seed: expected an integer, got 'abc'"),
-    (["trace", *MODEL_FLAGS, "--rounds", "-1"], "--rounds must be >= 0"),
-], ids=["budgets", "seed", "model-seed", "rounds"])
-def test_a_malformed_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, message):
-    out = tmp_path / "x.out"
-    with pytest.raises(SystemExit) as err:
-        run([*argv, "--out", str(out)])
-    assert err.value.code == 2
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_process_machinery():

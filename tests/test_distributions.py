@@ -21,11 +21,7 @@ from drafttree.distributions import (
     sample_continuations,
     validate_block,
 )
-from drafttree.cli import run_oracle_check
-from drafttree.engine import CostModel, EpisodeConfig, NonPositiveCost
-from drafttree.models import DrafterConfig, deterministic_model, random_model
-from drafttree.oracle import optimal_tree_exhaustive, random_valid_tree
-from drafttree.treebuild import build_tree, top_k_per_depth
+from drafttree.treebuild import build_tree
 
 from blocks import EXAMPLE_ROWS, random_block
 
@@ -71,6 +67,12 @@ class TestValidateBlock:
         with pytest.raises(NonFiniteEntry, match="non-finite"):
             validate_block([[0.5, bad]])
 
+    def test_a_block_equals_only_itself_and_is_hashable(self):
+        # Compared field by field, two blocks raised on the array's ambiguous truth value.
+        first, second = validate_block(EXAMPLE_ROWS), validate_block(EXAMPLE_ROWS)
+        assert first == first and first != second
+        assert {first: 1, second: 2}[first] == 1
+
     def test_zero_row_rejected(self):
         with pytest.raises(RowSumZero):
             validate_block([[0.5, 0.5], [0.0, 0.0]])
@@ -111,17 +113,6 @@ class TestPrefixMass:
         block = validate_block(EXAMPLE_ROWS)
         with pytest.raises(PrefixTooLong):
             prefix_mass(block, (0, 0, 0))
-
-    def test_bad_token_rejected(self):
-        block = validate_block(EXAMPLE_ROWS)
-        for mass in (prefix_mass, log_prefix_mass):
-            for token, message in [
-                (3, "token id must be <= 2, got 3"),
-                (-1, "token id must be >= 0, got -1"),
-                (1.5, "token id must be an integer, got 1.5"),  # was numpy's bare IndexError
-            ]:
-                with pytest.raises(ValueError, match=message):
-                    mass(block, (token,))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -203,59 +194,8 @@ class TestSampling:
         samples = sample_continuations(validate_block(EXAMPLE_ROWS), 0, np.random.default_rng(0))
         assert samples.shape == (0, 2)
 
-    def test_a_negative_count_raises_naming_it(self):
-        with pytest.raises(ValueError, match="count must be >= 0"):
-            sample_continuations(validate_block(EXAMPLE_ROWS), -1, np.random.default_rng(0))
-
 
 EXAMPLE = validate_block(EXAMPLE_ROWS)
-
-# Each library boundary that takes a count, called with that count alone varied.
-COUNT_BOUNDARIES = {
-    "random_model seed": lambda n: random_model(n, 4, 1),
-    "random_model vocab_size": lambda n: random_model(0, n, 1),
-    "random_model order": lambda n: random_model(0, 4, n),
-    "deterministic_model seed": lambda n: deterministic_model(n, 4, 1),
-    "deterministic_model vocab_size": lambda n: deterministic_model(0, n, 1),
-    "deterministic_model order": lambda n: deterministic_model(0, 4, n),
-    "DrafterConfig block_len": lambda n: DrafterConfig(0.3, n),
-    "build_tree budget": lambda n: build_tree(EXAMPLE, n),
-    "top_k_per_depth budget": lambda n: top_k_per_depth(EXAMPLE, n),
-    "optimal_tree_exhaustive budget": lambda n: optimal_tree_exhaustive(EXAMPLE, n),
-    "random_valid_tree budget": lambda n: random_valid_tree(EXAMPLE, n, np.random.default_rng(0)),
-    "run_oracle_check max_vocab": lambda n: run_oracle_check(n, 3, 8, 2, 0),
-    "run_oracle_check max_len": lambda n: run_oracle_check(4, n, 8, 2, 0),
-    "run_oracle_check max_budget": lambda n: run_oracle_check(4, 3, n, 2, 0),
-    "run_oracle_check trials": lambda n: run_oracle_check(4, 3, 8, n, 0),
-    "run_oracle_check seed": lambda n: run_oracle_check(4, 3, 8, 2, n),
-    "sample_continuations count": lambda n: sample_continuations(
-        EXAMPLE, n, np.random.default_rng(0)
-    ),
-}
-
-
-# Every place a node count enters, called with that count.
-NODE_BOUNDARIES = {
-    "EpisodeConfig budget": lambda n: EpisodeConfig(seed=0, max_new_tokens=1, budget=n),
-    "EpisodeConfig block_len": lambda n: EpisodeConfig(seed=0, max_new_tokens=1, block_len=n),
-    "DrafterConfig block_len": lambda n: DrafterConfig(0.3, n),
-    "build_tree budget": lambda n: build_tree(EXAMPLE, n),
-    "run_oracle_check max_budget": lambda n: run_oracle_check(4, 3, n, 2, 0),
-}
-
-
-REAL_BOUNDARIES = {
-    "EpisodeConfig temperature": lambda x: EpisodeConfig(seed=0, max_new_tokens=1, temperature=x),
-    "EpisodeConfig drafter_noise": lambda x: EpisodeConfig(
-        seed=0, max_new_tokens=1, drafter_noise=x
-    ),
-    "DrafterConfig noise": lambda x: DrafterConfig(x, 4),
-    "CostModel t_target": lambda x: CostModel(t_target=x),
-    "CostModel t_draft": lambda x: CostModel(t_draft=x),
-    "CostModel t_verify_base": lambda x: CostModel(t_verify_base=x),
-    "CostModel kappa": lambda x: CostModel(kappa=x),
-    "random_model concentration": lambda x: random_model(0, 4, 1, x),
-}
 
 
 class TestRequireReal:
@@ -270,40 +210,13 @@ class TestRequireReal:
         with pytest.raises(ValueError, match="concentration must be > 0.0"):
             require_real("concentration", value, 0.0, strict=True)
 
-    @pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
-    def test_every_boundary_accepts_an_in_range_value(self, boundary):
-        REAL_BOUNDARIES[boundary](0.5)
-        REAL_BOUNDARIES[boundary](np.float64(0.5))
-
-    @pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
-    @pytest.mark.parametrize("value", ["x", "0.5", None, 1j])
-    def test_every_boundary_rejects_a_non_real_naming_the_parameter(self, boundary, value):
-        # Before one rule held, these raised a TypeError naming no parameter:
-        # "must be real number, not str" or "'<=' not supported ...".
-        with pytest.raises(ValueError, match=f"{boundary.split()[1]} must be a real number"):
-            REAL_BOUNDARIES[boundary](value)
-
-    @pytest.mark.parametrize("boundary", REAL_BOUNDARIES)
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_every_boundary_rejects_a_non_finite_value_naming_the_parameter(
-        self, boundary, value
-    ):
-        with pytest.raises(ValueError, match=f"{boundary.split()[1]} must be finite"):
-            REAL_BOUNDARIES[boundary](value)
-
-    @pytest.mark.parametrize("boundary", [b for b in REAL_BOUNDARIES if "CostModel" in b])
-    def test_a_cost_term_of_the_wrong_type_is_a_non_positive_cost(self, boundary):
-        with pytest.raises(NonPositiveCost, match=boundary.split()[1]):
-            REAL_BOUNDARIES[boundary](None)
-
-
 class TestRequireCount:
     @pytest.mark.parametrize("value", [0, 3, np.int64(3)])
     def test_accepts_integers(self, value):
         require_count("n", value, 0)
         require_count("n", value)
 
-    @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None])
+    @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None, True, np.True_])
     def test_rejects_non_integers_naming_the_argument(self, value):
         with pytest.raises(ValueError, match="budget must be an integer"):
             require_count("budget", value, 1)
@@ -312,14 +225,6 @@ class TestRequireCount:
     def test_rejects_a_value_below_the_floor(self, value):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             require_count("budget", value, 1)
-
-    @pytest.mark.parametrize("boundary", NODE_BOUNDARIES)
-    def test_every_node_count_stops_at_the_guard(self, boundary):
-        assert NODE_GUARD == np.iinfo(np.int16).max - 1  # the root is an entry too
-        NODE_BOUNDARIES[boundary](NODE_GUARD)
-        name = boundary.split()[1]
-        with pytest.raises(ValueError, match=f"{name} must be <= {NODE_GUARD}, got 32767"):
-            NODE_BOUNDARIES[boundary](NODE_GUARD + 1)
 
     def test_build_tree_past_the_guard_draws_no_chunk(self):
         drawn = []
@@ -331,15 +236,3 @@ class TestRequireCount:
         with pytest.raises(ValueError, match="budget must be <="):
             build_tree(chunks(), NODE_GUARD + 1)
         assert drawn == []
-
-    @pytest.mark.parametrize("boundary", COUNT_BOUNDARIES)
-    @pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3"])
-    def test_every_boundary_rejects_non_integers_naming_the_count(self, boundary, value):
-        # Before one rule held, these raised a TypeError naming no argument,
-        # and random_valid_tree built a tree of ceil(value) nodes.
-        with pytest.raises(ValueError, match=f"{boundary.split()[1]} must be an integer"):
-            COUNT_BOUNDARIES[boundary](value)
-
-    @pytest.mark.parametrize("boundary", COUNT_BOUNDARIES)
-    def test_every_boundary_accepts_numpy_integers(self, boundary):
-        COUNT_BOUNDARIES[boundary](np.int64(3))

@@ -76,10 +76,6 @@ class TestTopKPerDepth:
         assert ranked.token_ids[:, 0].tolist() == [0, 0]
         assert ranked.token_ids.shape == (2, 1)
 
-    def test_budget_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            top_k_per_depth(validate_block(EXAMPLE_ROWS), 0)
-
 
 class TestBuildTree:
     def test_worked_example_nodes_and_value(self):
@@ -444,6 +440,15 @@ class TestChunkedBuild:
         )
         assert a.child_table.dtype == b.child_table.dtype
         assert a.child_table.tobytes() == b.child_table.tobytes()
+
+    @pytest.mark.parametrize("vocabs", [(), (3, 2), (2, 3)])
+    def test_no_chunk_or_a_chunk_of_another_vocabulary_raises_naming_the_block(self, vocabs):
+        # Unchecked, no chunk and |V| 3 then 2 failed on a bare IndexError, and 2
+        # then 3 built a tree that left out the second depth's likeliest tokens.
+        chunks = [validate_block(np.ones((1, v))) for v in vocabs]
+        message = "block chunks must share one vocabulary" if vocabs else "block must hold"
+        with pytest.raises(ValueError, match=message):
+            build_tree(iter(chunks), 6)
 
     # One-hot rows put nearly all mass on one path, so a tree of B nodes is a
     # path of depth min(B, L): these budgets end on each side of the 4- and

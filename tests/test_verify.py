@@ -142,14 +142,6 @@ class TestFlatten:
         with pytest.raises(ValueError, match=f"tree nodes must be <= {NODE_GUARD}, got 32767"):
             flatten(self.chain_of(NODE_GUARD + 1), bonus=0)
 
-    @pytest.mark.parametrize(
-        "bonus,message", [(-3, "bonus must be >= 0, got -3"), (1.5, "bonus must be an integer")]
-    )
-    def test_a_bonus_that_is_no_token_id_raises(self, bonus, message):
-        # Unchecked, both made a flat with that bonus.
-        with pytest.raises(ValueError, match=message):
-            flatten(BRANCHY, bonus)
-
     def test_accepts_pop_orders_that_interleave_depths(self):
         # Builder node order is nonincreasing mass, not depth-sorted: here
         # (0,0) outweighs (1) and pops before it. Flattening must only rely
@@ -212,17 +204,6 @@ class TestPrefixView:
         assert flat.child(1, 3) == 3
         assert view.child(1, 3) is None
         assert view.child(0, 2) == 2
-
-    @pytest.mark.parametrize(
-        "size,message",
-        [(-1, "size must be >= 1"), (0, "size must be >= 1"), (2.5, "size must be an integer")],
-    )
-    def test_a_size_that_makes_no_tree_is_rejected(self, size, message):
-        # Unchecked, -1 gave every entry but the last, 0 a view with no root,
-        # and 2.5 a TypeError naming nothing.
-        flat = flatten(BRANCHY, bonus=0)
-        with pytest.raises(ValueError, match=message):
-            flat.prefix(size)
 
 
 class TestDerivedLayout:
