@@ -37,8 +37,12 @@ tree built at B or more, and otherwise builds at B and replaces the entry;
 ``budget_sweep`` runs its rows largest budget first, so each window's tree is
 built once. The store also keeps one token sequence per (episode seed,
 prompt_len, temperature), so each prompt is made and each position decided
-once per sweep. A hit returns exactly what a rebuild would. ``run_episode``
-and ``run_episodes`` open a scope only when none is open; it serves one model,
+once per sweep, and what decides a position: per temperature and context its
+decision row (the greedy token, or the tempered CDF, read once from the
+table), and per seed its position uniforms, drawn ``UNIFORM_BLOCK`` at a time
+and only at T > 0. Per temperature the rows hold at most one float per table
+entry. A hit returns exactly what a rebuild would. ``run_episode`` and
+``run_episodes`` open a scope only when none is open; it serves one model,
 holds at most |V|^order windows per mode and config, and runs every episode in
 the calling process.
 """
@@ -66,6 +70,8 @@ MODES = ("tree", "chain", "baseline")
 
 _POSITION_STREAM = 0
 _PROMPT_STREAM = 1
+# Position uniforms a sweep store draws at once for a seed (``position_uniforms``).
+UNIFORM_BLOCK = 64
 
 
 class NonPositiveCost(ValueError):
@@ -223,9 +229,87 @@ def _position_uniform(seed: int, position: int) -> float:
     return float(np.random.default_rng([seed, _POSITION_STREAM, position]).random())
 
 
+_WORD = 0xFFFFFFFF
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier in 64-bit halves.
+_MIX_INIT, _MIX_MULT, _STATE_INIT, _STATE_MULT = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_PCG_HIGH, _PCG_LOW = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashmix(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's ``hashmix`` of each row of ``values`` in turn, and the advanced constant."""
+    consts = [const]
+    for _ in values:
+        consts.append(consts[-1] * mult & _WORD)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    values = (values ^ column[:-1]) * column[1:]
+    return values ^ values >> 16, consts[-1]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two words."""
+    mixed = x * _MIX_LEFT - y * _MIX_RIGHT
+    return mixed ^ mixed >> 16
+
+
+def _pcg_step(high: np.ndarray, low: np.ndarray, inc: tuple[np.ndarray, np.ndarray]):
+    """PCG64's state step, ``state * multiplier + inc`` modulo 2**128, on 64-bit halves."""
+    low0, low1 = low & _WORD, low >> 32
+    p00, p01, p10 = (low0 * (_PCG_LOW & _WORD), low0 * (_PCG_LOW >> 32),
+                     low1 * (_PCG_LOW & _WORD))
+    mid = (p00 >> 32) + (p01 & _WORD) + (p10 & _WORD)
+    product = (p00 & _WORD) | mid << 32
+    high = (low1 * (_PCG_LOW >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+            + low * _PCG_HIGH + high * _PCG_LOW)
+    low = product + inc[1]
+    return high + inc[0] + (low < product), low
+
+
+def position_uniforms(seed: int, start: int, count: int) -> list[float]:
+    """``_position_uniform(seed, p)`` for the ``count`` positions from ``start``, bit for bit.
+
+    Replays, on arrays over the positions, what ``default_rng`` does before its
+    first ``random()``: numpy's SeedSequence hash (a pool of 4 words mixing the
+    entropy words: ``seed``'s uint32 words, low first, then ``_POSITION_STREAM``,
+    then the position), the 4 state words it draws, PCG64's seeding and one
+    step. Positions must be below 2**32, one entropy word each. Every operand
+    is an array: a numpy scalar's wrapping product warns.
+    """
+    require_count("seed", seed, 0)
+    require_count("start", start, 0, 2**32 - 1)
+    require_count("count", count, 0, 2**32 - start)
+    seed = operator.index(seed)
+    words = [seed >> shift & _WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(_POSITION_STREAM)
+    entropy = np.zeros((max(len(words) + 1, 4), count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(start, start + count)
+    pool, const = _hashmix(entropy[:4], _MIX_INIT, _MIX_MULT)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed, const = _hashmix(pool[[src] * 3], const, _MIX_MULT)
+        pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[4:]:
+        hashed, const = _hashmix(np.tile(word, (4, 1)), const, _MIX_MULT)
+        pool = _mix(pool, hashed)
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_INIT, _STATE_MULT)[0].astype(np.uint64)
+    # PCG64's seeding: inc = 2 * initseq + 1, and the state starts at initstate + inc.
+    init_high, init_low, seq_high, seq_low = state[0::2] | state[1::2] << 32
+    inc = (seq_high << 1 | seq_low >> 63, seq_low << 1 | 1)
+    low = init_low + inc[1]
+    high = init_high + inc[0] + (low < init_low)
+    for _ in range(2):  # the seeding's last step, then the draw's
+        high, low = _pcg_step(high, low, inc)
+    # The draw: the halves' xor rotated right by the state's top 6 bits, then its top 53 bits.
+    rotate, out = high >> 58, high ^ low
+    out = out >> rotate | out << (-rotate & 63)
+    return ((out >> 11) * 2.0**-53).tolist()
+
+
 def make_prompt(model: NgramModel, seed: int, prompt_len: int) -> tuple[int, ...]:
     """Seeded prompt over non-pad tokens."""
     require_count("seed", seed, 0)
+    require_count("prompt_len", prompt_len, 1)
     rng = np.random.default_rng([seed, _PROMPT_STREAM])
     return tuple(int(t) for t in rng.integers(1, model.vocab_size, size=prompt_len))
 
@@ -241,15 +325,34 @@ def decode_next(
     and small temperatures approach the argmax instead of underflowing. Both
     rules read tokens 1..|V|-1 only, so the context pad is never generated:
     tempering lifts its clamp-minimum mass, and a hand-built row may peak at it.
+    The sweep store applies the same ``_decide`` to the ``_decision_row`` it keeps.
+    """
+    return _decide(_decision_row(model, context, temperature), u)
+
+
+def _decision_row(
+    model: NgramModel, context: Sequence[int], temperature: float
+) -> int | np.ndarray:
+    """What decides every position after ``context``: the greedy token at T=0, else the CDF.
+
+    The CDF is the read-only cumulative tempered weights of tokens 1..|V|-1.
     """
     row = target_next(model, context)[1:]
     if temperature == 0.0:
         return 1 + int(np.argmax(row))
-    if u is None:
-        raise ValueError("sampling requires a uniform draw")
     weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
     cdf = np.cumsum(weights)
-    return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _decide(row: int | np.ndarray, u: float | None) -> int:
+    """The token a decision row gives for the uniform ``u``, which a greedy row ignores."""
+    if not isinstance(row, np.ndarray):
+        return row
+    if u is None:
+        raise ValueError("sampling requires a uniform draw")
+    return 1 + min(int(row.searchsorted(u * row[-1], side="right")), len(row) - 1)
 
 
 def argmax_path(block: MarginalBlock) -> tuple[int, ...]:
@@ -262,10 +365,13 @@ _DraftKey = tuple[tuple[int, ...], str, int, float]
 
 
 class _SweepStore:
-    """What the rows of one sweep share: drafts and token sequences.
+    """What the rows of one sweep share: drafts, token sequences and what decides them.
 
     ``sequences[(seed, prompt_len, temperature)]`` is that episode's prompt
-    followed by the target's decisions, extended on demand.
+    followed by the target's decisions, extended on demand. A decision reads
+    ``rows[(temperature, context)]``, the context's ``_decision_row``, and at
+    T > 0 ``uniforms[seed]``, the seed's position uniforms from position 0,
+    drawn ``UNIFORM_BLOCK`` at a time.
     """
 
     def __init__(self, model: NgramModel) -> None:
@@ -273,6 +379,22 @@ class _SweepStore:
         # A tree's (built at, flat); a chain's argmax path over the rows drawn so far.
         self.drafts: dict[_DraftKey, tuple[int, FlattenedTree] | tuple[int, ...]] = {}
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
+        self.rows: dict[tuple[float, tuple[int, ...]], int | np.ndarray] = {}
+        self.uniforms: dict[int, list[float]] = {}
+
+    def decide(
+        self, context: tuple[int, ...], temperature: float, seed: int, position: int
+    ) -> int:
+        """``decode_next`` of the token at output ``position`` after ``context``, from the store."""
+        row = self.rows.get((temperature, context))
+        if row is None:
+            row = self.rows[temperature, context] = _decision_row(self.model, context, temperature)
+        if temperature == 0.0:
+            return row
+        uniforms = self.uniforms.setdefault(seed, [])
+        while len(uniforms) <= position:
+            uniforms += position_uniforms(seed, len(uniforms), UNIFORM_BLOCK)
+        return _decide(row, uniforms[position])
 
 
 _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
@@ -280,14 +402,14 @@ _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
 
 @contextmanager
 def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
-    """Share one store of drafts and token sequences across rows.
+    """Share one store of drafts, token sequences and decisions across rows.
 
     Opens a store for ``model`` unless one is open already, in which case the
     open one serves; no draft key has a model field, so a scope open for
     another model raises ValueError. The store is dropped when the scope that
     opened it exits. Drafts do not depend on temperature or episode count,
-    and sequences are keyed by all they depend on besides the model, so any
-    rows of one model may share a scope.
+    and sequences, decision rows and uniforms are keyed by all they depend on
+    besides the model, so any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -319,8 +441,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         def target(index: int) -> int:
             while len(seq) <= index:
                 position = len(seq) - cfg.prompt_len
-                u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, position)
-                seq.append(decode_next(model, seq[-order:], cfg.temperature, u))
+                seq.append(store.decide(tuple(seq[-order:]), cfg.temperature, cfg.seed, position))
             return seq[index]
 
         def rollout(depth: int) -> int:  # the target's token at ``depth``; 0 follows the bonus

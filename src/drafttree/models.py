@@ -154,10 +154,14 @@ def deterministic_model(seed: int, vocab_size: int, order: int) -> NgramModel:
 
 
 def _context_index(model: NgramModel, context: Sequence[int]) -> int:
-    window = ([PAD_TOKEN] * model.order + list(context))[-model.order :]
-    index = 0
-    for token in window:
+    """The table row of the context's last ``order`` tokens, padded on the left with the pad.
+
+    Every token of the context must be an id, the older ones it drops too.
+    """
+    for token in context:
         require_count("token id", token, 0, model.vocab_size - 1)
+    index = 0
+    for token in context[-model.order :]:  # a leading pad adds nothing to the index
         index = index * model.vocab_size + token
     return index
 

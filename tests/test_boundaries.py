@@ -30,7 +30,8 @@ from drafttree import (
 )
 from drafttree.cli import build_parser, main, run_oracle_check
 from drafttree.distributions import NODE_GUARD
-from drafttree.engine import MODES, NonPositiveCost, make_prompt
+from drafttree.engine import MODES, NonPositiveCost, make_prompt, position_uniforms
+from drafttree.models import drafter_chunks
 
 from blocks import EXAMPLE_ROWS
 
@@ -48,9 +49,10 @@ class Row:
     optional: bool = False  # None is legal
     error: type = ValueError
     above: str = "{name} must be <= {high}, got {value}"
+    variant: str = ""  # tells apart two rows of one parameter
 
     def __repr__(self):
-        return f"{self.owner.__qualname__}.{self.param}"
+        return f"{self.owner.__qualname__}.{self.param}{self.variant}"
 
 
 def row(kind, owner, param, call, *bounds, **kw):
@@ -101,6 +103,13 @@ ROWS = [
     node(exact_marginals, "block_len", lambda n: exact_marginals(MODEL, (), 1, n)),
     token(drafter_marginals, "context", lambda t: drafter_marginals(MODEL, (t,), 1, DRAFTER), 3),
     token(drafter_marginals, "bonus", lambda t: drafter_marginals(MODEL, (), t, DRAFTER), 3),
+    # A context token older than the order-2 window is checked too.
+    *(token(owner, "context", call, 3, variant=".older") for owner, call in [
+        (target_next, lambda t: target_next(MODEL, (t, 1, 2))),
+        (exact_marginals, lambda t: exact_marginals(MODEL, (t, 1), 1, 2)),
+        (drafter_marginals, lambda t: drafter_marginals(MODEL, (t, 1), 1, DRAFTER)),
+        (drafter_chunks, lambda t: next(drafter_chunks(MODEL, (t, 1), 1, DRAFTER))),
+    ]),
     *(real(CostModel, f, lambda x, f=f: CostModel(**{f: x}), 0.0,
            strict=f in ("t_target", "t_verify_base"), error=NonPositiveCost)
       for f in ("t_target", "t_draft", "t_verify_base", "kappa")),
@@ -129,13 +138,19 @@ ROWS = [
     node(budget_sweep, "budgets", lambda n: budget_sweep(MODEL, CFG, [n]), name="budget"),
     count(budget_sweep, "episodes", lambda n: budget_sweep(MODEL, CFG, [4], n), 1),
     count(budget_sweep, "workers", lambda n: budget_sweep(MODEL, CFG, [4], 1, n), 1),
-    # Outside ``__all__``: the oracle check behind the CLI, the prompt and a stored view.
+    # Outside ``__all__``: the oracle check behind the CLI, the prompt, the position
+    # uniforms and a stored view.
     count(run_oracle_check, "max_vocab", lambda n: run_oracle_check(n, 3, 8, 2, 0), 2),
     count(run_oracle_check, "max_len", lambda n: run_oracle_check(4, n, 8, 2, 0), 1),
     node(run_oracle_check, "max_budget", lambda n: run_oracle_check(4, 3, n, 2, 0)),
     count(run_oracle_check, "trials", lambda n: run_oracle_check(4, 3, 8, n, 0), 0),
     count(run_oracle_check, "seed", lambda n: run_oracle_check(4, 3, 8, 2, n), 0),
     count(make_prompt, "seed", lambda n: make_prompt(MODEL, n, 4), 0),
+    count(make_prompt, "prompt_len", lambda n: make_prompt(MODEL, 0, n), 1),
+    # Positions are one uint32 word each: the last one is 2**32 - 1.
+    count(position_uniforms, "seed", lambda n: position_uniforms(n, 0, 1), 0),
+    count(position_uniforms, "start", lambda n: position_uniforms(0, n, 1), 0, 2**32 - 1),
+    count(position_uniforms, "count", lambda n: position_uniforms(0, 2**32 - 2, n), 0, 2),
     count(FlattenedTree.prefix, "size", lambda n: flatten(TREE, 0).prefix(n), 1),
 ]
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,13 @@ from drafttree.engine import (
     episode_seed,
     estimate_speedup,
     make_prompt,
+    position_uniforms,
     run_episode,
     run_episodes,
     sweep_scope,
+    UNIFORM_BLOCK,
+    _decide,
+    _decision_row,
     _position_uniform,
 )
 from drafttree.models import (
@@ -157,6 +162,94 @@ class TestPadNeverSampled:
         model = random_model(0, vocab_size=16, order=2, concentration=1.0)
         cfg = small_cfg(mode="baseline", temperature=20.0, max_new_tokens=256)
         assert 0 not in run_episode(model, cfg).tokens
+
+
+def seeds_of_words(words):
+    """A seed whose uint32 words, low first, number ``words``: its top word is nonzero."""
+    return st.integers(0 if words == 1 else 2 ** (32 * words - 32), 2 ** (32 * words) - 1)
+
+
+class TestPositionUniforms:
+    @given(
+        st.integers(1, 3).flatmap(seeds_of_words),
+        st.integers(0, 2**32 // UNIFORM_BLOCK - 3).map(lambda block: block * UNIFORM_BLOCK),
+        st.integers(1, 130),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(0, 0, 130)
+    @example(2**32 - 1, 2**32 - 3 * UNIFORM_BLOCK, 1)
+    @example(2**32, UNIFORM_BLOCK, UNIFORM_BLOCK)
+    @example(3**50, 2 * UNIFORM_BLOCK, 130)
+    def test_equals_numpy_s_generator_at_every_position(self, seed, start, count):
+        expected = [_position_uniform(seed, p) for p in range(start, start + count)]
+        assert position_uniforms(seed, start, count) == expected
+
+    @pytest.mark.parametrize("position", [0, 1, 2**31, 2**32 - 1])
+    def test_one_position_overflows_no_numpy_scalar(self, position):
+        # The hash and the 128-bit step wrap on purpose; a numpy scalar that
+        # wraps warns, so every operand must stay an array.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uniforms = position_uniforms(2**64 - 1, position, 1)
+        assert uniforms == [_position_uniform(2**64 - 1, position)]
+
+    def test_a_position_past_one_word_raises_naming_the_argument(self):
+        with pytest.raises(ValueError, match="start must be <= 4294967295, got 4294967296"):
+            position_uniforms(0, 2**32, 1)
+        with pytest.raises(ValueError, match="count must be <= 64, got 65"):
+            position_uniforms(0, 2**32 - UNIFORM_BLOCK, UNIFORM_BLOCK + 1)
+
+
+class TestDecisionRows:
+    @staticmethod
+    def searched(model, context, temperature, u):
+        """The token for ``u`` by ``np.searchsorted`` over a freshly tempered row."""
+        row = target_next(model, context)[1:]
+        if temperature == 0.0:
+            return 1 + int(np.argmax(row))
+        weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
+        cdf = np.cumsum(weights)
+        return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
+
+    @staticmethod
+    def uniforms_on_steps(cdf):
+        """Uniforms whose scaled value lands on each step of ``cdf``, and their neighbours."""
+        on = [c / cdf[-1] for c in cdf[:-1]]
+        return [float(v) for u in on for v in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))]
+
+    @given(
+        st.integers(0, 2**32 - 1),  # model seed
+        st.integers(2, 32),  # vocab
+        st.sampled_from([0.01, 0.3, 1.0]),  # concentration
+        st.sampled_from([0.0, 1e-3, 0.5, 1.0, 3.0]),  # temperature
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_decides_as_searchsorted_over_the_drawn_row(
+        self, seed, vocab, concentration, temperature, drawn
+    ):
+        model = random_model_or_reject(seed, vocab, 1, concentration)
+        for context in [(token,) for token in range(vocab)]:
+            row = _decision_row(model, context, temperature)
+            uniforms = drawn + [0.0]
+            if temperature > 0.0:
+                assert not row.flags.writeable
+                uniforms += self.uniforms_on_steps(row)
+            for u in uniforms:
+                expected = self.searched(model, context, temperature, u)
+                assert _decide(row, u) == decode_next(model, context, temperature, u) == expected
+
+    @pytest.mark.parametrize("temperature", [1e-3, 0.5, 1.0, 3.0])
+    def test_a_uniform_on_a_step_takes_the_next_token(self, temperature):
+        # Dyadic weights, so the scaled uniform lands on the step exactly.
+        table = np.tile([0.0, 0.25, 0.25, 0.5], (4, 1))
+        model = NgramModel(order=1, vocab_size=4, table=table)
+        row = _decision_row(model, (1,), temperature)
+        on_step = [u for u in self.uniforms_on_steps(row)[1::3] if u * row[-1] in row]
+        assert len(on_step) == 2 or temperature not in (0.5, 1.0)
+        for u in on_step:
+            token = 2 + list(row).index(u * row[-1])
+            assert _decide(row, u) == self.searched(model, (1,), temperature, u) == token
 
 
 class TestBaselineMode:
@@ -726,6 +819,45 @@ class TestDraftCache:
                 run_episodes(MODEL, replace(cfg, mode=mode), 3)
         # Four rows of three episodes read three stored sequences.
         assert sorted(calls) == sorted(episode_seed(cfg.seed, i) for i in range(3))
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_a_scope_draws_each_uniform_block_and_decision_row_once(
+        self, monkeypatch, temperature
+    ):
+        blocks, rows = [], []
+
+        def counted_uniforms(seed, start, count):
+            blocks.append((seed, start, count))
+            return position_uniforms(seed, start, count)
+
+        def counted_row(model, context):
+            rows.append(context)
+            return target_next(model, context)
+
+        monkeypatch.setattr(engine, "position_uniforms", counted_uniforms)
+        monkeypatch.setattr(engine, "target_next", counted_row)
+        cfg = small_cfg(temperature=temperature, max_new_tokens=150)
+        for _ in range(2):  # the second scope keeps nothing of the first
+            blocks.clear()
+            rows.clear()
+            with sweep_scope(MODEL) as store:
+                self.scoped_rows(cfg, episodes=3)
+            assert sorted(rows) == sorted(context for _, context in store.rows)
+            assert len(set(rows)) == len(rows) < 3 * (cfg.max_new_tokens + 1)
+            for (t, context), row in store.rows.items():
+                assert t == temperature and len(context) == MODEL.order
+                fresh = _decision_row(MODEL, context, temperature)
+                assert np.array_equal(row, fresh) and type(row) is type(fresh)
+            if temperature == 0.0:
+                assert blocks == [] and store.uniforms == {}
+                continue
+            assert sorted(store.uniforms) == sorted(episode_seed(cfg.seed, i) for i in range(3))
+            for seed, uniforms in store.uniforms.items():
+                starts = list(range(0, len(uniforms), UNIFORM_BLOCK))
+                assert len(starts) == 3  # the 151 positions decided, in blocks
+                assert [b for b in blocks if b[0] == seed] == [
+                    (seed, start, UNIFORM_BLOCK) for start in starts]
+                assert uniforms == [_position_uniform(seed, p) for p in range(len(uniforms))]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
