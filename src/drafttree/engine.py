@@ -20,7 +20,7 @@ before it and a uniform derived only from (episode seed, output position). An
 episode is a cursor ``n`` into it; a round commits the longest run of decisions
 from ``n`` on that is a path of its draft, plus the next bonus. Modes thus
 commit equal tokens by construction, so losslessness is checked against
-``oracle.reference_episode`` (full history, no store), not across modes.
+``oracle.reference_episode`` (no store, every round played), not across modes.
 
 ``max_new_tokens`` budgets the tokens committed by verification rounds; the
 initial prefill token (round 1's bonus) is produced before any round and does
@@ -41,10 +41,13 @@ once per sweep, and what decides a position: per temperature and context its
 decision row (the greedy token, or the tempered CDF, read once from the
 table), and per seed its position uniforms, drawn ``UNIFORM_BLOCK`` at a time
 and only at T > 0. Per temperature the rows hold at most one float per table
-entry. A hit returns exactly what a rebuild would. ``run_episode`` and
-``run_episodes`` open a scope only when none is open; it serves one model,
-holds at most |V|^order windows per mode and config, and runs every episode in
-the calling process.
+entry. At T=0 a round's rollout, and so its whole walk, is a function of its
+window: the store keeps each greedy round played, its outcome and nodes
+verified per (draft key, budget), and a later round that meets the pair
+decides the tokens up to its next bonus and plays nothing. A hit returns
+exactly what a rebuild would. ``run_episode`` and ``run_episodes`` open a
+scope only when none is open; it serves one model, holds at most |V|^order
+windows per mode and config, and runs every episode in the calling process.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import reduce
 from operator import add
 from typing import Iterator, Sequence
 
@@ -162,7 +164,7 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class EpisodeStats:
-    """Acceptance statistics of one episode, or of several pooled by ``merge``.
+    """Acceptance statistics of one episode, or of several of one config pooled.
 
     ``budget`` is the number of nodes verified per round: B for the tree,
     block_len for the chain, 0 for the baseline. ``tau_histogram[k-1]`` counts
@@ -371,7 +373,8 @@ class _SweepStore:
     followed by the target's decisions, extended on demand. A decision reads
     ``rows[(temperature, context)]``, the context's ``_decision_row``, and at
     T > 0 ``uniforms[seed]``, the seed's position uniforms from position 0,
-    drawn ``UNIFORM_BLOCK`` at a time.
+    drawn ``UNIFORM_BLOCK`` at a time. ``rounds[(draft key, budget)]`` is a
+    greedy round played, which every later greedy round of the pair reuses.
     """
 
     def __init__(self, model: NgramModel) -> None:
@@ -381,6 +384,8 @@ class _SweepStore:
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
         self.rows: dict[tuple[float, tuple[int, ...]], int | np.ndarray] = {}
         self.uniforms: dict[int, list[float]] = {}
+        # A greedy round's (outcome, nodes verified) per (draft key, budget).
+        self.rounds: dict[tuple[_DraftKey, int], tuple[RoundOutcome, int]] = {}
 
     def decide(
         self, context: tuple[int, ...], temperature: float, seed: int, position: int
@@ -481,7 +486,13 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 break
             window = tuple(seq[max(0, n - order):n])  # ends with the bonus
             key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
-            outcome, verified = play(key, window[:-1], window[-1])
+            if cfg.temperature != 0.0:
+                outcome, verified = play(key, window[:-1], window[-1])
+            elif (played := store.rounds.get((key, budget))) is None:
+                outcome, verified = store.rounds[key, budget] = play(key, window[:-1], window[-1])
+            else:  # a greedy walk is a function of its window: decide the tokens it read
+                outcome, verified = played
+                target(n + outcome.acceptance_length)
             # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
             k = min(outcome.acceptance_length + 1, end - n)
             if cfg.eos_token in seq[n:n + k]:
@@ -509,6 +520,9 @@ def run_episodes(
 ) -> EpisodeStats:
     """Run ``episodes`` seeded episodes of one config and pool their stats.
 
+    The pooled histogram is the episodes' histograms summed bin by bin, built
+    and checked once; ``EpisodeStats.merge`` pools the same way, a pair at a time.
+
     Episode seeds derive from (cfg.seed, episode index). The episodes run in
     episode order in this process, under the open sweep scope, or under one
     opened here and dropped on return; a scope serving another model raises
@@ -522,7 +536,8 @@ def run_episodes(
             run_episode(model, replace(cfg, seed=episode_seed(cfg.seed, i))).stats
             for i in range(episodes)
         ]
-    return reduce(EpisodeStats.merge, stats)
+    pooled = tuple(map(sum, zip(*(s.tau_histogram for s in stats))))
+    return replace(stats[0], episodes=episodes, tau_histogram=pooled)
 
 
 @dataclass(frozen=True)

@@ -220,40 +220,52 @@ def loop_drafter_rows(
 def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     """The episode ``engine.run_episode`` must return, computed the slow way.
 
-    Every round drafts from the full history with ``loop_drafter_rows``,
-    rebuilds its tree (``build_tree`` at the config's budget, ``chain_tree``,
-    or no nodes for the baseline) and walks it by scanning the tree's node
-    prefixes for the target's chosen child. Every step is a ``decode_next``
-    call on the whole history, with the uniform of its absolute output
-    position. The trace is always built and returned only when
-    ``cfg.collect_trace`` asks for it.
+    Every round drafts from the history with ``loop_drafter_rows``, rebuilds
+    its tree (``build_tree`` at the config's budget, ``chain_tree``, or no
+    nodes for the baseline) and walks it by scanning the tree's node prefixes
+    for the target's chosen child. Every step is a ``decode_next`` call on
+    the last ``order`` tokens before it, with the uniform of its absolute
+    output position. Each token id is checked once, when it joins the
+    history, so no decision re-reads the whole history. The trace is always
+    built and returned only when ``cfg.collect_trace`` asks for it.
     """
     prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
     drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)
+    order = model.order
+    history: list[int] = []  # the prompt, the prefill bonus, then every commit
 
-    def target(history: list[int]) -> int:
-        position = len(history) - len(prompt)
+    def extend(tokens: Sequence[int]) -> None:
+        """Append ``tokens`` to the history, checking each token id once."""
+        for token in tokens:
+            require_count("token id", token, 0, model.vocab_size - 1)
+        history.extend(tokens)
+
+    def target(path: tuple[int, ...]) -> int:
+        """The target's token after the history and ``path``, decided from the last ``order``."""
+        position = len(history) + len(path) - len(prompt)
         u = None if cfg.temperature == 0.0 else _position_uniform(cfg.seed, position)
-        return decode_next(model, history, cfg.temperature, u)
+        return decode_next(model, (*history[-order:], *path)[-order:], cfg.temperature, u)
 
-    tokens = [target(list(prompt))]  # the prefill bonus, then every commit
+    extend(prompt)
+    extend([target(())])  # the prefill bonus
+    start = len(history)
     hist = [0] * (cfg.block_len + 1)
     trace: list[dict] = []
-    done = tokens[0] == cfg.eos_token
-    while len(tokens) - 1 < cfg.max_new_tokens and not done:
+    done = history[-1] == cfg.eos_token
+    while len(history) - start < cfg.max_new_tokens and not done:
         if cfg.max_rounds is not None and len(trace) == cfg.max_rounds:
             break
-        history = [*prompt, *tokens]
         tree = DraftTree(nodes=())
         if cfg.mode != "baseline":
-            block = validate_block(loop_drafter_rows(model, history[:-1], history[-1], drafter_cfg))
+            rows = loop_drafter_rows(model, history[-order:-1], history[-1], drafter_cfg)
+            block = validate_block(rows)
             tree = build_tree(block, budget) if cfg.mode == "tree" else chain_tree(block)
         prefixes = node_prefixes(tree)
         path: tuple[int, ...] = ()
         kept = [0]  # flattened indices: the root, then node i at i + 1
         while True:
-            chosen = target(history + list(path))
+            chosen = target(path)
             matches = [i for i, prefix in enumerate(prefixes) if prefix == path + (chosen,)]
             if not matches:
                 break
@@ -267,14 +279,16 @@ def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             "next_bonus": chosen,
             "kept_indices": kept,
         })
-        commit = [*path, chosen][: cfg.max_new_tokens - (len(tokens) - 1)]
+        commit = [*path, chosen][: cfg.max_new_tokens - (len(history) - start)]
         if cfg.eos_token in commit:
             commit = commit[: commit.index(cfg.eos_token) + 1]
             done = True
-        tokens += commit
+        extend(commit)
         hist[len(commit) - 1] += 1
 
     stats = EpisodeStats(mode=cfg.mode, budget=budget, episodes=1, tau_histogram=tuple(hist))
     return EpisodeResult(
-        stats=stats, tokens=tuple(tokens), trace=tuple(trace) if cfg.collect_trace else ()
+        stats=stats,
+        tokens=tuple(history[len(prompt):]),
+        trace=tuple(trace) if cfg.collect_trace else (),
     )

@@ -24,6 +24,13 @@ sift. Each pop asserts that its incremental score is within
 ``SCORE_DRIFT_TOL`` of its path sum, the parent's path sum plus the node's
 own log factor: its log factors added root to node, never through the
 sibling swaps whose drift the check exists to catch.
+
+A pop builds no node object: it appends its parent, depth, rank and score
+to the tree's columns, which become numpy arrays (parent, token, depth and
+log mass, in pop order) in a few calls after the last pop.
+``DraftTree.nodes`` reads the columns back as ``TreeNode`` rows, and
+``DraftTree(nodes)`` makes the columns from rows for trees built by hand or
+by the oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ SCORE_DRIFT_TOL = 1e-9
 
 
 class TreeNode(NamedTuple):
-    """One drafted token, a plain tuple so that each heap pop builds it cheaply."""
+    """One drafted token: a row of a ``DraftTree``'s columns, read through ``nodes``."""
 
     token_id: int
     depth: int
@@ -60,14 +67,21 @@ class TreeNode(NamedTuple):
     log_mass: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
 
-    ``nodes`` holds ``TreeNode`` tuples. A node's ``parent`` is the index of
-    an earlier node in ``nodes``, or ROOT_PARENT at depth 1. A built node's
-    ``log_mass`` is the heap's incremental score, which its pop checked
-    against the node's path sum of log factors within ``SCORE_DRIFT_TOL``.
+    The tree is four read-only columns, one row per node: ``parents`` (the
+    index of an earlier node, or ROOT_PARENT at depth 1), ``token_ids``,
+    ``depths`` and ``log_masses``. A built node's log mass is the heap's
+    incremental score, which its pop checked against the node's path sum of
+    log factors within ``SCORE_DRIFT_TOL``. ``nodes``, the rows as
+    ``TreeNode`` tuples, and ``surrogate_value`` are derived on first read.
+
+    ``DraftTree(nodes, heap_pushes)`` builds a tree from ``TreeNode`` rows,
+    as the oracle, ``tree_from_prefixes`` and hand-built trees do; the
+    builder makes its columns directly. Two trees are equal when their
+    columns and push counts are.
 
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
     (successor insertions only, a sibling that replaces the popped top among
@@ -75,23 +89,66 @@ class DraftTree:
     so pops are the node count. A ``build_tree`` tree does at most B pops
     and 2B pushes; a ``chain_tree`` reports a pop per row and one push fewer,
     which nothing reads. Trees built any other way report zero pushes.
-    ``surrogate_value`` is derived from the nodes on first read.
     """
 
-    nodes: tuple[TreeNode, ...]
-    heap_pushes: int = 0
+    parents: np.ndarray  # (nodes,) intp
+    token_ids: np.ndarray  # (nodes,) intp
+    depths: np.ndarray  # (nodes,) intp
+    log_masses: np.ndarray  # (nodes,) float64
+    heap_pushes: int
+
+    def __init__(self, nodes: Iterable[TreeNode] = (), heap_pushes: int = 0) -> None:
+        nodes = tuple(nodes)
+        token_ids, depths, parents, log_masses = zip(*nodes) if nodes else ((),) * 4
+        self._fill(parents, token_ids, depths, log_masses, heap_pushes)
+        self.__dict__["nodes"] = nodes
+
+    @classmethod
+    def _of_columns(
+        cls, parents: Iterable[int], token_ids: Iterable[int], depths: Iterable[int],
+        log_masses: Iterable[float], heap_pushes: int,
+    ) -> DraftTree:
+        tree = cls.__new__(cls)
+        tree._fill(parents, token_ids, depths, log_masses, heap_pushes)
+        return tree
+
+    def _fill(self, parents, token_ids, depths, log_masses, heap_pushes) -> None:
+        """Set the columns, as read-only arrays, and the push count."""
+        for name, values, dtype in (
+            ("parents", parents, np.intp),
+            ("token_ids", token_ids, np.intp),
+            ("depths", depths, np.intp),
+            ("log_masses", log_masses, np.float64),
+        ):
+            column = np.asarray(values, dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "heap_pushes", heap_pushes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DraftTree):
+            return NotImplemented
+        return self.heap_pushes == other.heap_pushes and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("parents", "token_ids", "depths", "log_masses")
+        )
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.parents)
 
     @property
     def heap_pops(self) -> int:
-        return len(self.nodes)
+        return len(self.parents)
+
+    @cached_property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        columns = (self.token_ids, self.depths, self.parents, self.log_masses)
+        return tuple(map(TreeNode._make, zip(*(c.tolist() for c in columns))))
 
     @cached_property
     def surrogate_value(self) -> float:
         """Expected acceptance under the factorized drafter: fsum of exp(log_mass)."""
-        return math.fsum(math.exp(n.log_mass) for n in self.nodes)
+        return math.fsum(map(math.exp, self.log_masses.tolist()))
 
 
 class RankedDepths(NamedTuple):
@@ -140,7 +197,7 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     first = next(pending, None)
     if first is None:
         raise ValueError("block must hold at least one chunk of rows")
-    token_ids: list[list[int]] = []
+    ranked_ids: list[np.ndarray] = []
     logq: list[list[float]] = []
 
     def rank(block: MarginalBlock) -> int:
@@ -151,42 +208,49 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
                 f"after {first.vocab_size}"
             )
         ranked = top_k_per_depth(block, width)
-        token_ids.extend(ranked.token_ids.tolist())
+        ranked_ids.append(ranked.token_ids)
         logq.extend(np.log(ranked.probs).tolist())
         return len(logq)
 
     depth_cap = rank(first)  # depths ranked so far
     pull_at = depth_cap  # a pop at this depth ranks the next chunk; 0 once none is left
-    k = len(token_ids[0])
+    k = len(logq[0])
     tol = SCORE_DRIFT_TOL
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
-    # TreeNode(...) runs the NamedTuple's Python-level __new__, a frame that
-    # only makes this call; calling it directly builds the same TreeNode.
-    new_node = tuple.__new__
 
     # Heap entries: (-score, depth, code, last rank, parent node index). code
     # is the rank tuple in base k, so at equal depth codes order as the tuples
     # do; the first three fields are unique per node, so the rest never gets
-    # compared.
+    # compared. Scores stay negated throughout: negation is exact, so each
+    # is the negation of the score the same additions would give unnegated.
     heap: list[tuple[float, int, int, int, int]] = [(-logq[0][0], 1, 0, 0, ROOT_PARENT)]
     # path_sums[i + 1] is node i's log factors summed root to node in depth
     # order; path_sums[0] is the root's empty sum.
     path_sums = [0.0]
-    nodes: list[TreeNode] = []
-    append = nodes.append
+    # The tree's columns in pop order; scores negated, tokens as depth ranks.
+    neg_scores: list[float] = []
+    depths: list[int] = []
+    ranks: list[int] = []
+    parents: list[int] = []
+    append_score, append_depth = neg_scores.append, depths.append
+    append_rank, append_parent = ranks.append, parents.append
     for index in range(budget):
         if not heap:
             break
         neg_score, depth, code, last, parent = heap[0]
-        score = -neg_score
         logq_row = logq[depth - 1]
-        direct = path_sums[parent + 1] + logq_row[last]
-        assert abs(score - direct) <= tol
+        factor = logq_row[last]
+        direct = path_sums[parent + 1] + factor
+        assert -tol <= neg_score + direct <= tol
         path_sums.append(direct)
-        append(new_node(TreeNode, (token_ids[depth - 1][last], depth, parent, score)))
-        if last + 1 < k:
-            sibling_score = score - logq_row[last] + logq_row[last + 1]
-            heapreplace(heap, (-sibling_score, depth, code + 1, last + 1, parent))
+        append_score(neg_score)
+        append_depth(depth)
+        append_rank(last)
+        append_parent(parent)
+        sibling = last + 1
+        if sibling < k:
+            sibling_score = neg_score + factor - logq_row[sibling]
+            heapreplace(heap, (sibling_score, depth, code + 1, sibling, parent))
         else:
             heappop(heap)
         if depth == pull_at:
@@ -194,11 +258,14 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
             pull_at = 0 if block is None else rank(block)
             depth_cap = len(logq)
         if depth < depth_cap:
-            child_score = score + logq[depth][0]
-            heappush(heap, (-child_score, depth + 1, code * k, 0, index))
+            heappush(heap, (neg_score - logq[depth][0], depth + 1, code * k, 0, index))
     # Every push is popped or still queued; the seed entry is not a push.
-    pushes = len(nodes) + len(heap) - 1
-    return DraftTree(nodes=tuple(nodes), heap_pushes=pushes)
+    pushes = len(parents) + len(heap) - 1
+    depth_column = np.array(depths, dtype=np.intp)
+    token_ids = np.concatenate(ranked_ids)[depth_column - 1, ranks]
+    return DraftTree._of_columns(
+        parents, token_ids, depth_column, np.negative(neg_scores), pushes
+    )
 
 
 def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> DraftTree:

@@ -141,24 +141,24 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     ``NODE_GUARD`` nodes.
     """
     require_count("bonus", bonus, 0)
-    require_count("tree nodes", len(tree.nodes), None, NODE_GUARD)
-    n = len(tree.nodes) + 1
+    require_count("tree nodes", len(tree), None, NODE_GUARD)
+    n = len(tree) + 1
     # Node i is entry i + 1, so its flat parent is its parent + 1; a depth-1
     # node's ROOT_PARENT (-1) becomes the root entry 0.
-    parents = np.array([node.parent + 1 for node in tree.nodes], dtype=np.intp)
+    parents = tree.parents + 1
     indices = np.arange(1, n)
     assert (parents < indices).all(), "parent must precede child in node order"
 
     # Fill every (parent, token) slot at once; a slot taken twice keeps only
     # one index, so the other child reads back someone else's.
-    tokens = np.array([node.token_id for node in tree.nodes], dtype=np.intp)
+    tokens = tree.token_ids
     child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=np.int16)
     child_table[parents, tokens] = indices
     clashes = np.flatnonzero(child_table[parents, tokens] != indices)
     if clashes.size:
-        node = tree.nodes[int(clashes[0])]
+        node = int(clashes[0])
         raise DuplicateChildToken(
-            f"parent {node.parent} has duplicate child token {node.token_id}"
+            f"parent {tree.parents[node]} has duplicate child token {tokens[node]}"
         )
     child_table.flags.writeable = False
 

@@ -332,8 +332,9 @@ class TestLosslessness:
 
 class TestStatsBookkeeping:
     @pytest.mark.parametrize("mode", ["tree", "chain", "baseline"])
-    def test_every_round_walks_its_draft(self, monkeypatch, mode):
-        cfg = small_cfg(mode=mode, collect_trace=True)
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_every_round_walks_its_draft(self, monkeypatch, mode, temperature):
+        cfg = small_cfg(mode=mode, temperature=temperature, collect_trace=True)
         if mode != "tree":
             # A chain or baseline round verifies a token path: it builds,
             # flattens and walks no tree.
@@ -358,9 +359,25 @@ class TestStatsBookkeeping:
 
         monkeypatch.setattr(engine, "verifier_walk", counting)
         result = run_episode(MODEL, cfg)
-        assert len(walks) == result.stats.rounds == len(result.trace)
-        assert [a for _, a in walks] == [r["acceptance_length"] for r in result.trace]
-        assert [size for size, _ in walks] == [r["tree_size"] for r in result.trace]
+        assert result.stats.rounds == len(result.trace)
+        if temperature == 0.0:
+            # A greedy walk is a function of the round's (window, budget):
+            # each pair met is walked once, at its first round, and every
+            # round that meets it records that walk.
+            seq = make_prompt(MODEL, cfg.seed, cfg.prompt_len) + result.tokens
+            n, met = cfg.prompt_len + 1, {}
+            for record in result.trace:
+                window = seq[max(0, n - MODEL.order):n]
+                met.setdefault((window, record["budget"]), []).append(record)
+                n += record["acceptance_length"] + 1
+            assert len(walks) == len(met) < result.stats.rounds
+            for (size, a), records in zip(walks, met.values()):
+                assert [r["tree_size"] for r in records] == [size] * len(records)
+                assert [r["acceptance_length"] for r in records] == [a] * len(records)
+        else:
+            assert len(walks) == result.stats.rounds
+            assert [a for _, a in walks] == [r["acceptance_length"] for r in result.trace]
+            assert [size for size, _ in walks] == [r["tree_size"] for r in result.trace]
         assert (result.stats.rounds, result.stats.committed_tokens) == (
             len(result.trace), len(result.tokens) - 1
         )

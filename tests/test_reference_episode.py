@@ -8,10 +8,20 @@ tokens, stats and trace.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drafttree.engine import MODES, EpisodeConfig, run_episode, sweep_scope
+import drafttree.engine as engine
+from drafttree.engine import (
+    MODES,
+    EpisodeConfig,
+    budget_sweep,
+    make_prompt,
+    run_episode,
+    run_episodes,
+    sweep_scope,
+)
 from drafttree.models import random_model
 from drafttree.oracle import reference_episode
 
@@ -103,3 +113,76 @@ class TestReferenceEpisode:
         with sweep_scope(model):
             results = [run_episode(model, cfg) for cfg in rows]
         assert results == [reference_episode(model, cfg) for cfg in rows]
+
+
+GREEDY_MODEL = random_model(21, vocab_size=8, order=2, concentration=0.3)
+GREEDY_BASE = EpisodeConfig(
+    seed=7, max_new_tokens=48, prompt_len=6, budget=12, block_len=6, drafter_noise=0.25,
+    collect_trace=True,
+)
+
+
+def greedy_scope(cfg, budgets=(4, 12, 40), episodes=3):
+    """Every (config, result) of a T=0 budget sweep plus chain and baseline rows in one scope."""
+    recorded = []
+    real = engine.run_episode
+
+    def recording(model, c):
+        result = real(model, c)
+        recorded.append((c, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "run_episode", recording)
+        with sweep_scope(GREEDY_MODEL) as store:
+            budget_sweep(GREEDY_MODEL, cfg, list(budgets), episodes)
+            for mode in ("chain", "baseline"):
+                run_episodes(GREEDY_MODEL, replace(cfg, mode=mode), episodes)
+    return recorded, store
+
+
+def repeated_rounds(recorded):
+    """(tokens committed, tokens walked, EOS committed) of each round meeting an earlier pair.
+
+    A pair is a round's (window, mode, budget), the memo's key at one block
+    length and drafter noise.
+    """
+    seen, repeats = set(), []
+    for cfg, result in recorded:
+        seq = make_prompt(GREEDY_MODEL, cfg.seed, cfg.prompt_len) + result.tokens
+        n = cfg.prompt_len + 1
+        end = n + cfg.max_new_tokens
+        for record in result.trace:
+            pair = (seq[max(0, n - GREEDY_MODEL.order):n], cfg.mode, record["budget"])
+            walked = record["acceptance_length"] + 1
+            k = min(walked, end - n, len(seq) - n)
+            if pair in seen:
+                repeats.append((k, walked, cfg.eos_token in seq[n:n + k]))
+            seen.add(pair)
+            n += k
+    return repeats
+
+
+class TestGreedyRoundMemo:
+    """At T=0 a scope plays each (draft key, budget) once; every later round reuses that walk."""
+
+    @pytest.mark.parametrize("overrides,cut", [
+        ({}, None),
+        ({"max_rounds": 3}, None),
+        ({"eos_token": 4}, "eos"),  # an EOS inside a repeated round's walk
+        ({"max_new_tokens": 14}, "budget"),  # the token budget cuts a repeated round
+    ])
+    def test_a_greedy_scope_equals_the_reference(self, overrides, cut):
+        cfg = replace(GREEDY_BASE, **overrides)
+        recorded, store = greedy_scope(cfg)
+        assert len(recorded) == 3 * 5
+        assert [result for _, result in recorded] == [
+            reference_episode(GREEDY_MODEL, c) for c, _ in recorded]
+        repeats = repeated_rounds(recorded)
+        rounds = sum(result.stats.rounds for _, result in recorded)
+        assert len(store.rounds) == rounds - len(repeats) and repeats
+        cut_short = [eos for k, walked, eos in repeats if k < walked]
+        if cut == "eos":
+            assert any(cut_short)
+        elif cut == "budget":
+            assert cut_short and not all(cut_short)

@@ -35,7 +35,7 @@ from drafttree.treebuild import (
     top_k_per_depth,
     tree_from_prefixes,
 )
-from drafttree.verify import flatten
+from drafttree.verify import DuplicateChildToken, flatten
 
 from blocks import EXAMPLE_ROWS, counting_dp_steps, random_block, random_model_or_reject
 
@@ -227,6 +227,60 @@ class TestBuilderIdentity:
             for node, prefix in zip(tree.nodes, node_prefixes(tree)):
                 worst = max(worst, abs(node.log_mass - log_prefix_mass(block, prefix)))
         assert worst <= 1e-12
+
+
+def corpus_trees():
+    """Built trees of every kind: chains, and B = 1, 7, 64 over ties and skewed blocks."""
+    shapes = itertools.product((2, 5, 16), (1, 3, 16), (0.3, "ties", "all ties"))
+    for seed, (vocab, block_len, kind) in enumerate(shapes):
+        block = corpus_block(seed, block_len, vocab, kind)
+        yield chain_tree(block)
+        yield from (build_tree(block, b) for b in (1, 7, 64))
+
+
+class TestColumnTree:
+    """A tree is its pop-order columns; ``nodes`` reads them as rows, and rows rebuild them."""
+
+    COLUMNS = ("parents", "token_ids", "depths", "log_masses")
+
+    def test_a_built_tree_s_rows_rebuild_an_equal_tree(self):
+        for tree in corpus_trees():
+            twin = DraftTree(nodes=tree.nodes, heap_pushes=tree.heap_pushes)
+            assert twin == tree and twin.nodes == tree.nodes
+            assert twin.surrogate_value == tree.surrogate_value
+            assert all(type(n) is TreeNode for n in tree.nodes)
+            assert tree.heap_pops == len(tree) == len(tree.nodes) > 0
+            for name in self.COLUMNS:
+                column = getattr(tree, name)
+                assert not column.flags.writeable
+                assert column.dtype == (np.float64 if name == "log_masses" else np.intp)
+        assert DraftTree(nodes=()) == DraftTree() and len(DraftTree()) == 0
+
+    def test_a_tree_differs_in_any_column_or_push_count(self):
+        tree = build_tree(random_block(4, 3, 5), 12)
+        nodes = tree.nodes
+        assert DraftTree(nodes=nodes, heap_pushes=tree.heap_pushes + 1) != tree
+        for field in range(4):
+            changed = list(nodes)
+            changed[-1] = nodes[-1]._replace(**{TreeNode._fields[field]: nodes[-1][field] - 1})
+            assert DraftTree(nodes=changed, heap_pushes=tree.heap_pushes) != tree
+
+    def test_flatten_reads_a_tree_and_its_hand_built_twin_alike(self):
+        for tree in corpus_trees():
+            twin = DraftTree(nodes=tuple(TreeNode(*node) for node in tree.nodes))
+            for bonus in (0, 3):
+                built, hand = flatten(tree, bonus), flatten(twin, bonus)
+                assert built.child_table.dtype == hand.child_table.dtype == np.int16
+                assert np.array_equal(built.child_table, hand.child_table)
+                assert (built.bonus, len(built)) == (hand.bonus, len(hand))
+                assert (built.bonus, len(built)) == (bonus, len(tree) + 1)
+
+    def test_a_hand_built_duplicate_child_raises(self):
+        tree = build_tree(random_block(5, 3, 4), 7)
+        first = tree.nodes[0]
+        twin = first._replace(log_mass=tree.nodes[-1].log_mass - 1.0)  # same parent and token
+        with pytest.raises(DuplicateChildToken, match=f"token {first.token_id}"):
+            flatten(DraftTree(nodes=(*tree.nodes, twin)), 0)
 
 
 class TestSurrogateValue:
