@@ -8,10 +8,15 @@ as it grows. A chain or baseline round verifies a token path, accepting while
 it equals the rollout: the baseline's is empty and never drafted, the chain's
 is each row's argmax. A chain round draws rows only when its walk reads past
 the rows drawn: a walk that accepts every token of the stored path (or finds
-none) opens a drafter and draws its chunks from row 0 until the path is
-longer than the tokens accepted, so at temperature 0, where a window's walk
-is fixed, no window is drawn twice. The chain verifies, and is charged for,
-L nodes a round.
+none) opens a drafter and draws its chunks from row 0, ``order`` rows and
+then doubling, until the path is longer than the tokens accepted, so at
+temperature 0, where a window's walk is fixed, no window is drawn twice.
+A tree build draws 4 rows and then doubles, and writes the argmax path of
+the rows it drew (``DraftTree.row_argmax``) into the window's chain entry
+when that path is longer than the stored one, so a chain in the same scope
+draws only past the rows a tree drew. A chain's outcome reads only the
+argmax of the rows it walks, whoever drew them, so every output is the same.
+The chain verifies, and is charged for, L nodes a round.
 
 Token sequence: speculative decoding commits exactly the target's own tokens,
 so an episode is a prefix of one sequence: the seeded prompt, then the
@@ -29,9 +34,9 @@ not count against it.
 Sweep scope: a round's draft is a pure function of its n-gram window (the last
 ``model.order`` tokens, ending with the bonus), the mode, block_len and
 drafter_noise, and for a tree the budget. ``sweep_scope(model)`` opens one
-store for a whole sweep. Per window and mode it keeps a chain's path over the
-rows drawn so far, or a flattened tree and the budget it was built at, never a
-live drafter; the baseline keeps nothing. The heap pops prefixes in
+store for a whole sweep. Per window it keeps a chain's path over the deepest
+rows any tree or chain drew for it, and a flattened tree and the budget it
+was built at, never a live drafter; the baseline keeps nothing. The heap pops prefixes in
 nonincreasing mass, so a round at budget B walks the first B + 1 entries of a
 tree built at B or more, and otherwise builds at B and replaces the entry;
 ``budget_sweep`` runs its rows largest budget first, so each window's tree is
@@ -379,7 +384,8 @@ class _SweepStore:
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
-        # A tree's (built at, flat); a chain's argmax path over the rows drawn so far.
+        # A tree's (built at, flat); a chain's argmax path over the deepest rows
+        # a tree or chain drew for the window.
         self.drafts: dict[_DraftKey, tuple[int, FlattenedTree] | tuple[int, ...]] = {}
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
         self.rows: dict[tuple[float, tuple[int, ...]], int | np.ndarray] = {}
@@ -464,6 +470,10 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             if entry is None or entry[0] < budget:  # drafts only the row chunks the tree reaches
                 tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
                 entry = store.drafts[key] = (budget, flatten(tree, bonus))
+                # The rows the build drew hold the chain's path too: keep the longer one.
+                chain_key = (key[0], "chain", *key[2:])
+                if len(tree.row_argmax) > len(store.drafts.get(chain_key, ())):
+                    store.drafts[chain_key] = tuple(tree.row_argmax.tolist())
             flat = entry[1].prefix(budget + 1)  # the first B pops of the stored tree
             return verifier_walk(flat, rollout), len(flat) - 1
 
@@ -475,7 +485,8 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
                 if a < len(path) or a == budget:  # the baseline's path stays empty
                     return RoundOutcome(tuple(range(a + 1)), rollout(a)), budget
                 if chunks is None:  # the store holds no drafter: draw anew from row 0
-                    chunks, path = drafter_chunks(model, context, bonus, drafter_cfg), ()
+                    chunks = drafter_chunks(model, context, bonus, drafter_cfg, order)
+                    path = ()
                 while len(path) <= a:  # only the chunks the walk reads into
                     path += argmax_path(next(chunks))
                 store.drafts[key] = path

@@ -6,9 +6,11 @@ be verified to machine precision instead of statistically. The drafter is the
 target's exact marginals mixed with uniform noise, giving a single fidelity
 knob. Its rows come from one dynamic program that runs a step per position
 drawn, each step over only the context windows the draft can reach by then:
-``drafter_chunks`` yields them in chunks of 4, 4, 8, 16, ... rows so that a
-tree builder drafts only as deep as its tree grows, and a chain only as deep
-as its walks read; ``drafter_marginals`` joins the same chunks into the whole
+``drafter_chunks`` yields them in chunks whose first holds a given number of
+rows and each later one doubles the rows so far (4, 4, 8, 16, ... for a tree;
+a chain starts at ``order`` rows, 2, 2, 4, 8, ... at order 2), so that a tree
+builder drafts only as deep as its tree grows, and a chain only as deep as
+its walks read; ``drafter_marginals`` joins the same chunks into the whole
 block.
 
 Token id 0 is reserved as the context pad: rows assign it the clamp-minimum
@@ -38,7 +40,8 @@ PAD_TOKEN = 0
 # Table entries: 80 MB of float64. A drafter step allocates only its row and
 # the next window distribution, 1/|V| of the table's entries at most.
 TABLE_GUARD = 10**7
-# The drafter's first chunk of rows; each later chunk doubles the rows so far.
+# The first chunk of rows a tree draws (``drafter_chunks``' default); each
+# later chunk doubles the rows so far.
 FIRST_CHUNK_ROWS = 4
 
 
@@ -210,22 +213,30 @@ def _marginal_steps(
 
 
 def drafter_chunks(
-    model: NgramModel, context: Sequence[int], bonus: int, cfg: DrafterConfig
+    model: NgramModel,
+    context: Sequence[int],
+    bonus: int,
+    cfg: DrafterConfig,
+    first_rows: int = FIRST_CHUNK_ROWS,
 ) -> Iterator[MarginalBlock]:
     """Noisy drafter rows, a convex mix of exact marginals and uniform, in chunks.
 
-    The chunks hold rows 0-3, 4-7, 8-15, 16-31, ...: after the first
-    ``FIRST_CHUNK_ROWS`` rows each chunk doubles the rows drafted so far, and
-    the last one ends at ``cfg.block_len``. A chunk's DP steps run when it is
-    drawn, so a reader that stops early drafts only the chunks it read. Mixing,
-    clamping and normalisation act row by row, so each chunk equals the same
-    rows of ``drafter_marginals``' block bit for bit.
+    The first chunk holds ``first_rows`` rows (a count >= 1, checked when the
+    first chunk is drawn); each later chunk doubles the rows drafted so far,
+    and the last one ends at ``cfg.block_len``. At the default of
+    ``FIRST_CHUNK_ROWS`` the chunks hold rows 0-3, 4-7, 8-15, 16-31, ...;
+    at ``model.order`` the first chunk is the rows whose DP steps read fewer
+    than all windows. A chunk's DP steps run when it is drawn, so a reader
+    that stops early drafts only the chunks it read. Mixing, clamping and
+    normalisation act row by row, so each chunk equals the same rows of
+    ``drafter_marginals``' block bit for bit.
     """
+    require_count("first_rows", first_rows, 1)
     steps = _marginal_steps(model, context, bonus)
     uniform = 1.0 / model.vocab_size
     drafted = 0
     while drafted < cfg.block_len:
-        size = min(max(drafted, FIRST_CHUNK_ROWS), cfg.block_len - drafted)
+        size = min(max(drafted, first_rows), cfg.block_len - drafted)
         rows = np.array(list(islice(steps, size)))
         yield validate_block((1.0 - cfg.noise) * rows + cfg.noise * uniform)
         drafted += size

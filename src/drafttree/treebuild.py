@@ -26,11 +26,14 @@ own log factor: its log factors added root to node, never through the
 sibling swaps whose drift the check exists to catch.
 
 A pop builds no node object: it appends its parent, depth, rank and score
-to the tree's columns, which become numpy arrays (parent, token, depth and
-log mass, in pop order) in a few calls after the last pop.
+to the tree's columns in pop order. After the last pop the parent and token
+columns become read-only numpy arrays in a few calls; the depth and
+log-mass columns, which ``flatten`` does not read, are set up on first read.
 ``DraftTree.nodes`` reads the columns back as ``TreeNode`` rows, and
 ``DraftTree(nodes)`` makes the columns from rows for trees built by hand or
-by the oracle.
+by the oracle. A built tree also keeps ``row_argmax``, the rank-0 token of
+every row the build ranked: the argmax path of the rows it drew, which a
+chain over the same rows would verify, at the cost of a slice.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ class TreeNode(NamedTuple):
     log_mass: float
 
 
+def _column(values: Iterable, dtype: type) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
@@ -76,12 +85,20 @@ class DraftTree:
     ``depths`` and ``log_masses``. A built node's log mass is the heap's
     incremental score, which its pop checked against the node's path sum of
     log factors within ``SCORE_DRIFT_TOL``. ``nodes``, the rows as
-    ``TreeNode`` tuples, and ``surrogate_value`` are derived on first read.
+    ``TreeNode`` tuples, and ``surrogate_value`` are derived on first read,
+    and so are a built tree's ``depths`` and ``log_masses``, from its pops.
 
     ``DraftTree(nodes, heap_pushes)`` builds a tree from ``TreeNode`` rows,
     as the oracle, ``tree_from_prefixes`` and hand-built trees do; the
     builder makes its columns directly. Two trees are equal when their
     columns and push counts are.
+
+    ``row_argmax`` is not a column: it is the rank-0 token of each block row
+    the builder ranked, in row order, so each row's argmax with ties to the
+    lowest id (``top_k_per_depth`` sorts stably). A built tree's rows are
+    those its build drew, which may run deeper than its deepest node; a
+    tree made from nodes ranked none and keeps an empty one. Equality does
+    not read it.
 
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
     (successor insertions only, a sibling that replaces the popped top among
@@ -93,37 +110,44 @@ class DraftTree:
 
     parents: np.ndarray  # (nodes,) intp
     token_ids: np.ndarray  # (nodes,) intp
-    depths: np.ndarray  # (nodes,) intp
-    log_masses: np.ndarray  # (nodes,) float64
     heap_pushes: int
+    # Not a field (it has no annotation): a tree made from nodes reads this one.
+    row_argmax = np.zeros(0, dtype=np.intp)
 
     def __init__(self, nodes: Iterable[TreeNode] = (), heap_pushes: int = 0) -> None:
         nodes = tuple(nodes)
         token_ids, depths, parents, log_masses = zip(*nodes) if nodes else ((),) * 4
-        self._fill(parents, token_ids, depths, log_masses, heap_pushes)
-        self.__dict__["nodes"] = nodes
+        self._fill(
+            parents, token_ids, heap_pushes, nodes=nodes,
+            depths=_column(depths, np.intp), log_masses=_column(log_masses, np.float64),
+        )
 
     @classmethod
-    def _of_columns(
+    def _of_pops(
         cls, parents: Iterable[int], token_ids: Iterable[int], depths: Iterable[int],
-        log_masses: Iterable[float], heap_pushes: int,
+        neg_scores: Iterable[float], heap_pushes: int, row_argmax: np.ndarray,
     ) -> DraftTree:
+        """A built tree; ``depths`` and ``log_masses`` are read from its pops on first read."""
         tree = cls.__new__(cls)
-        tree._fill(parents, token_ids, depths, log_masses, heap_pushes)
+        row_argmax.flags.writeable = False
+        tree._fill(parents, token_ids, heap_pushes, _pops=(depths, neg_scores),
+                   row_argmax=row_argmax)
         return tree
 
-    def _fill(self, parents, token_ids, depths, log_masses, heap_pushes) -> None:
-        """Set the columns, as read-only arrays, and the push count."""
-        for name, values, dtype in (
-            ("parents", parents, np.intp),
-            ("token_ids", token_ids, np.intp),
-            ("depths", depths, np.intp),
-            ("log_masses", log_masses, np.float64),
-        ):
-            column = np.asarray(values, dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "heap_pushes", heap_pushes)
+    def _fill(self, parents, token_ids, heap_pushes, **derived) -> None:
+        """Set the parent and token columns, as read-only arrays, the push count and ``derived``."""
+        self.__dict__.update(
+            parents=_column(parents, np.intp), token_ids=_column(token_ids, np.intp),
+            heap_pushes=heap_pushes, **derived,
+        )
+
+    @cached_property
+    def depths(self) -> np.ndarray:  # (nodes,) intp
+        return _column(self._pops[0], np.intp)
+
+    @cached_property
+    def log_masses(self) -> np.ndarray:  # (nodes,) float64; the pops' scores are negated
+        return _column(np.negative(self._pops[1]), np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DraftTree):
@@ -191,7 +215,8 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     that queues a sibling does it with ``heapreplace``, one sift for both;
     keys are unique, so the pop order is that of a pop and a push. Every pop
     asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of its
-    path sum, kept per node in ``path_sums``.
+    path sum, kept per node in ``path_sums``. The tree's ``row_argmax`` is
+    rank 0 of every chunk ranked, a slice of the ranking the tokens come from.
     """
     pending = iter(chunks)
     first = next(pending, None)
@@ -262,9 +287,9 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     # Every push is popped or still queued; the seed entry is not a push.
     pushes = len(parents) + len(heap) - 1
     depth_column = np.array(depths, dtype=np.intp)
-    token_ids = np.concatenate(ranked_ids)[depth_column - 1, ranks]
-    return DraftTree._of_columns(
-        parents, token_ids, depth_column, np.negative(neg_scores), pushes
+    ranked = np.concatenate(ranked_ids)
+    return DraftTree._of_pops(
+        parents, ranked[depth_column - 1, ranks], depth_column, neg_scores, pushes, ranked[:, 0]
     )
 
 

@@ -110,6 +110,10 @@ ROWS = [
         (drafter_marginals, lambda t: drafter_marginals(MODEL, (t, 1), 1, DRAFTER)),
         (drafter_chunks, lambda t: next(drafter_chunks(MODEL, (t, 1), 1, DRAFTER))),
     ]),
+    token(drafter_chunks, "bonus", lambda t: next(drafter_chunks(MODEL, (), t, DRAFTER)), 3),
+    # Checked when the first chunk is drawn, as the window is.
+    count(drafter_chunks, "first_rows", lambda n: next(drafter_chunks(MODEL, (), 1, DRAFTER, n)),
+          1),
     *(real(CostModel, f, lambda x, f=f: CostModel(**{f: x}), 0.0,
            strict=f in ("t_target", "t_verify_base"), error=NonPositiveCost)
       for f in ("t_target", "t_draft", "t_verify_base", "kappa")),
@@ -159,6 +163,7 @@ EXEMPT = {
                     "an object whose own values are checked where it is built"),
     **dict.fromkeys(["raw", "table"], "a table, whose content checks are in its module's tests"),
     "rng": "a numpy Generator", "rollout": "the target's tokens", "collect_trace": "a switch",
+    "self": "the instance a method is called on",
     **dict.fromkeys(["MarginalBlock", "DraftTree", "TreeNode", "FlattenedTree", "RoundOutcome",
                      "EpisodeResult"], "a result type, built by callables that have rows"),
 }
@@ -240,6 +245,12 @@ def test_every_public_parameter_has_a_row_or_an_exemption():
                if name not in EXEMPT and callable(obj := getattr(drafttree, name))
                for param in inspect.signature(obj).parameters
                if param not in EXEMPT and (obj, param) not in rows]
+    assert missing == []
+    # A callable outside ``__all__`` that has a row has one for every parameter.
+    owners = {row.owner for row in ROWS}
+    missing = [f"{owner.__qualname__}.{param}" for owner in owners
+               for param in inspect.signature(owner).parameters
+               if param not in EXEMPT and (owner, param) not in rows]
     assert missing == []
     assert [str(r) for r in ROWS if r.param not in inspect.signature(r.owner).parameters] == []
 

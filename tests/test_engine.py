@@ -10,6 +10,7 @@ import drafttree.engine as engine
 from drafttree.engine import (
     CostModel,
     EpisodeConfig,
+    argmax_path,
     budget_sweep,
     decode_next,
     episode_seed,
@@ -467,7 +468,11 @@ class TestChainDrafting:
         windows = [event[0] for event in counts.events]
         # Every walk accepts the whole block, so the first round to meet a
         # window draws each of its chunks, and no later round draws again.
-        assert counts.events == [(w, "chain", 4, "chain", 8, "chain", 16) for w in windows]
+        # A chain's first chunk is the order's rows: 2, 4, 8, 16.
+        edges = chunk_edges(model.order, cfg.block_len)
+        assert edges == [2, 4, 8, 16]
+        assert counts.events == [(w, *(x for e in edges for x in ("chain", e))) for w in windows]
+        assert counts.first_rows == [model.order] * len(windows)
         assert len(set(windows)) == len(windows) < stats.rounds
         assert len(steps) == len(windows) * cfg.block_len
         assert stats.tau_histogram[-1] == stats.rounds - 4  # all but each episode's tail
@@ -478,7 +483,7 @@ class TestChainDrafting:
         # to meet it draws every row a later round reads.
         counts = CountingDrafts(monkeypatch)
         for seed in range(3):
-            counts.events.clear()
+            counts.clear()
             cfg = small_cfg(mode="chain", block_len=block_len, seed=seed)
             stats = run_episodes(MODEL, cfg, episodes=4)
             windows = [event[0] for event in counts.events]
@@ -503,9 +508,9 @@ class TestChainDrafting:
         with sweep_scope(MODEL) as store:
             results = [run_episode(MODEL, replace(cfg, seed=seed)) for seed in range(4)]
         trace = [record for result in results for record in result.trace]
-        # A path still at its first chunk's rows: every round that met its
-        # window stopped inside them and drew no further.
-        assert FIRST_CHUNK_ROWS in {len(path) for path in store.drafts.values()}
+        # A path still at its first chunk's rows (the order's): every round
+        # that met its window stopped inside them and drew no further.
+        assert MODEL.order in {len(path) for path in store.drafts.values()}
         assert {(r["budget"], r["tree_size"]) for r in trace} == {(cfg.block_len, cfg.block_len)}
 
 
@@ -604,18 +609,27 @@ class CountingDrafts:
     read: the budget of a tree build, or the rows a chain has drawn from
     this draft once a round draws its next chunk. A chain round draws from
     row 0 of a draft it opens, one chunk per pair, until its walk stops
-    inside the rows drawn.
+    inside the rows drawn. ``drawn[i]`` is the rows draft ``i`` yielded,
+    whoever read them, and ``first_rows[i]`` the size of its first chunk.
     """
 
     def __init__(self, monkeypatch):
-        self.events = []
+        self.events, self.drawn, self.first_rows = [], [], []
         real_chunks, real_build, real_path = (
             engine.drafter_chunks, engine.build_tree, engine.argmax_path,
         )
 
-        def draft_chunks(model, context, bonus, cfg):  # every tree and chain draft
+        def counted(index, chunks):
+            for chunk in chunks:
+                self.drawn[index] += chunk.block_len
+                yield chunk
+
+        def draft_chunks(model, context, bonus, cfg, first_rows=FIRST_CHUNK_ROWS):
             self.events.append(((tuple(context) + (bonus,))[-model.order:],))
-            return real_chunks(model, context, bonus, cfg)
+            self.drawn.append(0)
+            self.first_rows.append(first_rows)
+            chunks = real_chunks(model, context, bonus, cfg, first_rows)
+            return counted(len(self.drawn) - 1, chunks)
 
         def build(block, budget):
             self.events[-1] += ("tree", budget)
@@ -630,6 +644,10 @@ class CountingDrafts:
         monkeypatch.setattr(engine, "build_tree", build)
         monkeypatch.setattr(engine, "argmax_path", path)
 
+    def clear(self):
+        for records in (self.events, self.drawn, self.first_rows):
+            records.clear()
+
     def builds(self, kind):
         return [
             (event[0], size)
@@ -638,22 +656,39 @@ class CountingDrafts:
             if k == kind
         ]
 
+    def tree_rows(self):
+        """Per window, the most rows any tree build drew for it."""
+        held = {}
+        for event, drawn in zip(self.events, self.drawn):
+            if event[1:2] == ("tree",):
+                held[event[0]] = max(drawn, held.get(event[0], 0))
+        return held
 
-def chain_rule_events(model, configs):
+
+def chunk_edges(first, block_len):
+    """Rows drawn after each chunk of a draft whose first chunk holds ``first`` rows."""
+    edges = [min(first, block_len)]
+    while edges[-1] < block_len:
+        edges.append(min(2 * edges[-1], block_len))
+    return edges
+
+
+def chain_rule_events(model, configs, held=None):
     """The ``CountingDrafts`` events of chain episodes ``configs`` run in order in one scope.
 
     The rule: a round whose walk accepts every token of its window's stored
     path (an empty one when none is stored) opens a draft and draws its
-    chunks from row 0 until the path is longer than the walk's acceptance,
-    or is the whole block; the path drawn replaces the stored one. Windows
-    and acceptance lengths come from ``reference_episode``, which keeps no
-    store; no config may set an ``eos_token``.
+    chunks from row 0, the first of ``model.order`` rows and each later one
+    doubling the rows drawn, until the path is longer than the walk's
+    acceptance, or is the whole block; the path drawn replaces the stored
+    one. ``held`` maps a window to the rows of the path stored before the
+    configs run (a tree's, in a shared scope). Windows and acceptance
+    lengths come from ``reference_episode``, which keeps no store; no
+    config may set an ``eos_token``.
     """
     block_len = configs[0].block_len
-    edges = [min(FIRST_CHUNK_ROWS, block_len)]  # rows drawn after each chunk: 4, 8, 16, ...
-    while edges[-1] < block_len:
-        edges.append(min(2 * edges[-1], block_len))
-    held, events = {}, []
+    edges = chunk_edges(model.order, block_len)  # order, 2 order, 4 order, ...
+    held, events = dict(held or {}), []
     for cfg in configs:
         result = reference_episode(model, replace(cfg, collect_trace=True))
         seq = make_prompt(model, cfg.seed, cfg.prompt_len) + result.tokens
@@ -737,11 +772,13 @@ class TestDraftCache:
             # Each draft draws from row 0, and a window's later draft reads
             # past every row its earlier ones drew.
             assert events == chain_rule_events(MODEL, slice_configs(cfg, range(5)))
-            assert {e[1:3] for e in events} == {("chain", FIRST_CHUNK_ROWS)}
+            assert {e[1:3] for e in events} == {("chain", MODEL.order)}
             for window in windows:
                 ends = [e[-1] for e in events if e[0] == window]
                 assert ends == sorted(set(ends))
-        counts.events.clear()
+        first_rows = MODEL.order if mode == "chain" else FIRST_CHUNK_ROWS
+        assert counts.first_rows == [first_rows] * len(events)
+        counts.clear()
         assert run_episodes(MODEL, cfg, episodes=5) == first
         assert counts.events == events
 
@@ -756,7 +793,7 @@ class TestDraftCache:
 
     def largest_unscoped_budgets(self, counts, cfg, episodes=4):
         """Per window, the largest budget among the unscoped tree rows that draft it."""
-        counts.events.clear()
+        counts.clear()
         for budget in self.BUDGETS:
             run_episodes(MODEL, replace(cfg, budget=budget), episodes)
         largest = {}
@@ -768,17 +805,24 @@ class TestDraftCache:
     def test_a_sweep_stores_only_child_tables(self, temperature):
         # The walk reads only the child table: no stored tree holds token
         # ids, parents, depths or a mask, which derive from it on read. A
-        # chain stores its path's tokens, and the baseline stores nothing.
+        # chain stores its path's tokens, over the rows a tree or a chain
+        # drew, and the baseline stores nothing.
         cfg = small_cfg(temperature=temperature)
         with sweep_scope(MODEL) as store:
             self.scoped_rows(cfg)
         assert {key[1] for key in store.drafts} == {"tree", "chain"}
+        ends = {*chunk_edges(MODEL.order, cfg.block_len),
+                *chunk_edges(FIRST_CHUNK_ROWS, cfg.block_len)}
+        assert ends == {2, 4, 6}
+        drafter_cfg = DrafterConfig(cfg.drafter_noise, cfg.block_len)
         for key, entry in store.drafts.items():
             if key[1] == "tree":
                 assert vars(entry[1]).keys() == {"bonus", "child_table", "size"}
             else:
-                assert len(entry) in (FIRST_CHUNK_ROWS, cfg.block_len)
+                assert len(entry) in ends
                 assert all(type(token) is int for token in entry)
+                block = drafter_marginals(MODEL, key[0][:-1], key[0][-1], drafter_cfg)
+                assert entry == argmax_path(block)[:len(entry)]
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_sweep_drafts_and_builds_each_window_once(self, monkeypatch, temperature):
@@ -807,17 +851,54 @@ class TestDraftCache:
         # This config takes every case of it: a draft that stops at its
         # first chunk, one that draws the next, and a window drafted again.
         chain_row = slice_configs(replace(cfg, mode="chain"), range(4))
-        assert chains == chain_rule_events(MODEL, chain_row)
-        assert {len(e) for e in chains} == {3, 5}
-        assert len({e[0] for e in chains}) < len(chains)
+        held = counts.tree_rows()
+        assert chains == chain_rule_events(MODEL, chain_row, held)
+        # Here every chain draft reads past a tree's 4 rows: it draws 2, 4
+        # and the whole block, so no window is drafted twice, and the chain
+        # drafts fewer windows than it does in a scope of its own.
+        assert {e[1:] for e in chains} == {("chain", 2, "chain", 4, "chain", 6)}
+        assert all(held[e[0]] == 4 for e in chains)
+        assert len({e[0] for e in chains}) == len(chains) < len(chain_rule_events(MODEL, chain_row))
         assert dict(trees) == self.largest_unscoped_budgets(counts, cfg)
+
+    @pytest.mark.parametrize("block_len", [6, 16])
+    @pytest.mark.parametrize("temperature", [0.0, 0.7, 1.0])
+    def test_the_chain_reads_the_rows_the_trees_drew(self, monkeypatch, temperature, block_len):
+        # cmd_sweep's order in one scope: the tree rows, largest budget
+        # first, then the chain and the baseline.
+        counts = CountingDrafts(monkeypatch)
+        cfg = small_cfg(temperature=temperature, block_len=block_len)
+        with sweep_scope(MODEL) as store:
+            budget_sweep(MODEL, cfg, self.BUDGETS, 4)
+            trees, held = len(counts.events), counts.tree_rows()
+            for mode in ("chain", "baseline"):
+                run_episodes(MODEL, replace(cfg, mode=mode), 4)
+        chains = counts.events[trees:]
+        chain_row = slice_configs(replace(cfg, mode="chain"), range(4))
+        # A chain drafts only past the rows a tree drew, from row 0, in
+        # chunks of the order's rows and then doubling.
+        assert chains == chain_rule_events(MODEL, chain_row, held)
+        assert counts.first_rows == [FIRST_CHUNK_ROWS] * trees + [MODEL.order] * len(chains)
+        own = chain_rule_events(MODEL, chain_row)
+        assert sum(map(len, chains)) < sum(map(len, own))
+        # Every stored path is the argmax path of the deepest rows drawn
+        # for its window, by a tree or by the chain.
+        drafter_cfg = DrafterConfig(cfg.drafter_noise, cfg.block_len)
+        drawn = dict(held)
+        for event in chains:
+            drawn[event[0]] = max(event[-1], drawn.get(event[0], 0))
+        paths = {key[0]: path for key, path in store.drafts.items() if key[1] == "chain"}
+        assert {w: len(path) for w, path in paths.items()} == drawn
+        for window, path in paths.items():
+            block = drafter_marginals(MODEL, window[:-1], window[-1], drafter_cfg)
+            assert path == argmax_path(block)[:len(path)]
 
     def test_consecutive_sweeps_share_no_state(self, monkeypatch):
         counts = CountingDrafts(monkeypatch)
         cfg = small_cfg(temperature=1.0)
         first = self.scoped_rows(cfg)
         first_events = list(counts.events)
-        counts.events.clear()
+        counts.clear()
         assert self.scoped_rows(cfg) == first
         assert counts.events == first_events
 
@@ -913,7 +994,7 @@ class TestDraftCache:
             with sweep_scope(MODEL):
                 scoped = [run_episodes(MODEL, cfg, 2) for cfg in cfgs]
             scoped_drafts = len(counts.events)
-            counts.events.clear()
+            counts.clear()
             assert scoped == [run_episodes(MODEL, cfg, 2) for cfg in cfgs]
             assert scoped_drafts <= len(counts.events)
 

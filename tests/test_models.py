@@ -334,3 +334,22 @@ class TestDrafterMarginals:
         block = drafter_marginals(model, (3,), 5, cfg)
         assert joined.tobytes() == block.probs.tobytes()
         assert not block.probs.flags.writeable
+
+    @pytest.mark.parametrize("first_rows", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize("block_len", [1, 2, 4, 7, 16])
+    def test_a_first_chunk_of_any_size_then_doubles_and_joins_to_the_block(
+        self, first_rows, block_len
+    ):
+        # A chain's first chunk is the order's rows; its rows are the block's bit for bit.
+        model = random_model(2, vocab_size=7, order=2, concentration=0.3)
+        cfg = DrafterConfig(noise=0.3, block_len=block_len)
+        chunks = list(drafter_chunks(model, (3,), 5, cfg, first_rows))
+        sizes = [chunk.block_len for chunk in chunks]
+        assert sizes[0] == min(first_rows, block_len)
+        drawn = sizes[0]
+        for size in sizes[1:]:
+            assert size == min(drawn, block_len - drawn)
+            drawn += size
+        assert drawn == block_len
+        joined = np.concatenate([chunk.probs for chunk in chunks])
+        assert joined.tobytes() == drafter_marginals(model, (3,), 5, cfg).probs.tobytes()

@@ -77,6 +77,79 @@ class TestTopKPerDepth:
         assert ranked.token_ids.shape == (2, 1)
 
 
+class TestRankZeroIsTheArgmax:
+    """Rank 0 of a stable ranking is each row's argmax, the lowest id on ties.
+
+    A tree's ``row_argmax`` is that rank 0, and the engine stores it as the
+    window's chain path, so it must be ``argmax_path`` at every width.
+    """
+
+    @staticmethod
+    def assert_rank_zero_is_the_argmax(block):
+        for k in (1, block.vocab_size):
+            ranked = top_k_per_depth(block, k)
+            assert tuple(ranked.token_ids[:, 0].tolist()) == engine.argmax_path(block)
+
+    @pytest.mark.parametrize("vocab", [2, 5, 16, 64])
+    def test_uniform_rows(self, vocab):
+        block = corpus_block(0, 4, vocab, "all ties")
+        assert engine.argmax_path(block) == (0,) * 4
+        self.assert_rank_zero_is_the_argmax(block)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_weight_rows_with_many_ties(self, seed):
+        # Weights 1-3 over rows wider than a small-sort cutoff: each ties ~67 maxima.
+        block = random_block(seed, 16, 200, "ties")
+        self.assert_rank_zero_is_the_argmax(block)
+
+    @given(
+        st.integers(0, 2**32 - 1),  # seed
+        st.integers(1, 16),  # block_len
+        st.integers(2, 64),  # vocab
+        st.sampled_from([0.01, 0.3, 1.0, 3.0, "ties", "all ties"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_corpus_block(self, seed, block_len, vocab, kind):
+        self.assert_rank_zero_is_the_argmax(corpus_block(seed, block_len, vocab, kind))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["one-hot", 0.008, 0.1, 1.0]),
+        st.integers(2, 20),  # vocab
+        st.integers(1, 3),  # order
+        st.integers(0, 2**16),  # seed
+        st.integers(1, 16),  # block_len
+        st.integers(1, 300),  # budget
+    )
+    def test_a_built_tree_keeps_the_argmax_path_of_the_rows_it_drew(
+        self, kind, vocab, order, seed, block_len, budget
+    ):
+        model, context, bonus = draft_window(kind, vocab, order, seed)
+        cfg = DrafterConfig(noise=0.3, block_len=block_len)
+        drawn = []
+
+        def chunks():
+            for chunk in drafter_chunks(model, context, bonus, cfg):
+                drawn.append(chunk)
+                yield chunk
+
+        tree = build_tree(chunks(), budget)
+        rows = sum(chunk.block_len for chunk in drawn)
+        depth = max(node.depth for node in tree.nodes)
+        assert rows == rows_drafted(block_len, depth)
+        whole = drafter_marginals(model, context, bonus, cfg)
+        assert tuple(tree.row_argmax.tolist()) == engine.argmax_path(whole)[:rows]
+        assert not tree.row_argmax.flags.writeable
+
+    def test_a_tree_made_from_nodes_keeps_none_and_equality_ignores_it(self):
+        block = random_block(3, 5, 6, "ties")
+        tree = build_tree(block, 9)
+        assert tuple(tree.row_argmax.tolist()) == engine.argmax_path(block)
+        twin = DraftTree(nodes=tree.nodes, heap_pushes=tree.heap_pushes)
+        assert len(twin.row_argmax) == 0 and twin == tree
+        assert tuple(chain_tree(block).row_argmax.tolist()) == engine.argmax_path(block)
+
+
 class TestBuildTree:
     def test_worked_example_nodes_and_value(self):
         # Expected set and value 0.6 + 0.42 + 0.3 + 0.21 = 1.53, confirmed by
