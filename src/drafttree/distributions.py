@@ -140,12 +140,17 @@ def validate_block(raw) -> MarginalBlock:
         )
     # Array methods and np.minimum/np.maximum skip the dispatch of np.all,
     # np.any and np.clip; on finite input the clamp's bytes are np.clip's.
-    if not np.isfinite(table).all():
-        raise NonFiniteEntry("table contains non-finite entries")
-    if (table < 0.0).any():
-        raise NegativeEntry("table contains negative entries")
-    if (table.sum(axis=1) <= 0.0).any():
-        raise RowSumZero("a row has zero total mass")
+    # A valid table passes one test: a NaN fails the comparisons, and an
+    # infinite entry leaves an infinite row sum. Any other table meets the
+    # checks in their order; a finite row whose sum overflows passes them.
+    sums = table.sum(axis=1)
+    if not (table.min() >= 0.0 and 0.0 < sums.min() and sums.max() < math.inf):
+        if not np.isfinite(table).all():
+            raise NonFiniteEntry("table contains non-finite entries")
+        if (table < 0.0).any():
+            raise NegativeEntry("table contains negative entries")
+        if (sums <= 0.0).any():
+            raise RowSumZero("a row has zero total mass")
 
     clamped = np.minimum(np.maximum(table, EPS_Q), 1.0 - EPS_Q)
     probs = clamped / clamped.sum(axis=1, keepdims=True)

@@ -26,6 +26,12 @@ episode is a cursor ``n`` into it; a round commits the longest run of decisions
 from ``n`` on that is a path of its draft, plus the next bonus. Modes thus
 commit equal tokens by construction, so losslessness is checked against
 ``oracle.reference_episode`` (no store, every round played), not across modes.
+The sequence is decided ahead of the rounds that read it: a round reads the
+decisions ``seq[n:n + block_len + 1]``, the tokens its draft may accept and
+the next bonus, and when they are not all decided the store decides up to
+``DECISION_SPAN`` positions past them, never past ``end + block_len``, which
+no round reads. A tree walk reads that slice by index; a path round compares
+its path with it.
 
 ``max_new_tokens`` budgets the tokens committed by verification rounds; the
 initial prefill token (round 1's bonus) is produced before any round and does
@@ -42,15 +48,16 @@ tree built at B or more, and otherwise builds at B and replaces the entry;
 ``budget_sweep`` runs its rows largest budget first, so each window's tree is
 built once. The store also keeps one token sequence per (episode seed,
 prompt_len, temperature), so each prompt is made and each position decided
-once per sweep, and what decides a position: per temperature and context its
-decision row (the greedy token, or the tempered CDF, read once from the
-table), and per seed its position uniforms, drawn ``UNIFORM_BLOCK`` at a time
-and only at T > 0. Per temperature the rows hold at most one float per table
-entry. At T=0 a round's rollout, and so its whole walk, is a function of its
-window: the store keeps each greedy round played, its outcome and nodes
-verified per (draft key, budget), and a later round that meets the pair
-decides the tokens up to its next bonus and plays nothing. A hit returns
-exactly what a rebuild would. ``run_episode`` and ``run_episodes`` open a
+once per sweep, and per temperature and context the row that decides a
+position (the greedy token, or the tempered CDF, read once from the table).
+Per temperature the rows hold at most one float per table entry. At T > 0 a
+span's position uniforms come from one ``position_uniforms`` call and are
+not kept. A tree's entry keeps the prefix view of each budget walked, and
+the store each ``episode_seed`` it derived. At T=0 a round's rollout, and so
+its whole walk, is a function of its window: the store keeps each greedy
+round played, its outcome and nodes verified per (draft key, budget), and a
+later round that meets the pair plays nothing. A hit returns exactly what a
+rebuild would. ``run_episode`` and ``run_episodes`` open a
 scope only when none is open; it serves one model, holds at most |V|^order
 windows per mode and config, and runs every episode in the calling process.
 """
@@ -58,6 +65,8 @@ windows per mode and config, and runs every episode in the calling process.
 from __future__ import annotations
 
 import operator
+from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -77,8 +86,10 @@ MODES = ("tree", "chain", "baseline")
 
 _POSITION_STREAM = 0
 _PROMPT_STREAM = 1
-# Position uniforms a sweep store draws at once for a seed (``position_uniforms``).
-UNIFORM_BLOCK = 64
+# Positions a sweep store decides past a round's reach at once, in one loop
+# and, at T > 0, one ``position_uniforms`` call, whose fixed cost outweighs
+# its cost per position up to a few hundred positions.
+DECISION_SPAN = 256
 
 
 class NonPositiveCost(ValueError):
@@ -339,27 +350,30 @@ def decode_next(
 
 def _decision_row(
     model: NgramModel, context: Sequence[int], temperature: float
-) -> int | np.ndarray:
+) -> int | array:
     """What decides every position after ``context``: the greedy token at T=0, else the CDF.
 
-    The CDF is the read-only cumulative tempered weights of tokens 1..|V|-1.
+    The CDF is the cumulative tempered weights of tokens 1..|V|-1, ``np.cumsum``'s
+    bytes held in an ``array("d")``, which ``bisect_right`` searches without numpy.
     """
     row = target_next(model, context)[1:]
     if temperature == 0.0:
         return 1 + int(np.argmax(row))
     weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
-    cdf = np.cumsum(weights)
-    cdf.flags.writeable = False
-    return cdf
+    return array("d", np.cumsum(weights).tobytes())
 
 
-def _decide(row: int | np.ndarray, u: float | None) -> int:
-    """The token a decision row gives for the uniform ``u``, which a greedy row ignores."""
-    if not isinstance(row, np.ndarray):
+def _decide(row: int | array, u: float | None) -> int:
+    """The token a decision row gives for the uniform ``u``, which a greedy row ignores.
+
+    ``bisect_right`` finds what ``searchsorted(side="right")`` finds: the first
+    step of the CDF above ``u`` times its total.
+    """
+    if type(row) is int:
         return row
     if u is None:
         raise ValueError("sampling requires a uniform draw")
-    return 1 + min(int(row.searchsorted(u * row[-1], side="right")), len(row) - 1)
+    return 1 + min(bisect_right(row, u * row[-1]), len(row) - 1)
 
 
 def argmax_path(block: MarginalBlock) -> tuple[int, ...]:
@@ -375,37 +389,53 @@ class _SweepStore:
     """What the rows of one sweep share: drafts, token sequences and what decides them.
 
     ``sequences[(seed, prompt_len, temperature)]`` is that episode's prompt
-    followed by the target's decisions, extended on demand. A decision reads
-    ``rows[(temperature, context)]``, the context's ``_decision_row``, and at
-    T > 0 ``uniforms[seed]``, the seed's position uniforms from position 0,
-    drawn ``UNIFORM_BLOCK`` at a time. ``rounds[(draft key, budget)]`` is a
-    greedy round played, which every later greedy round of the pair reuses.
+    followed by the target's decisions, which ``decide`` extends a span at a
+    time. A decision reads ``rows[(temperature, context)]``, the context's
+    ``_decision_row``, and at T > 0 the uniform of its position, drawn with
+    the span's. A tree's draft entry keeps its prefix views per budget
+    walked. ``rounds[(draft key, budget)]`` is a greedy round played, which
+    every later greedy round of the pair reuses. ``seeds[(base seed,
+    index)]`` is an ``episode_seed``.
     """
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
-        # A tree's (built at, flat); a chain's argmax path over the deepest rows
-        # a tree or chain drew for the window.
-        self.drafts: dict[_DraftKey, tuple[int, FlattenedTree] | tuple[int, ...]] = {}
+        # A tree's (built at, flat, {budget: prefix view}); a chain's argmax
+        # path over the deepest rows a tree or chain drew for the window.
+        self.drafts: dict[
+            _DraftKey, tuple[int, FlattenedTree, dict[int, FlattenedTree]] | tuple[int, ...]
+        ] = {}
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
-        self.rows: dict[tuple[float, tuple[int, ...]], int | np.ndarray] = {}
-        self.uniforms: dict[int, list[float]] = {}
+        self.rows: dict[tuple[float, tuple[int, ...]], int | array] = {}
         # A greedy round's (outcome, nodes verified) per (draft key, budget).
         self.rounds: dict[tuple[_DraftKey, int], tuple[RoundOutcome, int]] = {}
+        self.seeds: dict[tuple[int, int], int] = {}
 
-    def decide(
-        self, context: tuple[int, ...], temperature: float, seed: int, position: int
-    ) -> int:
-        """``decode_next`` of the token at output ``position`` after ``context``, from the store."""
-        row = self.rows.get((temperature, context))
-        if row is None:
-            row = self.rows[temperature, context] = _decision_row(self.model, context, temperature)
+    def decide(self, seq: list[int], cfg: EpisodeConfig, stop: int) -> None:
+        """Extend ``seq``, ``cfg``'s episode sequence, with ``decode_next``'s tokens to ``stop``.
+
+        One loop over the positions, whose uniforms at T > 0 come from one
+        ``position_uniforms`` call; each context's decision row is read once.
+        """
+        rows, model, temperature = self.rows, self.model, cfg.temperature
+        order, start = model.order, len(seq)
         if temperature == 0.0:
-            return row
-        uniforms = self.uniforms.setdefault(seed, [])
-        while len(uniforms) <= position:
-            uniforms += position_uniforms(seed, len(uniforms), UNIFORM_BLOCK)
-        return _decide(row, uniforms[position])
+            uniforms = [None] * (stop - start)
+        else:
+            uniforms = position_uniforms(cfg.seed, start - cfg.prompt_len, stop - start)
+        for u in uniforms:
+            context = tuple(seq[-order:])
+            row = rows.get((temperature, context))
+            if row is None:
+                row = rows[temperature, context] = _decision_row(model, context, temperature)
+            seq.append(_decide(row, u))
+
+    def episode_seed(self, base_seed: int, index: int) -> int:
+        """``episode_seed(base_seed, index)``, derived once per scope."""
+        seed = self.seeds.get((base_seed, index))
+        if seed is None:
+            seed = self.seeds[base_seed, index] = episode_seed(base_seed, index)
+        return seed
 
 
 _scope: ContextVar[_SweepStore | None] = ContextVar("sweep_scope", default=None)
@@ -419,8 +449,8 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     open one serves; no draft key has a model field, so a scope open for
     another model raises ValueError. The store is dropped when the scope that
     opened it exits. Drafts do not depend on temperature or episode count,
-    and sequences, decision rows and uniforms are keyed by all they depend on
-    besides the model, so any rows of one model may share a scope.
+    and sequences and decision rows are keyed by all they depend on besides
+    the model, so any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -448,19 +478,14 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         seq = store.sequences.get(seq_key)
         if seq is None:
             seq = store.sequences[seq_key] = list(make_prompt(model, cfg.seed, cfg.prompt_len))
-
-        def target(index: int) -> int:
-            while len(seq) <= index:
-                position = len(seq) - cfg.prompt_len
-                seq.append(store.decide(tuple(seq[-order:]), cfg.temperature, cfg.seed, position))
-            return seq[index]
-
-        def rollout(depth: int) -> int:  # the target's token at ``depth``; 0 follows the bonus
-            return target(n + depth)
-
         n = cfg.prompt_len + 1  # the prompt and the prefill bonus
         end = n + cfg.max_new_tokens
-        done = target(n - 1) == cfg.eos_token
+        # A round reads the decisions seq[n:n + reach]: the tokens its draft
+        # may accept and the next bonus, so no round reads past end + block_len.
+        reach, last = cfg.block_len + 1, end + cfg.block_len
+        if len(seq) < n + reach:
+            store.decide(seq, cfg, min(n + reach + DECISION_SPAN, last))
+        done = seq[n - 1] == cfg.eos_token
         hist = [0] * (cfg.block_len + 1)
         rounds = 0
         trace: list[dict] = []
@@ -469,21 +494,25 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             entry = store.drafts.get(key)
             if entry is None or entry[0] < budget:  # drafts only the row chunks the tree reaches
                 tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
-                entry = store.drafts[key] = (budget, flatten(tree, bonus))
+                entry = store.drafts[key] = (budget, flatten(tree, bonus), {})
                 # The rows the build drew hold the chain's path too: keep the longer one.
                 chain_key = (key[0], "chain", *key[2:])
                 if len(tree.row_argmax) > len(store.drafts.get(chain_key, ())):
                     store.drafts[chain_key] = tuple(tree.row_argmax.tolist())
-            flat = entry[1].prefix(budget + 1)  # the first B pops of the stored tree
-            return verifier_walk(flat, rollout), len(flat) - 1
+            views = entry[2]
+            flat = views.get(budget)
+            if flat is None:  # the first B pops of the stored tree
+                flat = views[budget] = entry[1].prefix(budget + 1)
+            return verifier_walk(flat, seq[n:n + reach].__getitem__), len(flat) - 1
 
         def path_round(key, context, bonus) -> tuple[RoundOutcome, int]:
+            decided = seq[n:n + reach]
             path, chunks, a = store.drafts.get(key, ()), None, 0
             while True:
-                while a < len(path) and path[a] == rollout(a):
+                while a < len(path) and path[a] == decided[a]:
                     a += 1
                 if a < len(path) or a == budget:  # the baseline's path stays empty
-                    return RoundOutcome(tuple(range(a + 1)), rollout(a)), budget
+                    return RoundOutcome(tuple(range(a + 1)), decided[a]), budget
                 if chunks is None:  # the store holds no drafter: draw anew from row 0
                     chunks = drafter_chunks(model, context, bonus, drafter_cfg, order)
                     path = ()
@@ -495,15 +524,16 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         while n < end and not done:
             if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
                 break
+            if len(seq) < n + reach:
+                store.decide(seq, cfg, min(n + reach + DECISION_SPAN, last))
             window = tuple(seq[max(0, n - order):n])  # ends with the bonus
             key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
             if cfg.temperature != 0.0:
                 outcome, verified = play(key, window[:-1], window[-1])
             elif (played := store.rounds.get((key, budget))) is None:
                 outcome, verified = store.rounds[key, budget] = play(key, window[:-1], window[-1])
-            else:  # a greedy walk is a function of its window: decide the tokens it read
+            else:  # a greedy walk is a function of its window
                 outcome, verified = played
-                target(n + outcome.acceptance_length)
             # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
             k = min(outcome.acceptance_length + 1, end - n)
             if cfg.eos_token in seq[n:n + k]:
@@ -542,9 +572,9 @@ def run_episodes(
     """
     require_count("episodes", episodes, 1)
     require_count("workers", workers, 1)
-    with sweep_scope(model):
+    with sweep_scope(model) as store:
         stats = [
-            run_episode(model, replace(cfg, seed=episode_seed(cfg.seed, i))).stats
+            run_episode(model, replace(cfg, seed=store.episode_seed(cfg.seed, i))).stats
             for i in range(episodes)
         ]
     pooled = tuple(map(sum, zip(*(s.tau_histogram for s in stats))))

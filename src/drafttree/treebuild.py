@@ -193,7 +193,7 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
     k = min(budget, block.vocab_size)
     # A stable sort keeps equal probabilities in token-id order.
     token_ids = np.argsort(-block.probs, axis=1, kind="stable")[:, :k]
-    probs = np.take_along_axis(block.probs, token_ids, axis=1)
+    probs = block.probs[np.arange(block.block_len)[:, None], token_ids]
     return RankedDepths(token_ids=token_ids, probs=probs)
 
 

@@ -40,10 +40,10 @@ class FlattenedTree:
     of a tree of at most ``NODE_GUARD`` nodes, so stored trees stay small. A
     ``prefix`` view shares its tree's table and sets ``size``, so the table
     may have more rows than the view has entries, and ``child`` reads an
-    index past the view's end as no child. ``token_ids``, ``position_offsets``
-    (depths; the root is 0), ``parent_of`` (-1 for the root) and the
-    ancestor-only attention ``mask`` are derived from the table on first read;
-    the walk needs none of them. Equality is identity, so a flat is hashable.
+    entry or child past the view's end as no child. ``token_ids``,
+    ``position_offsets`` (depths; the root is 0), ``parent_of`` (-1 for the
+    root) and the ancestor-only attention ``mask`` are derived from the table
+    on first read; the walk needs none of them. Equality is identity, so a flat is hashable.
     """
 
     bonus: int  # the root entry's token
@@ -54,10 +54,14 @@ class FlattenedTree:
         return self.size
 
     def child(self, index: int, token: int) -> int | None:
-        """Index of entry ``index``'s child carrying ``token``, or None."""
-        if not 0 <= token < self.child_table.shape[1]:
+        """Index of entry ``index``'s child carrying ``token``, or None.
+
+        An ``index`` outside the view's entries has no child, a negative one too.
+        """
+        table = self.child_table
+        if not (0 <= index < self.size and 0 <= token < table.shape[1]):
             return None
-        child = int(self.child_table[index, token])
+        child = table.item(index, token)
         return None if child == NO_CHILD or child >= self.size else child
 
     def prefix(self, size: int) -> FlattenedTree:
@@ -149,17 +153,22 @@ def flatten(tree: DraftTree, bonus: int) -> FlattenedTree:
     indices = np.arange(1, n)
     assert (parents < indices).all(), "parent must precede child in node order"
 
-    # Fill every (parent, token) slot at once; a slot taken twice keeps only
-    # one index, so the other child reads back someone else's.
+    # Fill every (parent, token) cell at once, through the table's 1-D
+    # buffer; a cell taken twice keeps only one index, so the other child
+    # reads back someone else's.
     tokens = tree.token_ids
-    child_table = np.full((n, int(tokens.max(initial=-1)) + 1), NO_CHILD, dtype=np.int16)
-    child_table[parents, tokens] = indices
-    clashes = np.flatnonzero(child_table[parents, tokens] != indices)
-    if clashes.size:
-        node = int(clashes[0])
+    width = int(tokens.max(initial=-1)) + 1
+    cells = np.empty(n * width, dtype=np.int16)
+    cells.fill(NO_CHILD)
+    slots = parents * width + tokens
+    cells[slots] = indices
+    clashes = cells[slots] != indices
+    if clashes.any():
+        node = int(clashes.argmax())  # the first child that reads back another's index
         raise DuplicateChildToken(
             f"parent {tree.parents[node]} has duplicate child token {tokens[node]}"
         )
+    child_table = cells.reshape(n, width)
     child_table.flags.writeable = False
 
     return FlattenedTree(bonus, child_table, n)

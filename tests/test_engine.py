@@ -1,4 +1,8 @@
+import gc
 import warnings
+import weakref
+from array import array
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +24,6 @@ from drafttree.engine import (
     run_episode,
     run_episodes,
     sweep_scope,
-    UNIFORM_BLOCK,
     _decide,
     _decision_row,
     _position_uniform,
@@ -165,6 +168,10 @@ class TestPadNeverSampled:
         assert 0 not in run_episode(model, cfg).tokens
 
 
+# A block of positions, the unit the position-uniform tests draw at.
+UNIFORM_BLOCK = 64
+
+
 def seeds_of_words(words):
     """A seed whose uint32 words, low first, number ``words``: its top word is nonzero."""
     return st.integers(0 if words == 1 else 2 ** (32 * words - 32), 2 ** (32 * words) - 1)
@@ -203,13 +210,18 @@ class TestPositionUniforms:
 
 class TestDecisionRows:
     @staticmethod
-    def searched(model, context, temperature, u):
-        """The token for ``u`` by ``np.searchsorted`` over a freshly tempered row."""
+    def cdf(model, context, temperature):
+        """The cumulative tempered weights of tokens 1..|V|-1, as numpy computes them."""
         row = target_next(model, context)[1:]
-        if temperature == 0.0:
-            return 1 + int(np.argmax(row))
         weights = row if temperature == 1.0 else (row / row.max()) ** (1.0 / temperature)
-        cdf = np.cumsum(weights)
+        return np.cumsum(weights)
+
+    @classmethod
+    def searched(cls, model, context, temperature, u):
+        """The token for ``u`` by ``np.searchsorted`` over a freshly tempered row."""
+        if temperature == 0.0:
+            return 1 + int(np.argmax(target_next(model, context)[1:]))
+        cdf = cls.cdf(model, context, temperature)
         return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
 
     @staticmethod
@@ -234,11 +246,34 @@ class TestDecisionRows:
             row = _decision_row(model, context, temperature)
             uniforms = drawn + [0.0]
             if temperature > 0.0:
-                assert not row.flags.writeable
+                # The row holds np.cumsum's bytes, 8 a float, and no numpy array.
+                assert type(row) is array and row.itemsize == 8
+                assert row.tobytes() == self.cdf(model, context, temperature).tobytes()
                 uniforms += self.uniforms_on_steps(row)
             for u in uniforms:
                 expected = self.searched(model, context, temperature, u)
                 assert _decide(row, u) == decode_next(model, context, temperature, u) == expected
+
+    @given(
+        st.integers(0, 2**32 - 1),  # model seed
+        st.integers(2, 40),  # vocab
+        st.sampled_from([0.01, 0.1, 1.0, 10.0]),  # concentration
+        st.sampled_from([0.05, 0.7, 1.0, 20.0]),  # temperature
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=16),
+    )
+    @settings(max_examples=120, deadline=None)
+    @example(0, 40, 0.01, 0.05, [0.0, 1.0 - 2.0**-53])
+    @example(1, 2, 10.0, 20.0, [1.0 - 2.0**-53])
+    def test_bisect_right_over_the_stored_bytes_is_searchsorted(
+        self, seed, vocab, concentration, temperature, drawn
+    ):
+        model = random_model_or_reject(seed, vocab, 1, concentration)
+        for context in [(token,) for token in range(vocab)]:
+            cdf = self.cdf(model, context, temperature)
+            stored = array("d", cdf.tobytes())
+            for u in drawn + [0.0, 1.0 - 2.0**-53] + self.uniforms_on_steps(cdf):
+                x = u * cdf[-1]
+                assert bisect_right(stored, u * stored[-1]) == np.searchsorted(cdf, x, "right")
 
     @pytest.mark.parametrize("temperature", [1e-3, 0.5, 1.0, 3.0])
     def test_a_uniform_on_a_step_takes_the_next_token(self, temperature):
@@ -251,6 +286,98 @@ class TestDecisionRows:
         for u in on_step:
             token = 2 + list(row).index(u * row[-1])
             assert _decide(row, u) == self.searched(model, (1,), temperature, u) == token
+
+
+class TestDecidedSequence:
+    """A scope decides each episode's sequence ahead of its rounds, a span at a time."""
+
+    @staticmethod
+    def run_recorded(monkeypatch, cfg, modes=("tree",)):
+        """Run ``cfg`` in each mode in one scope; return (store, results, uniform draws)."""
+        draws = []
+
+        def counted(seed, start, count):
+            uniforms = position_uniforms(seed, start, count)
+            draws.append((seed, start, count, uniforms))
+            return uniforms
+
+        monkeypatch.setattr(engine, "position_uniforms", counted)
+        with sweep_scope(MODEL) as store:
+            results = [run_episode(MODEL, replace(cfg, mode=mode)) for mode in modes]
+        return store, results, draws
+
+    @staticmethod
+    def check_decided(store, cfg, result):
+        """The stored sequence is ``decode_next``'s, and ends within a span past the last round."""
+        seq = store.sequences[cfg.seed, cfg.prompt_len, cfg.temperature]
+        assert tuple(seq[:cfg.prompt_len]) == make_prompt(MODEL, cfg.seed, cfg.prompt_len)
+        for i in range(cfg.prompt_len, len(seq)):
+            u = _position_uniform(cfg.seed, i - cfg.prompt_len) if cfg.temperature else None
+            assert seq[i] == decode_next(MODEL, seq[i - MODEL.order:i], cfg.temperature, u)
+        n = cfg.prompt_len + len(result.tokens)  # the episode's last cursor
+        assert tuple(seq[cfg.prompt_len:n]) == result.tokens
+        end = cfg.prompt_len + 1 + cfg.max_new_tokens
+        # No round reads past end + block_len, nor the last round past n + block_len.
+        assert len(seq) <= min(n + cfg.block_len + 1 + engine.DECISION_SPAN, end + cfg.block_len)
+        return seq
+
+    @pytest.mark.parametrize("cut", ["none", "eos", "max_rounds"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.7, 1.0])
+    def test_a_stored_sequence_is_decode_next_s_position_by_position(
+        self, monkeypatch, temperature, cut
+    ):
+        # 400 tokens cross a span boundary: the first span ends 256 positions
+        # past the first round's reach.
+        cfg = small_cfg(temperature=temperature, max_new_tokens=400)
+        if cut == "eos":
+            cfg = replace(cfg, eos_token=run_episode(MODEL, cfg).tokens[40])
+        elif cut == "max_rounds":
+            cfg = replace(cfg, max_rounds=5, max_new_tokens=10**6)
+        store, results, draws = self.run_recorded(monkeypatch, cfg, engine.MODES)
+        assert results == [reference_episode(MODEL, replace(cfg, mode=m)) for m in engine.MODES]
+        seq = self.check_decided(store, cfg, results[0])
+        decided = len(seq) - cfg.prompt_len
+        if cut == "none":
+            assert decided == cfg.max_new_tokens + 1 + cfg.block_len  # end + block_len
+        else:
+            assert decided < cfg.block_len + 1 + 2 * engine.DECISION_SPAN
+        if temperature == 0.0:
+            assert draws == []
+            return
+        # Each span draws its positions' uniforms once, in one call, and the
+        # draws tile the positions decided.
+        assert [d[0] for d in draws] == [cfg.seed] * len(draws)
+        assert [d[1] for d in draws] == [0, *np.cumsum([d[2] for d in draws[:-1]])]
+        assert sum(d[2] for d in draws) == decided
+        assert len(draws) == (2 if cut == "none" else 1)
+        assert [u for d in draws for u in d[3]] == [
+            _position_uniform(cfg.seed, p) for p in range(decided)]
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_max_rounds_zero_decides_one_span(self, monkeypatch, temperature):
+        cfg = small_cfg(temperature=temperature, max_new_tokens=10**6, max_rounds=0)
+        store, (result,), draws = self.run_recorded(monkeypatch, cfg)
+        seq = self.check_decided(store, cfg, result)
+        assert result.tokens == (seq[cfg.prompt_len],)  # the prefill bonus alone
+        assert len(draws) == (temperature > 0)
+
+    def test_a_scope_derives_each_episode_seed_once(self, monkeypatch):
+        calls = []
+
+        def counted(base_seed, index):
+            calls.append((base_seed, index))
+            return episode_seed(base_seed, index)
+
+        monkeypatch.setattr(engine, "episode_seed", counted)
+        cfg = small_cfg()
+        with sweep_scope(MODEL):
+            budget_sweep(MODEL, cfg, [8, 16, 32], episodes=3)
+            for mode in ("chain", "baseline"):
+                run_episodes(MODEL, replace(cfg, mode=mode), 3)
+        assert calls == [(cfg.seed, i) for i in range(3)]
+        calls.clear()
+        run_episodes(MODEL, cfg, 3)  # a scope of its own derives them anew
+        assert calls == [(cfg.seed, i) for i in range(3)]
 
 
 class TestBaselineMode:
@@ -817,12 +944,40 @@ class TestDraftCache:
         drafter_cfg = DrafterConfig(cfg.drafter_noise, cfg.block_len)
         for key, entry in store.drafts.items():
             if key[1] == "tree":
-                assert vars(entry[1]).keys() == {"bonus", "child_table", "size"}
+                # The tree, and each prefix view walked, keyed by its budget.
+                built_at, flat, views = entry
+                assert vars(flat).keys() == {"bonus", "child_table", "size"}
+                assert views and max(views) <= built_at
+                for budget, view in views.items():
+                    assert vars(view).keys() == {"bonus", "child_table", "size"}
+                    assert view.child_table is flat.child_table
+                    assert len(view) == min(budget + 1, len(flat))
             else:
                 assert len(entry) in ends
                 assert all(type(token) is int for token in entry)
                 block = drafter_marginals(MODEL, key[0][:-1], key[0][-1], drafter_cfg)
                 assert entry == argmax_path(block)[:len(entry)]
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_a_scope_s_store_is_freed_on_exit_without_the_cycle_collector(self, temperature):
+        # Nothing the store holds refers back to it or to a flat: plain
+        # reference counting frees every flat, view and the store itself.
+        def stored():
+            with sweep_scope(MODEL) as store:
+                self.scoped_rows(small_cfg(temperature=temperature), episodes=3)
+            flats = [flat for key, entry in store.drafts.items() if key[1] == "tree"
+                     for flat in (entry[1], *entry[2].values())]
+            assert len(flats) > len(store.drafts) // 2
+            return [weakref.ref(obj) for obj in (store, *flats)]
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = stored()
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_sweep_drafts_and_builds_each_window_once(self, monkeypatch, temperature):
@@ -925,8 +1080,9 @@ class TestDraftCache:
         blocks, rows = [], []
 
         def counted_uniforms(seed, start, count):
-            blocks.append((seed, start, count))
-            return position_uniforms(seed, start, count)
+            uniforms = position_uniforms(seed, start, count)
+            blocks.append((seed, start, count, uniforms))
+            return uniforms
 
         def counted_row(model, context):
             rows.append(context)
@@ -947,15 +1103,18 @@ class TestDraftCache:
                 fresh = _decision_row(MODEL, context, temperature)
                 assert np.array_equal(row, fresh) and type(row) is type(fresh)
             if temperature == 0.0:
-                assert blocks == [] and store.uniforms == {}
+                assert blocks == [] and all(type(row) is int for row in store.rows.values())
                 continue
-            assert sorted(store.uniforms) == sorted(episode_seed(cfg.seed, i) for i in range(3))
-            for seed, uniforms in store.uniforms.items():
-                starts = list(range(0, len(uniforms), UNIFORM_BLOCK))
-                assert len(starts) == 3  # the 151 positions decided, in blocks
-                assert [b for b in blocks if b[0] == seed] == [
-                    (seed, start, UNIFORM_BLOCK) for start in starts]
-                assert uniforms == [_position_uniform(seed, p) for p in range(len(uniforms))]
+            seeds = sorted(episode_seed(cfg.seed, i) for i in range(3))
+            assert sorted(seed for seed, *_ in blocks) == seeds
+            for (seed, prompt_len, _), seq in store.sequences.items():
+                # One span decides the whole episode: its positions to the
+                # last round's reach, end + block_len, in one draw.
+                decided = len(seq) - prompt_len
+                assert decided == cfg.max_new_tokens + 1 + cfg.block_len < engine.DECISION_SPAN
+                drawn = [b for b in blocks if b[0] == seed]
+                assert [b[1:3] for b in drawn] == [(0, decided)]
+                assert drawn[0][3] == [_position_uniform(seed, p) for p in range(decided)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("temperature", [0.0, 1.0])

@@ -205,6 +205,21 @@ class TestPrefixView:
         assert view.child(1, 3) is None
         assert view.child(0, 2) == 2
 
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_an_entry_outside_the_view_has_no_child(self, size):
+        # Numpy would wrap a negative entry into the table and raise past
+        # its last row; neither is an entry of the view.
+        flat = flatten(BRANCHY, bonus=0)
+        view = flat if size is None else flat.prefix(size)
+        table = flat.child_table
+        assert table.shape[0] == len(flat) > len(view) - (size is None)
+        for index in (-len(table) - 2, -len(table), -3, -1, len(view), len(table), len(table) + 4):
+            for token in range(-1, table.shape[1] + 1):
+                assert view.child(index, token) is None
+        hits = [(i, t) for i in range(len(view)) for t in range(table.shape[1])
+                if view.child(i, t) is not None]
+        assert hits and all(0 < view.child(i, t) < len(view) for i, t in hits)
+
 
 class TestDerivedLayout:
     @given(
