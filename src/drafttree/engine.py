@@ -37,29 +37,30 @@ its path with it.
 initial prefill token (round 1's bonus) is produced before any round and does
 not count against it.
 
-Sweep scope: a round's draft is a pure function of its n-gram window (the last
-``model.order`` tokens, ending with the bonus), the mode, block_len and
-drafter_noise, and for a tree the budget. ``sweep_scope(model)`` opens one
-store for a whole sweep. Per window it keeps a chain's path over the deepest
-rows any tree or chain drew for it, and a flattened tree and the budget it
-was built at, never a live drafter; the baseline keeps nothing. The heap pops prefixes in
-nonincreasing mass, so a round at budget B walks the first B + 1 entries of a
-tree built at B or more, and otherwise builds at B and replaces the entry;
-``budget_sweep`` runs its rows largest budget first, so each window's tree is
-built once. The store also keeps one token sequence per (episode seed,
-prompt_len, temperature), so each prompt is made and each position decided
-once per sweep, and per temperature and context the row that decides a
-position (the greedy token, or the tempered CDF, read once from the table).
-Per temperature the rows hold at most one float per table entry. At T > 0 a
-span's position uniforms come from one ``position_uniforms`` call and are
-not kept. A tree's entry keeps the prefix view of each budget walked, and
-the store each ``episode_seed`` it derived. At T=0 a round's rollout, and so
-its whole walk, is a function of its window: the store keeps each greedy
-round played, its outcome and nodes verified per (draft key, budget), and a
-later round that meets the pair plays nothing. A hit returns exactly what a
-rebuild would. ``run_episode`` and ``run_episodes`` open a
-scope only when none is open; it serves one model, holds at most |V|^order
-windows per mode and config, and runs every episode in the calling process.
+Sweep scope: a window's drafted rows are a pure function of its n-gram window
+(the last ``model.order`` tokens, ending with the bonus) and the drafter spec
+``EpisodeConfig.drafter``, whichever mode verifies them. ``sweep_scope(model)``
+opens one store for a whole sweep. Per drafter spec it keeps, by window, a
+flattened tree with the budget it was built at and the prefix view of each
+budget walked, and a chain's path over the deepest rows any tree or chain
+drew; never a live drafter, and nothing for the baseline. The heap pops
+prefixes in nonincreasing mass, so a round at budget B walks the first B + 1
+entries of a tree built at B or more, and otherwise builds at B and replaces
+the entry; ``budget_sweep`` runs its rows largest budget first, so each
+window's tree is built once. The store also keeps each ``episode_seed`` it
+derived, one token sequence per (episode seed, prompt_len, temperature), so
+each prompt is made and each position decided once per sweep, and per
+temperature and context the row that decides a position (the greedy token, or
+the tempered CDF, read once from the table): at most one float per table
+entry. At T > 0 a span's position uniforms come from one ``position_uniforms``
+call and are not kept. At T=0 a round's rollout, and so its whole walk, is a
+function of its window: per drafter spec, mode and budget the store keeps each
+greedy round played, its outcome and nodes verified, by window, and a later
+round that meets the window plays nothing. A hit returns exactly what a
+rebuild would. An episode finds its spec's dicts once, so a round hashes only
+its window. ``run_episode`` and ``run_episodes`` open a scope only when none
+is open; it serves one model, holds at most |V|^order windows per dict, and
+runs every episode in the calling process.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,6 +178,11 @@ class EpisodeConfig:
         require_real("temperature", self.temperature, 0.0)
         require_real("drafter_noise", self.drafter_noise, 0.0, 1.0)
 
+    @property
+    def drafter(self) -> DrafterConfig:
+        """The drafter spec: every field a window's drafted rows depend on, whatever the mode."""
+        return DrafterConfig(self.drafter_noise, self.block_len)
+
 
 @dataclass(frozen=True)
 class EpisodeStats:
@@ -222,17 +228,6 @@ class EpisodeStats:
     @property
     def est_speedup(self) -> float:
         return self.speedup()
-
-    def merge(self, other: EpisodeStats) -> EpisodeStats:
-        """Pool the episodes of two runs of one config."""
-        config = (other.mode, other.budget, len(other.tau_histogram))
-        if (self.mode, self.budget, len(self.tau_histogram)) != config:
-            raise ValueError("only stats of one config can be pooled")
-        return replace(
-            self,
-            episodes=self.episodes + other.episodes,
-            tau_histogram=tuple(map(add, self.tau_histogram, other.tau_histogram)),
-        )
 
 
 @dataclass(frozen=True)
@@ -381,34 +376,35 @@ def argmax_path(block: MarginalBlock) -> tuple[int, ...]:
     return tuple(int(t) for t in block.probs.argmax(axis=1))
 
 
-# A round's draft is a pure function of its n-gram window and these config fields.
-_DraftKey = tuple[tuple[int, ...], str, int, float]
+class _Drafts(NamedTuple):
+    """One drafter spec's drafts, and its greedy rounds per (mode, budget), by window."""
+
+    # (built at, flat, {budget: prefix view}) per window.
+    trees: dict[tuple[int, ...], tuple[int, FlattenedTree, dict[int, FlattenedTree]]]
+    # The argmax path over the deepest rows a tree or a chain drew.
+    paths: dict[tuple[int, ...], tuple[int, ...]]
+    # A greedy round's (outcome, nodes verified) per window, one dict per (mode, budget).
+    rounds: dict[tuple[str, int], dict[tuple[int, ...], tuple[RoundOutcome, int]]]
 
 
 class _SweepStore:
     """What the rows of one sweep share: drafts, token sequences and what decides them.
 
-    ``sequences[(seed, prompt_len, temperature)]`` is that episode's prompt
-    followed by the target's decisions, which ``decide`` extends a span at a
-    time. A decision reads ``rows[(temperature, context)]``, the context's
-    ``_decision_row``, and at T > 0 the uniform of its position, drawn with
-    the span's. A tree's draft entry keeps its prefix views per budget
-    walked. ``rounds[(draft key, budget)]`` is a greedy round played, which
-    every later greedy round of the pair reuses. ``seeds[(base seed,
-    index)]`` is an ``episode_seed``.
+    ``drafts[spec]`` holds the ``_Drafts`` of one drafter spec, so drafts of
+    other specs never meet. ``sequences[(seed, prompt_len, temperature)]`` is
+    that episode's prompt followed by the target's decisions, which
+    ``decide`` extends a span at a time. A decision reads ``rows[(temperature,
+    context)]``, the context's ``_decision_row``, and at T > 0 the uniform of
+    its position, drawn with the span's. ``seeds[(base seed, index)]`` is an
+    ``episode_seed``.
     """
 
     def __init__(self, model: NgramModel) -> None:
         self.model = model
-        # A tree's (built at, flat, {budget: prefix view}); a chain's argmax
-        # path over the deepest rows a tree or chain drew for the window.
-        self.drafts: dict[
-            _DraftKey, tuple[int, FlattenedTree, dict[int, FlattenedTree]] | tuple[int, ...]
-        ] = {}
+        self.drafts: defaultdict[DrafterConfig, _Drafts] = defaultdict(
+            lambda: _Drafts({}, {}, defaultdict(dict)))
         self.sequences: dict[tuple[int, int, float], list[int]] = {}
         self.rows: dict[tuple[float, tuple[int, ...]], int | array] = {}
-        # A greedy round's (outcome, nodes verified) per (draft key, budget).
-        self.rounds: dict[tuple[_DraftKey, int], tuple[RoundOutcome, int]] = {}
         self.seeds: dict[tuple[int, int], int] = {}
 
     def decide(self, seq: list[int], cfg: EpisodeConfig, stop: int) -> None:
@@ -446,11 +442,11 @@ def sweep_scope(model: NgramModel) -> Iterator[_SweepStore]:
     """Share one store of drafts, token sequences and decisions across rows.
 
     Opens a store for ``model`` unless one is open already, in which case the
-    open one serves; no draft key has a model field, so a scope open for
-    another model raises ValueError. The store is dropped when the scope that
-    opened it exits. Drafts do not depend on temperature or episode count,
-    and sequences and decision rows are keyed by all they depend on besides
-    the model, so any rows of one model may share a scope.
+    open one serves; no key of the store has a model field, so a scope open
+    for another model raises ValueError. The store is dropped when the scope
+    that opened it exits. Drafts do not depend on temperature or episode
+    count, and sequences and decision rows are keyed by all they depend on
+    besides the model, so any rows of one model may share a scope.
     """
     store = _scope.get()
     if store is not None:
@@ -470,7 +466,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     """Run one full decoding episode, a cursor into its stored sequence, and collect its stats."""
     if cfg.eos_token is not None and cfg.eos_token >= model.vocab_size:
         raise ValueError(f"eos_token {cfg.eos_token} is not below vocab_size {model.vocab_size}")
-    drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
+    spec = cfg.drafter
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)  # nodes per round
     order = model.order
     with sweep_scope(model) as store:
@@ -478,6 +474,7 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         seq = store.sequences.get(seq_key)
         if seq is None:
             seq = store.sequences[seq_key] = list(make_prompt(model, cfg.seed, cfg.prompt_len))
+        trees, paths, greedy_rounds = store.drafts[spec]
         n = cfg.prompt_len + 1  # the prompt and the prefill bonus
         end = n + cfg.max_new_tokens
         # A round reads the decisions seq[n:n + reach]: the tokens its draft
@@ -490,48 +487,50 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         rounds = 0
         trace: list[dict] = []
 
-        def tree_round(key, context, bonus) -> tuple[RoundOutcome, int]:
-            entry = store.drafts.get(key)
+        def tree_round(window) -> tuple[RoundOutcome, int]:
+            entry = trees.get(window)
             if entry is None or entry[0] < budget:  # drafts only the row chunks the tree reaches
-                tree = build_tree(drafter_chunks(model, context, bonus, drafter_cfg), budget)
-                entry = store.drafts[key] = (budget, flatten(tree, bonus), {})
+                tree = build_tree(drafter_chunks(model, window[:-1], window[-1], spec), budget)
+                entry = trees[window] = (budget, flatten(tree, window[-1]), {})
                 # The rows the build drew hold the chain's path too: keep the longer one.
-                chain_key = (key[0], "chain", *key[2:])
-                if len(tree.row_argmax) > len(store.drafts.get(chain_key, ())):
-                    store.drafts[chain_key] = tuple(tree.row_argmax.tolist())
+                if len(tree.row_argmax) > len(paths.get(window, ())):
+                    paths[window] = tuple(tree.row_argmax.tolist())
             views = entry[2]
             flat = views.get(budget)
             if flat is None:  # the first B pops of the stored tree
                 flat = views[budget] = entry[1].prefix(budget + 1)
             return verifier_walk(flat, seq[n:n + reach].__getitem__), len(flat) - 1
 
-        def path_round(key, context, bonus) -> tuple[RoundOutcome, int]:
+        def chain_round(window) -> tuple[RoundOutcome, int]:
             decided = seq[n:n + reach]
-            path, chunks, a = store.drafts.get(key, ()), None, 0
+            path, chunks, a = paths.get(window, ()), None, 0
             while True:
                 while a < len(path) and path[a] == decided[a]:
                     a += 1
-                if a < len(path) or a == budget:  # the baseline's path stays empty
+                if a < len(path) or a == budget:  # a miss, or the whole block accepted
                     return RoundOutcome(tuple(range(a + 1)), decided[a]), budget
                 if chunks is None:  # the store holds no drafter: draw anew from row 0
-                    chunks = drafter_chunks(model, context, bonus, drafter_cfg, order)
+                    chunks = drafter_chunks(model, window[:-1], window[-1], spec, order)
                     path = ()
                 while len(path) <= a:  # only the chunks the walk reads into
                     path += argmax_path(next(chunks))
-                store.drafts[key] = path
+                paths[window] = path
 
-        play = tree_round if cfg.mode == "tree" else path_round
+        def baseline_round(window) -> tuple[RoundOutcome, int]:
+            return RoundOutcome((0,), seq[n]), 0  # no path: the bonus alone
+
+        play = {"tree": tree_round, "chain": chain_round}.get(cfg.mode, baseline_round)
+        greedy = greedy_rounds[cfg.mode, budget] if cfg.temperature == 0.0 else None
         while n < end and not done:
             if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
                 break
             if len(seq) < n + reach:
                 store.decide(seq, cfg, min(n + reach + DECISION_SPAN, last))
             window = tuple(seq[max(0, n - order):n])  # ends with the bonus
-            key = (window, cfg.mode, cfg.block_len, cfg.drafter_noise)
-            if cfg.temperature != 0.0:
-                outcome, verified = play(key, window[:-1], window[-1])
-            elif (played := store.rounds.get((key, budget))) is None:
-                outcome, verified = store.rounds[key, budget] = play(key, window[:-1], window[-1])
+            if greedy is None:
+                outcome, verified = play(window)
+            elif (played := greedy.get(window)) is None:
+                outcome, verified = greedy[window] = play(window)
             else:  # a greedy walk is a function of its window
                 outcome, verified = played
             # The round's tokens are seq[n:n + k]: the accepted path, then the bonus.
@@ -561,8 +560,7 @@ def run_episodes(
 ) -> EpisodeStats:
     """Run ``episodes`` seeded episodes of one config and pool their stats.
 
-    The pooled histogram is the episodes' histograms summed bin by bin, built
-    and checked once; ``EpisodeStats.merge`` pools the same way, a pair at a time.
+    The pooled histogram is the episodes' histograms summed bin by bin, built and checked once.
 
     Episode seeds derive from (cfg.seed, episode index). The episodes run in
     episode order in this process, under the open sweep scope, or under one
@@ -605,11 +603,11 @@ def budget_sweep(
     because ``perfbench/`` passes it; ``run_episodes`` checks it and
     otherwise ignores it.
     """
+    for budget in budgets:
+        require_count("budget", budget, 1, NODE_GUARD)  # before any row runs
+    budgets = [operator.index(b) for b in budgets]
     if not budgets:
         raise ValueError("budgets must be nonempty")
-    for budget in budgets:
-        require_count("budget", budget)
-    budgets = [operator.index(b) for b in budgets]
     if budgets != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
     rows = []

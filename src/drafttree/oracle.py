@@ -230,7 +230,6 @@ def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
     built and returned only when ``cfg.collect_trace`` asks for it.
     """
     prompt = make_prompt(model, cfg.seed, cfg.prompt_len)
-    drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
     budget = {"tree": cfg.budget, "chain": cfg.block_len}.get(cfg.mode, 0)
     order = model.order
     history: list[int] = []  # the prompt, the prefill bonus, then every commit
@@ -258,7 +257,7 @@ def reference_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             break
         tree = DraftTree(nodes=())
         if cfg.mode != "baseline":
-            rows = loop_drafter_rows(model, history[-order:-1], history[-1], drafter_cfg)
+            rows = loop_drafter_rows(model, history[-order:-1], history[-1], cfg.drafter)
             block = validate_block(rows)
             tree = build_tree(block, budget) if cfg.mode == "tree" else chain_tree(block)
         prefixes = node_prefixes(tree)

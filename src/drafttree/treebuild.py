@@ -200,11 +200,11 @@ def top_k_per_depth(block: MarginalBlock, budget: int) -> RankedDepths:
 def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> DraftTree:
     """Pop rank codes from a max-heap in nonincreasing score order.
 
-    ``chunks`` are a block's rows in consecutive chunks of one vocabulary;
-    no chunk, or a chunk of another vocabulary, raises ValueError. Each is
-    ranked by ``top_k_per_depth`` at ``width`` when a pop first needs a child
-    at one of its depths, so a tree whose deepest node sits at depth D draws
-    the chunks up to the one holding row D and no further.
+    ``chunks`` are a block's rows in consecutive ``MarginalBlock`` chunks of
+    one vocabulary; no chunk, or a chunk of another type or vocabulary, raises
+    ValueError. Each is ranked by ``top_k_per_depth`` at ``width`` when a pop
+    first needs a child at one of its depths, so a tree whose deepest node
+    sits at depth D draws the chunks up to the one holding row D and no further.
 
     Stops when ``budget`` nodes are placed or the heap runs dry (possible only
     when the whole restricted prefix space is smaller than the budget). Heap
@@ -227,6 +227,8 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
 
     def rank(block: MarginalBlock) -> int:
         """Rank a chunk's depths; return the ranked depth count."""
+        if not isinstance(block, MarginalBlock):
+            raise ValueError(f"block chunks must be MarginalBlocks, got {type(block).__name__}")
         if block.vocab_size != first.vocab_size:  # the base-k codes hold one k
             raise ValueError(
                 f"block chunks must share one vocabulary: {block.vocab_size} tokens "
@@ -300,8 +302,8 @@ def build_tree(block: MarginalBlock | Iterable[MarginalBlock], budget: int) -> D
     ``models.drafter_chunks`` yields them), which are drawn only as deep as
     the tree grows. Either way the tree equals the one built from the whole
     block. A budget above ``NODE_GUARD`` raises ValueError before any chunk
-    is drawn; no chunk, or a chunk of another vocabulary than the first,
-    raises ValueError naming ``block``.
+    is drawn; no chunk, or a chunk of another type or vocabulary than the
+    first, raises ValueError naming ``block``.
     """
     require_count("budget", budget, 1, NODE_GUARD)
     chunks = (block,) if isinstance(block, MarginalBlock) else block

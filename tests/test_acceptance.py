@@ -44,12 +44,7 @@ from drafttree.engine import (
     run_episode,
     run_episodes,
 )
-from drafttree.models import (
-    DrafterConfig,
-    deterministic_model,
-    drafter_marginals,
-    random_model,
-)
+from drafttree.models import deterministic_model, drafter_marginals, random_model
 from drafttree.oracle import expected_acceptance_exact, random_valid_tree, reference_episode
 from drafttree.treebuild import ROOT_PARENT, build_tree, chain_tree, node_prefixes
 from drafttree.verify import flatten, verifier_walk
@@ -243,7 +238,6 @@ def _tree_vs_chain_rounds(model, base, budget):
     acceptance, tree max depth) tuple per round.
     """
     order = model.order
-    drafter_cfg = DrafterConfig(noise=base.drafter_noise, block_len=base.block_len)
     hist = [0] * (base.block_len + 1)
     rounds = []
     for i in range(SHAPE_EPISODES):
@@ -265,7 +259,7 @@ def _tree_vs_chain_rounds(model, base, budget):
                 flat = flatten(tree, window[-1])
                 return verifier_walk(flat, rollout.__getitem__).acceptance_length
 
-            block = drafter_marginals(model, window[:-1], window[-1], drafter_cfg)
+            block = drafter_marginals(model, window[:-1], window[-1], base.drafter)
             tree = build_tree(block, budget)
             max_depth = max(node.depth for node in tree.nodes)
             rounds.append((

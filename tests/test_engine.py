@@ -3,7 +3,7 @@ import warnings
 import weakref
 from array import array
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -76,6 +76,25 @@ class TestEpisodeConfig:
         cfg = small_cfg(mode="baseline", budget=0)
         assert cfg.mode == "baseline"
 
+    # Every field, a legal value other than small_cfg's, and whether a
+    # window's drafted rows depend on it.
+    FIELDS = {"seed": (8, False), "max_new_tokens": (5, False), "prompt_len": (2, False),
+              "temperature": (0.5, False), "budget": (3, False), "block_len": (4, True),
+              "mode": ("chain", False), "drafter_noise": (0.5, True), "eos_token": (3, False),
+              "max_rounds": (2, False), "collect_trace": (True, False)}
+
+    def test_the_drafter_spec_holds_every_field_the_drafts_depend_on(self):
+        # The store keys drafts by the spec alone: a field the drafts depend
+        # on outside it would serve one drafter's rows to another.
+        assert self.FIELDS.keys() == {f.name for f in fields(EpisodeConfig)}
+        base = small_cfg().drafter
+        moved = set()
+        for name, (value, drafted) in self.FIELDS.items():
+            spec = replace(small_cfg(), **{name: value}).drafter
+            assert (spec != base) == drafted, name
+            moved |= {f.name for f in fields(spec) if getattr(spec, f.name) != getattr(base, f.name)}
+        assert moved == {f.name for f in fields(DrafterConfig)}  # each spec field comes from one
+
 
 class TestEstimateSpeedup:
     def test_ideal_overhead_limit_is_mean_tau(self):
@@ -108,13 +127,6 @@ class TestEpisodeStats:
         assert stats.est_speedup == stats.speedup() == estimate_speedup(stats.mean_tau, 12)
         baseline = run_episode(MODEL, small_cfg(mode="baseline")).stats
         assert baseline.speedup(cost) == baseline.est_speedup == 1.0
-
-    def test_merge_rejects_another_config(self):
-        tree = run_episode(MODEL, small_cfg()).stats
-        with pytest.raises(ValueError):
-            tree.merge(run_episode(MODEL, small_cfg(mode="chain")).stats)
-        with pytest.raises(ValueError):
-            tree.merge(run_episode(MODEL, small_cfg(budget=13)).stats)
 
 
 class TestSmallTemperature:
@@ -637,7 +649,7 @@ class TestChainDrafting:
         trace = [record for result in results for record in result.trace]
         # A path still at its first chunk's rows (the order's): every round
         # that met its window stopped inside them and drew no further.
-        assert MODEL.order in {len(path) for path in store.drafts.values()}
+        assert MODEL.order in {len(path) for path in store.drafts[cfg.drafter].paths.values()}
         assert {(r["budget"], r["tree_size"]) for r in trace} == {(cfg.block_len, cfg.block_len)}
 
 
@@ -649,12 +661,11 @@ class TestBudgetMonotonicity:
         cfg = small_cfg(seed=3, budget=8, temperature=0.0, collect_trace=True)
         result = run_episode(MODEL, cfg)
         prompt = make_prompt(MODEL, cfg.seed, cfg.prompt_len)
-        drafter_cfg = DrafterConfig(noise=cfg.drafter_noise, block_len=cfg.block_len)
         position = 1
         for record in result.trace:
             committed = result.tokens[:position]
             context, bonus = committed[:-1], committed[-1]
-            block = drafter_marginals(MODEL, prompt + context, bonus, drafter_cfg)
+            block = drafter_marginals(MODEL, prompt + context, bonus, cfg.drafter)
             small = build_tree(block, 8)
             large = build_tree(block, 32)
             assert set(node_prefixes(small)) <= set(node_prefixes(large))
@@ -719,6 +730,15 @@ class TestRunEpisodes:
         assert budget_sweep(MODEL, small_cfg(), numpy_budgets) == budget_sweep(
             MODEL, small_cfg(), [4, 8]
         )
+        # An array's truth value is ambiguous, and [0]'s read as empty: each
+        # raised before the budgets were read as a list.
+        assert budget_sweep(MODEL, small_cfg(), np.array([4, 8])) == budget_sweep(
+            MODEL, small_cfg(), [4, 8]
+        )
+        with pytest.raises(ValueError, match="budgets must be nonempty"):
+            budget_sweep(MODEL, small_cfg(), np.array([], dtype=int))
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
+            budget_sweep(MODEL, small_cfg(), np.array([0]))
 
 
 def independent_episodes(cfg, episodes):
@@ -937,26 +957,25 @@ class TestDraftCache:
         cfg = small_cfg(temperature=temperature)
         with sweep_scope(MODEL) as store:
             self.scoped_rows(cfg)
-        assert {key[1] for key in store.drafts} == {"tree", "chain"}
+        assert list(store.drafts) == [cfg.drafter]
+        trees, paths, _ = store.drafts[cfg.drafter]
+        assert trees and paths
         ends = {*chunk_edges(MODEL.order, cfg.block_len),
                 *chunk_edges(FIRST_CHUNK_ROWS, cfg.block_len)}
         assert ends == {2, 4, 6}
-        drafter_cfg = DrafterConfig(cfg.drafter_noise, cfg.block_len)
-        for key, entry in store.drafts.items():
-            if key[1] == "tree":
-                # The tree, and each prefix view walked, keyed by its budget.
-                built_at, flat, views = entry
-                assert vars(flat).keys() == {"bonus", "child_table", "size"}
-                assert views and max(views) <= built_at
-                for budget, view in views.items():
-                    assert vars(view).keys() == {"bonus", "child_table", "size"}
-                    assert view.child_table is flat.child_table
-                    assert len(view) == min(budget + 1, len(flat))
-            else:
-                assert len(entry) in ends
-                assert all(type(token) is int for token in entry)
-                block = drafter_marginals(MODEL, key[0][:-1], key[0][-1], drafter_cfg)
-                assert entry == argmax_path(block)[:len(entry)]
+        for built_at, flat, views in trees.values():
+            # The tree, and each prefix view walked, keyed by its budget.
+            assert vars(flat).keys() == {"bonus", "child_table", "size"}
+            assert views and max(views) <= built_at
+            for budget, view in views.items():
+                assert vars(view).keys() == {"bonus", "child_table", "size"}
+                assert view.child_table is flat.child_table
+                assert len(view) == min(budget + 1, len(flat))
+        for window, path in paths.items():
+            assert len(path) in ends
+            assert all(type(token) is int for token in path)
+            block = drafter_marginals(MODEL, window[:-1], window[-1], cfg.drafter)
+            assert path == argmax_path(block)[:len(path)]
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_scope_s_store_is_freed_on_exit_without_the_cycle_collector(self, temperature):
@@ -965,9 +984,9 @@ class TestDraftCache:
         def stored():
             with sweep_scope(MODEL) as store:
                 self.scoped_rows(small_cfg(temperature=temperature), episodes=3)
-            flats = [flat for key, entry in store.drafts.items() if key[1] == "tree"
-                     for flat in (entry[1], *entry[2].values())]
-            assert len(flats) > len(store.drafts) // 2
+            trees, paths, _ = store.drafts[small_cfg().drafter]
+            flats = [f for _, flat, views in trees.values() for f in (flat, *views.values())]
+            assert len(flats) > (len(trees) + len(paths)) // 2
             return [weakref.ref(obj) for obj in (store, *flats)]
 
         enabled = gc.isenabled()
@@ -1038,14 +1057,13 @@ class TestDraftCache:
         assert sum(map(len, chains)) < sum(map(len, own))
         # Every stored path is the argmax path of the deepest rows drawn
         # for its window, by a tree or by the chain.
-        drafter_cfg = DrafterConfig(cfg.drafter_noise, cfg.block_len)
         drawn = dict(held)
         for event in chains:
             drawn[event[0]] = max(event[-1], drawn.get(event[0], 0))
-        paths = {key[0]: path for key, path in store.drafts.items() if key[1] == "chain"}
+        paths = store.drafts[cfg.drafter].paths
         assert {w: len(path) for w, path in paths.items()} == drawn
         for window, path in paths.items():
-            block = drafter_marginals(MODEL, window[:-1], window[-1], drafter_cfg)
+            block = drafter_marginals(MODEL, window[:-1], window[-1], cfg.drafter)
             assert path == argmax_path(block)[:len(path)]
 
     def test_consecutive_sweeps_share_no_state(self, monkeypatch):
@@ -1127,6 +1145,18 @@ class TestDraftCache:
         alone = [run_episodes(MODEL, replace(cfg, budget=b), 3) for b in self.BUDGETS]
         alone += [run_episodes(MODEL, replace(cfg, mode=m), 3) for m in ("chain", "baseline")]
         assert rows == alone
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_rows_of_other_drafters_share_a_scope_and_no_draft(self, temperature):
+        # Every mode at three drafter specs, whose rows meet the same windows.
+        cfgs = [small_cfg(mode=mode, temperature=temperature, **spec)
+                for spec in ({}, {"drafter_noise": 0.9}, {"block_len": 3})
+                for mode in engine.MODES]
+        with sweep_scope(MODEL) as store:
+            scoped = [run_episodes(MODEL, cfg, 3) for cfg in cfgs]
+        assert scoped == [run_episodes(MODEL, cfg, 3) for cfg in cfgs]
+        assert list(store.drafts) == list(dict.fromkeys(cfg.drafter for cfg in cfgs))
+        assert set.intersection(*(set(drafts.trees) for drafts in store.drafts.values()))
 
     def test_a_larger_budget_later_in_a_scope_rebuilds_its_trees(self):
         cfg = small_cfg(temperature=1.0)

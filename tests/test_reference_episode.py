@@ -164,7 +164,7 @@ def repeated_rounds(recorded):
 
 
 class TestGreedyRoundMemo:
-    """At T=0 a scope plays each (draft key, budget) once; every later round reuses that walk."""
+    """At T=0 a scope plays each (window, mode, budget) once; every later round reuses that walk."""
 
     @pytest.mark.parametrize("overrides,cut", [
         ({}, None),
@@ -180,7 +180,8 @@ class TestGreedyRoundMemo:
             reference_episode(GREEDY_MODEL, c) for c, _ in recorded]
         repeats = repeated_rounds(recorded)
         rounds = sum(result.stats.rounds for _, result in recorded)
-        assert len(store.rounds) == rounds - len(repeats) and repeats
+        played = [memo for drafts in store.drafts.values() for memo in drafts.rounds.values()]
+        assert sum(map(len, played)) == rounds - len(repeats) and repeats
         cut_short = [eos for k, walked, eos in repeats if k < walked]
         if cut == "eos":
             assert any(cut_short)

@@ -568,14 +568,21 @@ class TestChunkedBuild:
         assert a.child_table.dtype == b.child_table.dtype
         assert a.child_table.tobytes() == b.child_table.tobytes()
 
-    @pytest.mark.parametrize("vocabs", [(), (3, 2), (2, 3)])
+    # The chunks' vocabularies, or chunks that are no MarginalBlock.
+    @pytest.mark.parametrize("vocabs", [(), (3, 2), (2, 3), np.ones((3, 4)) / 4,
+                                        [np.ones((1, 4)) / 4], "ab"])
     def test_no_chunk_or_a_chunk_of_another_vocabulary_raises_naming_the_block(self, vocabs):
         # Unchecked, no chunk and |V| 3 then 2 failed on a bare IndexError, and 2
         # then 3 built a tree that left out the second depth's likeliest tokens.
-        chunks = [validate_block(np.ones((1, v))) for v in vocabs]
-        message = "block chunks must share one vocabulary" if vocabs else "block must hold"
+        # An array (read as its rows), a list of an array and a string each
+        # failed on an AttributeError.
+        if isinstance(vocabs, tuple):
+            chunks = iter([validate_block(np.ones((1, v))) for v in vocabs])
+            message = "block chunks must share one vocabulary" if vocabs else "block must hold"
+        else:
+            chunks, message = vocabs, "block chunks must be MarginalBlocks, got (ndarray|str)"
         with pytest.raises(ValueError, match=message):
-            build_tree(iter(chunks), 6)
+            build_tree(chunks, 6)
 
     # One-hot rows put nearly all mass on one path, so a tree of B nodes is a
     # path of depth min(B, L): these budgets end on each side of the 4- and
