@@ -72,7 +72,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -482,7 +482,6 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
         reach, last = cfg.block_len + 1, end + cfg.block_len
         if len(seq) < n + reach:
             store.decide(seq, cfg, min(n + reach + DECISION_SPAN, last))
-        done = seq[n - 1] == cfg.eos_token
         hist = [0] * (cfg.block_len + 1)
         rounds = 0
         trace: list[dict] = []
@@ -521,9 +520,9 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
 
         play = {"tree": tree_round, "chain": chain_round}.get(cfg.mode, baseline_round)
         greedy = greedy_rounds[cfg.mode, budget] if cfg.temperature == 0.0 else None
-        while n < end and not done:
-            if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
-                break
+        # A commit ends right after its EOS, so an episode stops at one; a
+        # count never equals None.
+        while n < end and seq[n - 1] != cfg.eos_token and rounds != cfg.max_rounds:
             if len(seq) < n + reach:
                 store.decide(seq, cfg, min(n + reach + DECISION_SPAN, last))
             window = tuple(seq[max(0, n - order):n])  # ends with the bonus
@@ -537,7 +536,6 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             k = min(outcome.acceptance_length + 1, end - n)
             if cfg.eos_token in seq[n:n + k]:
                 k = seq.index(cfg.eos_token, n) - n + 1
-                done = True
 
             n += k
             rounds += 1
@@ -591,7 +589,7 @@ class SweepRow:
 def budget_sweep(
     model: NgramModel,
     base_cfg: EpisodeConfig,
-    budgets: Sequence[int],
+    budgets: Iterable[int],
     episodes: int = 1,
     workers: int = 1,
 ) -> list[SweepRow]:
@@ -603,6 +601,7 @@ def budget_sweep(
     because ``perfbench/`` passes it; ``run_episodes`` checks it and
     otherwise ignores it.
     """
+    budgets = list(budgets)  # read a one-shot iterable once
     for budget in budgets:
         require_count("budget", budget, 1, NODE_GUARD)  # before any row runs
     budgets = [operator.index(b) for b in budgets]

@@ -15,25 +15,28 @@ at the next depth). The heap stage therefore does at most B pops and 2B
 pushes. ``chain_tree`` runs the same heap over each depth's top token only,
 with no budget, which yields the single per-depth argmax path of a block.
 
-A heap entry holds its rank tuple as one integer code, the ranks written in
-base k (the tokens ranked per depth): the next sibling is ``code + 1``, the
-first child ``code * k``, and at equal depth codes order as the tuples do.
-A pop reads the top and replaces it with the queued sibling in one sift, or
-pops it when its depth's ranks are spent; the child's push is the only other
+A heap entry is ``(-score, depth, code, last rank, parent, parent's path
+sum)``. Its code is the rank tuple as one integer, the ranks written in base
+k (the tokens ranked per depth): the next sibling is ``code + 1``, the first
+child ``code * k``, and at equal depth codes order as the tuples do. A pop
+reads the top and replaces it with the queued sibling in one sift, or pops
+it when its depth's ranks are spent; the child's push is the only other
 sift. Each pop asserts that its incremental score is within
 ``SCORE_DRIFT_TOL`` of its path sum, the parent's path sum plus the node's
 own log factor: its log factors added root to node, never through the
-sibling swaps whose drift the check exists to catch.
+sibling swaps whose drift the check exists to catch. A sibling's entry
+copies its parent's sum, and a child's takes the popped node's.
 
-A pop builds no node object: it appends its parent, depth, rank and score
-to the tree's columns in pop order. After the last pop the parent and token
-columns become read-only numpy arrays in a few calls; the depth and
-log-mass columns, which ``flatten`` does not read, are set up on first read.
-``DraftTree.nodes`` reads the columns back as ``TreeNode`` rows, and
-``DraftTree(nodes)`` makes the columns from rows for trees built by hand or
-by the oracle. A built tree also keeps ``row_argmax``, the rank-0 token of
-every row the build ranked: the argmax path of the rows it drew, which a
-chain over the same rows would verify, at the cost of a slice.
+A pop builds no node object: it appends its parent, depth, rank and negated
+score to lists in pop order. After the last pop the parent, token and depth
+lists become read-only numpy arrays in a few calls, and the tree keeps the
+scores, from which ``log_masses`` is derived on first read (``flatten``
+does not read it). ``DraftTree(nodes)`` fills the same fields from
+``TreeNode`` rows for trees built by hand or by the oracle, and
+``DraftTree.nodes`` reads any tree back as rows. A built tree also keeps
+``row_argmax``, the rank-0 token of every row the build ranked: the argmax
+path of the rows it drew, which a chain over the same rows would verify, at
+the cost of a slice.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,24 +83,25 @@ def _column(values: Iterable, dtype: type) -> np.ndarray:
 class DraftTree:
     """Prefix-closed candidate tree in pop order (nonincreasing log mass).
 
-    The tree is four read-only columns, one row per node: ``parents`` (the
-    index of an earlier node, or ROOT_PARENT at depth 1), ``token_ids``,
-    ``depths`` and ``log_masses``. A built node's log mass is the heap's
-    incremental score, which its pop checked against the node's path sum of
-    log factors within ``SCORE_DRIFT_TOL``. ``nodes``, the rows as
-    ``TreeNode`` tuples, and ``surrogate_value`` are derived on first read,
-    and so are a built tree's ``depths`` and ``log_masses``, from its pops.
+    Every tree, however it is made, has one layout: three read-only intp
+    columns, one row per node, ``parents`` (the index of an earlier node, or
+    ROOT_PARENT at depth 1), ``token_ids`` and ``depths``; the push count;
+    ``row_argmax``; and its scores, the log masses negated. ``log_masses``
+    is derived from the scores on first read, and so are ``nodes``, the rows
+    as ``TreeNode`` tuples, and ``surrogate_value``. A built node's log mass is
+    the heap's incremental score, which its pop checked against the node's
+    path sum of log factors within ``SCORE_DRIFT_TOL``.
 
-    ``DraftTree(nodes, heap_pushes)`` builds a tree from ``TreeNode`` rows,
+    ``DraftTree(nodes, heap_pushes)`` makes a tree from ``TreeNode`` rows,
     as the oracle, ``tree_from_prefixes`` and hand-built trees do; the
-    builder makes its columns directly. Two trees are equal when their
-    columns and push counts are.
+    builder fills the same fields from its pops. Two trees are equal when
+    their columns and push counts are.
 
-    ``row_argmax`` is not a column: it is the rank-0 token of each block row
-    the builder ranked, in row order, so each row's argmax with ties to the
-    lowest id (``top_k_per_depth`` sorts stably). A built tree's rows are
+    ``row_argmax`` is not a node column: it is the rank-0 token of each block
+    row the builder ranked, in row order, so each row's argmax with ties to
+    the lowest id (``top_k_per_depth`` sorts stably). A built tree's rows are
     those its build drew, which may run deeper than its deepest node; a
-    tree made from nodes ranked none and keeps an empty one. Equality does
+    tree made from nodes ranked none and holds an empty one. Equality does
     not read it.
 
     ``heap_pops``/``heap_pushes`` count the best-first heap's operations
@@ -110,44 +114,28 @@ class DraftTree:
 
     parents: np.ndarray  # (nodes,) intp
     token_ids: np.ndarray  # (nodes,) intp
+    depths: np.ndarray  # (nodes,) intp
     heap_pushes: int
-    # Not a field (it has no annotation): a tree made from nodes reads this one.
-    row_argmax = np.zeros(0, dtype=np.intp)
+    row_argmax: np.ndarray  # (rows ranked,) intp
+    _neg_scores: Sequence[float]  # (nodes,) the log masses negated
 
     def __init__(self, nodes: Iterable[TreeNode] = (), heap_pushes: int = 0) -> None:
-        nodes = tuple(nodes)
-        token_ids, depths, parents, log_masses = zip(*nodes) if nodes else ((),) * 4
-        self._fill(
-            parents, token_ids, heap_pushes, nodes=nodes,
-            depths=_column(depths, np.intp), log_masses=_column(log_masses, np.float64),
-        )
+        token_ids, depths, parents, log_masses = tuple(zip(*nodes)) or ((),) * 4
+        self._fill(parents, token_ids, depths, -np.asarray(log_masses, dtype=np.float64),
+                   heap_pushes, ())
 
-    @classmethod
-    def _of_pops(
-        cls, parents: Iterable[int], token_ids: Iterable[int], depths: Iterable[int],
-        neg_scores: Iterable[float], heap_pushes: int, row_argmax: np.ndarray,
-    ) -> DraftTree:
-        """A built tree; ``depths`` and ``log_masses`` are read from its pops on first read."""
-        tree = cls.__new__(cls)
-        row_argmax.flags.writeable = False
-        tree._fill(parents, token_ids, heap_pushes, _pops=(depths, neg_scores),
-                   row_argmax=row_argmax)
-        return tree
-
-    def _fill(self, parents, token_ids, heap_pushes, **derived) -> None:
-        """Set the parent and token columns, as read-only arrays, the push count and ``derived``."""
+    def _fill(self, parents, token_ids, depths, neg_scores, heap_pushes, row_argmax) -> DraftTree:
+        """Set every field, the columns and ``row_argmax`` as read-only intp arrays; return self."""
         self.__dict__.update(
             parents=_column(parents, np.intp), token_ids=_column(token_ids, np.intp),
-            heap_pushes=heap_pushes, **derived,
+            depths=_column(depths, np.intp), heap_pushes=heap_pushes,
+            row_argmax=_column(row_argmax, np.intp), _neg_scores=neg_scores,
         )
+        return self
 
     @cached_property
-    def depths(self) -> np.ndarray:  # (nodes,) intp
-        return _column(self._pops[0], np.intp)
-
-    @cached_property
-    def log_masses(self) -> np.ndarray:  # (nodes,) float64; the pops' scores are negated
-        return _column(np.negative(self._pops[1]), np.float64)
+    def log_masses(self) -> np.ndarray:  # (nodes,) float64
+        return _column(np.negative(self._neg_scores), np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DraftTree):
@@ -215,8 +203,10 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     that queues a sibling does it with ``heapreplace``, one sift for both;
     keys are unique, so the pop order is that of a pop and a push. Every pop
     asserts that its incremental score is within ``SCORE_DRIFT_TOL`` of its
-    path sum, kept per node in ``path_sums``. The tree's ``row_argmax`` is
-    rank 0 of every chunk ranked, a slice of the ranking the tokens come from.
+    path sum, its entry's parent sum plus its own log factor; a sibling
+    carries its parent's sum and a child the popped node's. The tree's
+    ``row_argmax`` is rank 0 of every chunk ranked, a slice of the ranking
+    the tokens come from.
     """
     pending = iter(chunks)
     first = next(pending, None)
@@ -245,15 +235,14 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     tol = SCORE_DRIFT_TOL
     heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
 
-    # Heap entries: (-score, depth, code, last rank, parent node index). code
-    # is the rank tuple in base k, so at equal depth codes order as the tuples
-    # do; the first three fields are unique per node, so the rest never gets
-    # compared. Scores stay negated throughout: negation is exact, so each
-    # is the negation of the score the same additions would give unnegated.
-    heap: list[tuple[float, int, int, int, int]] = [(-logq[0][0], 1, 0, 0, ROOT_PARENT)]
-    # path_sums[i + 1] is node i's log factors summed root to node in depth
-    # order; path_sums[0] is the root's empty sum.
-    path_sums = [0.0]
+    # Heap entries: (-score, depth, code, last rank, parent node index, the
+    # parent's path sum: its log factors summed root to parent in depth
+    # order, 0.0 at the root). code is the rank tuple in base k, so at equal
+    # depth codes order as the tuples do; the first three fields are unique
+    # per node, so the rest never gets compared. Scores stay negated
+    # throughout: negation is exact, so each is the negation of the score
+    # the same additions would give unnegated.
+    heap = [(-logq[0][0], 1, 0, 0, ROOT_PARENT, 0.0)]
     # The tree's columns in pop order; scores negated, tokens as depth ranks.
     neg_scores: list[float] = []
     depths: list[int] = []
@@ -264,12 +253,11 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
     for index in range(budget):
         if not heap:
             break
-        neg_score, depth, code, last, parent = heap[0]
+        neg_score, depth, code, last, parent, parent_sum = heap[0]
         logq_row = logq[depth - 1]
         factor = logq_row[last]
-        direct = path_sums[parent + 1] + factor
+        direct = parent_sum + factor
         assert -tol <= neg_score + direct <= tol
-        path_sums.append(direct)
         append_score(neg_score)
         append_depth(depth)
         append_rank(last)
@@ -277,7 +265,7 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
         sibling = last + 1
         if sibling < k:
             sibling_score = neg_score + factor - logq_row[sibling]
-            heapreplace(heap, (sibling_score, depth, code + 1, sibling, parent))
+            heapreplace(heap, (sibling_score, depth, code + 1, sibling, parent, parent_sum))
         else:
             heappop(heap)
         if depth == pull_at:
@@ -285,12 +273,12 @@ def _best_first(chunks: Iterable[MarginalBlock], width: int, budget: int) -> Dra
             pull_at = 0 if block is None else rank(block)
             depth_cap = len(logq)
         if depth < depth_cap:
-            heappush(heap, (neg_score - logq[depth][0], depth + 1, code * k, 0, index))
+            heappush(heap, (neg_score - logq[depth][0], depth + 1, code * k, 0, index, direct))
     # Every push is popped or still queued; the seed entry is not a push.
     pushes = len(parents) + len(heap) - 1
     depth_column = np.array(depths, dtype=np.intp)
     ranked = np.concatenate(ranked_ids)
-    return DraftTree._of_pops(
+    return DraftTree.__new__(DraftTree)._fill(
         parents, ranked[depth_column - 1, ranks], depth_column, neg_scores, pushes, ranked[:, 0]
     )
 

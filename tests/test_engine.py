@@ -739,6 +739,13 @@ class TestRunEpisodes:
             budget_sweep(MODEL, small_cfg(), np.array([], dtype=int))
         with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
             budget_sweep(MODEL, small_cfg(), np.array([0]))
+        # A one-shot iterable is read once, so it runs as its list does.
+        for one_shot in ((b for b in [4, 8]), iter([4, 8])):
+            assert budget_sweep(MODEL, small_cfg(), one_shot) == budget_sweep(
+                MODEL, small_cfg(), [4, 8]
+            )
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
+            budget_sweep(MODEL, small_cfg(), (b for b in [0]))
 
 
 def independent_episodes(cfg, episodes):
@@ -1065,6 +1072,26 @@ class TestDraftCache:
         for window, path in paths.items():
             block = drafter_marginals(MODEL, window[:-1], window[-1], cfg.drafter)
             assert path == argmax_path(block)[:len(path)]
+
+    def test_a_tree_never_shortens_a_stored_path(self, monkeypatch):
+        # A budget-1 tree draws one chunk of 4 rows; where a chain drew
+        # deeper, the stored path is the longer one, so the chain row run
+        # again draws no chunk. T > 0: at T=0 the greedy memo would replay
+        # the chain's rounds and hide a redraw.
+        counts = CountingDrafts(monkeypatch)
+        chain = small_cfg(temperature=1.0, block_len=16, mode="chain")
+        with sweep_scope(MODEL) as store:
+            paths = store.drafts[chain.drafter].paths
+            run_episodes(MODEL, chain, 4)
+            before = {w: len(path) for w, path in paths.items()}
+            counts.clear()
+            run_episodes(MODEL, replace(chain, mode="tree", budget=1), 4)
+            met = {event[0] for event in counts.events}
+            assert any(before.get(w, 0) > FIRST_CHUNK_ROWS for w in met)  # the guard is met
+            assert all(len(paths[w]) >= n for w, n in before.items())
+            counts.clear()
+            run_episodes(MODEL, chain, 4)
+        assert counts.events == []
 
     def test_consecutive_sweeps_share_no_state(self, monkeypatch):
         counts = CountingDrafts(monkeypatch)

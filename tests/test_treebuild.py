@@ -329,6 +329,28 @@ class TestColumnTree:
                 assert column.dtype == (np.float64 if name == "log_masses" else np.intp)
         assert DraftTree(nodes=()) == DraftTree() and len(DraftTree()) == 0
 
+    def test_a_built_tree_and_its_node_built_twin_hold_the_same_fields(self):
+        # One layout however a tree is made: before any derived read the two
+        # hold the same keys, and neither holds its rows or log masses yet.
+        for tree in corpus_trees():
+            built = set(vars(tree))
+            twin = DraftTree(nodes=tree.nodes, heap_pushes=tree.heap_pushes)
+            assert set(vars(twin)) == built
+            assert not built & {"nodes", "log_masses", "surrogate_value"}
+            assert len(twin.row_argmax) == 0 and not twin.row_argmax.flags.writeable
+        assert set(vars(DraftTree())) == built
+
+    def test_a_built_tree_derives_its_log_masses_on_first_read(self):
+        def float_arrays(tree):
+            return [v for v in vars(tree).values()
+                    if isinstance(v, np.ndarray) and v.dtype == np.float64]
+
+        for tree in corpus_trees():
+            assert float_arrays(tree) == []
+            masses = tree.log_masses
+            assert [a is masses for a in float_arrays(tree)] == [True]
+            assert tree.log_masses is masses
+
     def test_a_tree_differs_in_any_column_or_push_count(self):
         tree = build_tree(random_block(4, 3, 5), 12)
         nodes = tree.nodes
