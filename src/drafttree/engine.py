@@ -39,28 +39,28 @@ not count against it.
 
 Sweep scope: a window's drafted rows are a pure function of its n-gram window
 (the last ``model.order`` tokens, ending with the bonus) and the drafter spec
-``EpisodeConfig.drafter``, whichever mode verifies them. ``sweep_scope(model)``
-opens one store for a whole sweep. Per drafter spec it keeps, by window, a
-flattened tree with the budget it was built at and the prefix view of each
-budget walked, and a chain's path over the deepest rows any tree or chain
-drew; never a live drafter, and nothing for the baseline. The heap pops
-prefixes in nonincreasing mass, so a round at budget B walks the first B + 1
-entries of a tree built at B or more, and otherwise builds at B and replaces
-the entry; ``budget_sweep`` runs its rows largest budget first, so each
-window's tree is built once. The store also keeps each ``episode_seed`` it
-derived, one token sequence per (episode seed, prompt_len, temperature), so
-each prompt is made and each position decided once per sweep, and per
-temperature and context the row that decides a position (the greedy token, or
-the tempered CDF, read once from the table): at most one float per table
-entry. At T > 0 a span's position uniforms come from one ``position_uniforms``
-call and are not kept. At T=0 a round's rollout, and so its whole walk, is a
-function of its window: per drafter spec, mode and budget the store keeps each
-greedy round played, its outcome and nodes verified, by window, and a later
-round that meets the window plays nothing. A hit returns exactly what a
-rebuild would. An episode finds its spec's dicts once, so a round hashes only
-its window. ``run_episode`` and ``run_episodes`` open a scope only when none
-is open; it serves one model, holds at most |V|^order windows per dict, and
-runs every episode in the calling process.
+``EpisodeConfig.drafter``, whichever mode verifies them.
+``sweep_scope(model)`` opens one store for a whole sweep. Per drafter spec it
+keeps, by window, a flattened tree with the budget it was built at, and a
+chain's path over the deepest rows any tree or chain drew; never a live
+drafter, and nothing for the baseline. The heap pops prefixes in nonincreasing
+mass, so a round at budget B walks the first B + 1 entries of a tree built at
+B or more, and otherwise builds at B and replaces the entry; ``budget_sweep``
+runs its rows largest budget first, so each window's tree is built once. The
+store also keeps each ``episode_seed`` it derived, one token sequence per
+(episode seed, prompt_len, temperature), so each prompt is made and each
+position decided once per sweep, and per temperature and context the row that
+decides a position (the greedy token, or the tempered CDF, read once from the
+table): at most one float per table entry. At T > 0 a span's position uniforms
+come from one ``position_uniforms`` call and are not kept. At T=0 a round's
+rollout, and so its whole walk, is a function of its window: per drafter spec,
+mode and budget the store keeps each greedy round played, its outcome and
+nodes verified, by window, and a later round that meets the window plays
+nothing. A hit returns exactly what a rebuild would. An episode finds its
+spec's dicts once, so a round hashes only its window. ``run_episode`` and
+``run_episodes`` open a scope only when none is open; it serves one model,
+holds at most |V|^order windows per dict, and runs every episode in the
+calling process.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class EpisodeConfig:
         require_count("seed", self.seed, 0)
         require_count("max_new_tokens", self.max_new_tokens, 1)
         require_count("prompt_len", self.prompt_len, 1)
-        require_count("budget", self.budget, None if self.mode == "baseline" else 1, NODE_GUARD)
+        require_count("budget", self.budget, 0 if self.mode == "baseline" else 1, NODE_GUARD)
         require_count("block_len", self.block_len, 1, NODE_GUARD)
         if self.max_rounds is not None:
             require_count("max_rounds", self.max_rounds, 0)
@@ -379,8 +379,8 @@ def argmax_path(block: MarginalBlock) -> tuple[int, ...]:
 class _Drafts(NamedTuple):
     """One drafter spec's drafts, and its greedy rounds per (mode, budget), by window."""
 
-    # (built at, flat, {budget: prefix view}) per window.
-    trees: dict[tuple[int, ...], tuple[int, FlattenedTree, dict[int, FlattenedTree]]]
+    # (built at, flat) per window; a round at budget B walks its first B + 1 entries.
+    trees: dict[tuple[int, ...], tuple[int, FlattenedTree]]
     # The argmax path over the deepest rows a tree or a chain drew.
     paths: dict[tuple[int, ...], tuple[int, ...]]
     # A greedy round's (outcome, nodes verified) per window, one dict per (mode, budget).
@@ -490,14 +490,11 @@ def run_episode(model: NgramModel, cfg: EpisodeConfig) -> EpisodeResult:
             entry = trees.get(window)
             if entry is None or entry[0] < budget:  # drafts only the row chunks the tree reaches
                 tree = build_tree(drafter_chunks(model, window[:-1], window[-1], spec), budget)
-                entry = trees[window] = (budget, flatten(tree, window[-1]), {})
+                entry = trees[window] = (budget, flatten(tree, window[-1]))
                 # The rows the build drew hold the chain's path too: keep the longer one.
                 if len(tree.row_argmax) > len(paths.get(window, ())):
                     paths[window] = tuple(tree.row_argmax.tolist())
-            views = entry[2]
-            flat = views.get(budget)
-            if flat is None:  # the first B pops of the stored tree
-                flat = views[budget] = entry[1].prefix(budget + 1)
+            flat = entry[1].prefix(budget + 1)  # the first B pops of the stored tree
             return verifier_walk(flat, seq[n:n + reach].__getitem__), len(flat) - 1
 
         def chain_round(window) -> tuple[RoundOutcome, int]:

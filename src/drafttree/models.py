@@ -58,9 +58,9 @@ class NgramModel:
     read-only float64 copy of the table it is given, so later changes to the
     caller's array reach no episode. The table is the whole model; the
     parameters that generated it are not kept. Its entries must be finite and
-    non-negative and each row must sum to 1 within ``ROW_SUM_ATOL``; the
-    constructor raises ValueError otherwise. Equality is identity, so a model
-    is hashable.
+    non-negative, each row must sum to 1 within ``ROW_SUM_ATOL`` and put mass
+    on some token other than the pad; the constructor raises ValueError
+    otherwise. Equality is identity, so a model is hashable.
     """
 
     order: int
@@ -90,6 +90,12 @@ class NgramModel:
             row = off[0]
             raise ValueError(
                 f"table row {row} sums to {float(sums[row])!r}, not 1 within {ROW_SUM_ATOL}"
+            )
+        # Every decoding rule reads tokens 1..|V|-1 only, never the pad 0.
+        padded = np.flatnonzero(~table[:, 1:].any(axis=1))
+        if padded.size:
+            raise ValueError(
+                f"table row {padded[0]} has no mass on tokens 1..{self.vocab_size - 1}"
             )
 
 

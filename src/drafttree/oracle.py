@@ -39,10 +39,9 @@ from .engine import (
 )
 from .models import DrafterConfig, NgramModel, _context_index
 from .treebuild import (
-    ROOT_PARENT,
     DraftTree,
     RankTuple,
-    TreeNode,
+    _tree_of_prefixes,
     build_tree,
     chain_tree,
     node_prefixes,
@@ -103,31 +102,13 @@ def enumerate_prefixes(block: MarginalBlock) -> tuple[TableEntry, ...]:
 def optimal_tree_exhaustive(block: MarginalBlock, budget: int) -> DraftTree:
     """Optimal tree by sorting the full table and taking the first B entries.
 
-    Prefix closure of the selected set is asserted rather than enforced: any
+    Prefix closure of the selected set is checked rather than enforced: any
     strict ancestor has strictly larger mass, so it must already sit earlier
-    in the table.
+    in the table, and ``_tree_of_prefixes`` raises ValueError if it does not.
     """
     require_count("budget", budget, 1)
     chosen = enumerate_prefixes(block)[:budget]
-    index: dict[tuple[int, ...], int] = {}
-    nodes: list[TreeNode] = []
-    for i, entry in enumerate(chosen):
-        if len(entry.tokens) == 1:
-            parent = ROOT_PARENT
-        else:
-            parent_key = entry.tokens[:-1]
-            assert parent_key in index, "top-B selection lost an ancestor"
-            parent = index[parent_key]
-        index[entry.tokens] = i
-        nodes.append(
-            TreeNode(
-                token_id=entry.tokens[-1],
-                depth=len(entry.tokens),
-                parent=parent,
-                log_mass=entry.log_score,
-            )
-        )
-    return DraftTree(nodes=tuple(nodes))
+    return _tree_of_prefixes((entry.tokens, entry.log_score) for entry in chosen)
 
 
 def expected_acceptance_exact(block: MarginalBlock, tree: DraftTree) -> float:

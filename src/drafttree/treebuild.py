@@ -320,39 +320,35 @@ def node_prefixes(tree: DraftTree) -> list[tuple[int, ...]]:
     return prefixes
 
 
+def _tree_of_prefixes(ordered: Iterable[tuple[tuple[int, ...], float]]) -> DraftTree:
+    """The tree of ``ordered``'s (prefix, log mass) pairs, one node each, in that order.
+
+    An empty prefix, or one whose parent is not an earlier prefix, raises ValueError.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    nodes: list[TreeNode] = []
+    for prefix, log_mass in ordered:
+        if not prefix:
+            raise ValueError("prefixes must be nonempty")
+        parent = ROOT_PARENT if len(prefix) == 1 else index.get(prefix[:-1])
+        if parent is None:
+            raise ValueError(f"prefix {prefix} is missing its parent; set is not prefix-closed")
+        index[prefix] = len(nodes)
+        nodes.append(TreeNode(prefix[-1], len(prefix), parent, log_mass))
+    return DraftTree(nodes)
+
+
 def tree_from_prefixes(block: MarginalBlock, prefixes: Iterable[Prefix]) -> DraftTree:
     """Build a DraftTree from an explicit prefix set (must be prefix-closed).
 
     Nodes are ordered by descending log mass with ties broken by depth then
-    tokens, so parents always precede children (ancestor masses strictly
-    dominate). Intended for oracle output and hand-built test trees.
+    tokens, so parents always precede children (ancestor masses never fall
+    below their descendants'). Each distinct prefix's log mass is computed
+    once. Intended for oracle output and hand-built test trees.
     """
-    unique = sorted(
-        {tuple(p) for p in prefixes},
-        key=lambda u: (-log_prefix_mass(block, u), len(u), u),
-    )
-    index = {u: i for i, u in enumerate(unique)}
-    nodes: list[TreeNode] = []
-    for i, u in enumerate(unique):
-        if not u:
-            raise ValueError("prefixes must be nonempty")
-        if len(u) == 1:
-            parent = ROOT_PARENT
-        else:
-            parent = index.get(u[:-1], None)
-            if parent is None:
-                raise ValueError(f"prefix {u} is missing its parent; set is not prefix-closed")
-            if parent >= i:
-                raise ValueError(f"parent of {u} does not precede it")
-        nodes.append(
-            TreeNode(
-                token_id=u[-1],
-                depth=len(u),
-                parent=parent,
-                log_mass=log_prefix_mass(block, u),
-            )
-        )
-    return DraftTree(nodes=tuple(nodes))
+    masses = [(u, log_prefix_mass(block, u)) for u in {tuple(p) for p in prefixes}]
+    masses.sort(key=lambda pair: (-pair[1], len(pair[0]), pair[0]))
+    return _tree_of_prefixes(masses)
 
 
 def check_prefix_closed(tree: DraftTree) -> bool:

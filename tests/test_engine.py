@@ -76,6 +76,11 @@ class TestEpisodeConfig:
         cfg = small_cfg(mode="baseline", budget=0)
         assert cfg.mode == "baseline"
 
+    def test_a_baseline_budget_below_zero_is_rejected(self):
+        # Unchecked below, a baseline config took budget -7.
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            small_cfg(mode="baseline", budget=-1)
+
     # Every field, a legal value other than small_cfg's, and whether a
     # window's drafted rows depend on it.
     FIELDS = {"seed": (8, False), "max_new_tokens": (5, False), "prompt_len": (2, False),
@@ -970,14 +975,10 @@ class TestDraftCache:
         ends = {*chunk_edges(MODEL.order, cfg.block_len),
                 *chunk_edges(FIRST_CHUNK_ROWS, cfg.block_len)}
         assert ends == {2, 4, 6}
-        for built_at, flat, views in trees.values():
-            # The tree, and each prefix view walked, keyed by its budget.
+        for built_at, flat in trees.values():
+            # The tree and the budget it was built at; a round walks a prefix of it.
             assert vars(flat).keys() == {"bonus", "child_table", "size"}
-            assert views and max(views) <= built_at
-            for budget, view in views.items():
-                assert vars(view).keys() == {"bonus", "child_table", "size"}
-                assert view.child_table is flat.child_table
-                assert len(view) == min(budget + 1, len(flat))
+            assert len(flat) <= built_at + 1
         for window, path in paths.items():
             assert len(path) in ends
             assert all(type(token) is int for token in path)
@@ -987,13 +988,13 @@ class TestDraftCache:
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_a_scope_s_store_is_freed_on_exit_without_the_cycle_collector(self, temperature):
         # Nothing the store holds refers back to it or to a flat: plain
-        # reference counting frees every flat, view and the store itself.
+        # reference counting frees every flat and the store itself.
         def stored():
             with sweep_scope(MODEL) as store:
                 self.scoped_rows(small_cfg(temperature=temperature), episodes=3)
             trees, paths, _ = store.drafts[small_cfg().drafter]
-            flats = [f for _, flat, views in trees.values() for f in (flat, *views.values())]
-            assert len(flats) > (len(trees) + len(paths)) // 2
+            flats = [flat for _, flat in trees.values()]
+            assert flats and paths
             return [weakref.ref(obj) for obj in (store, *flats)]
 
         enabled = gc.isenabled()

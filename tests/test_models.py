@@ -87,6 +87,14 @@ class TestRandomModel:
         with pytest.raises(ValueError, match=re.escape(message)):
             NgramModel(order=1, vocab_size=4, table=table)
 
+    def test_a_row_with_mass_only_on_the_pad_is_rejected_naming_it(self):
+        # Unchecked, this row decoded to token 1 at T=0 and to 3 at T=1, and at
+        # T=0.5 its tempered CDF divided by a zero maximum.
+        table = np.full((4, 4), 0.25)
+        table[2] = [1.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=re.escape("table row 2 has no mass on tokens 1..3")):
+            NgramModel(order=1, vocab_size=4, table=table)
+
     def test_a_row_sum_within_the_tolerance_passes(self):
         # random_model and deterministic_model (one-hot rows, exact zeros
         # included) build through the same check in every other test.

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -527,6 +528,27 @@ class TestTreeFromPrefixes:
         assert rebuilt.surrogate_value == pytest.approx(
             built.surrogate_value, rel=1e-9
         )
+
+    def test_a_parent_after_its_child_is_missing(self):
+        # Node order is the caller's: a parent must come before its child.
+        with pytest.raises(ValueError, match=re.escape("prefix (1, 2) is missing its parent")):
+            treebuild._tree_of_prefixes([((1, 2), -2.0), ((1,), -1.0)])
+
+    def test_computes_each_distinct_prefix_s_log_mass_once(self, monkeypatch):
+        block = random_block(6, 2, 4)
+        prefixes = [(a,) for a in range(4)] + [(a, b) for a in range(4) for b in range(4)]
+        calls = []
+
+        def counting(block, prefix):
+            calls.append(prefix)
+            return log_prefix_mass(block, prefix)
+
+        monkeypatch.setattr(treebuild, "log_prefix_mass", counting)
+        tree = tree_from_prefixes(block, [*prefixes, prefixes[5]])  # one duplicate
+        assert len(tree) == len(prefixes) == 20
+        assert sorted(calls) == sorted(prefixes)
+        masses = [log_prefix_mass(block, prefix) for prefix in node_prefixes(tree)]
+        assert tree.log_masses.tolist() == masses
 
 
 class TestCheckPrefixClosed:
