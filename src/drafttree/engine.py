@@ -39,28 +39,28 @@ not count against it.
 
 Sweep scope: a window's drafted rows are a pure function of its n-gram window
 (the last ``model.order`` tokens, ending with the bonus) and the drafter spec
-``EpisodeConfig.drafter``, whichever mode verifies them.
-``sweep_scope(model)`` opens one store for a whole sweep. Per drafter spec it
-keeps, by window, a flattened tree with the budget it was built at, and a
-chain's path over the deepest rows any tree or chain drew; never a live
-drafter, and nothing for the baseline. The heap pops prefixes in nonincreasing
-mass, so a round at budget B walks the first B + 1 entries of a tree built at
-B or more, and otherwise builds at B and replaces the entry; ``budget_sweep``
-runs its rows largest budget first, so each window's tree is built once. The
-store also keeps each ``episode_seed`` it derived, one token sequence per
-(episode seed, prompt_len, temperature), so each prompt is made and each
-position decided once per sweep, and per temperature and context the row that
-decides a position (the greedy token, or the tempered CDF, read once from the
-table): at most one float per table entry. At T > 0 a span's position uniforms
-come from one ``position_uniforms`` call and are not kept. At T=0 a round's
-rollout, and so its whole walk, is a function of its window: per drafter spec,
-mode and budget the store keeps each greedy round played, its outcome and
-nodes verified, by window, and a later round that meets the window plays
-nothing. A hit returns exactly what a rebuild would. An episode finds its
-spec's dicts once, so a round hashes only its window. ``run_episode`` and
-``run_episodes`` open a scope only when none is open; it serves one model,
-holds at most |V|^order windows per dict, and runs every episode in the
-calling process.
+``EpisodeConfig.drafter``, whichever mode verifies them. ``sweep_scope(model)``
+opens one store for a whole sweep. Per drafter spec it keeps, by window, a
+flattened tree with the budget it was built at, and a chain's path over the
+deepest rows any tree or chain
+drew; never a live drafter, and nothing for the baseline. The heap pops
+prefixes in nonincreasing mass, so a round at budget B walks the first B + 1
+entries of a tree built at B or more, and otherwise builds at B and replaces
+the entry; ``budget_sweep`` runs its rows largest budget first, so each
+window's tree is built once. The store also keeps each ``episode_seed`` it
+derived, one token sequence per (episode seed, prompt_len, temperature), so
+each prompt is made and each position decided once per sweep, and per
+temperature and context the row that decides a position (the greedy token, or
+the tempered CDF, read once from the table): at most one float per table
+entry. At T > 0 a span's position uniforms come from one ``position_uniforms``
+call and are not kept. At T=0 a round's rollout, and so its whole walk, is a
+function of its window: per drafter spec, mode and budget the store keeps each
+greedy round played, its outcome and nodes verified, by window, and a later
+round that meets the window plays nothing. A hit returns exactly what a
+rebuild would. An episode finds its spec's dicts once, so a round hashes only
+its window. ``run_episode`` and ``run_episodes`` open a scope only when none
+is open; it serves one model, holds at most |V|^order windows per dict, and
+runs every episode in the calling process.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ exactly once in its file, so a refactor that moves the code fails naming the
 mutant: re-express the row in the new code, or retire it with a CHANGES line
 saying why.
 
-    python tests/mutants.py --run [ID ...]
+    python tests/mutants.py --run
 
 copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory
 (``pyproject.toml`` puts its own directory's ``src`` first on pytest's path,
@@ -209,16 +209,11 @@ def run(mutants: list[Mutant]) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--run", action="store_true", help="apply and test every mutant")
-    parser.add_argument("ids", nargs="*", help="run only these mutants")
     args = parser.parse_args(argv)
-    by_id = {m.id: m for m in MUTANTS}
-    unknown = [i for i in args.ids if i not in by_id]
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(unknown)}")
     if not args.run:
         parser.print_help()
         return 0
-    return run([by_id[i] for i in args.ids] or list(MUTANTS))
+    return run(list(MUTANTS))
 
 
 if __name__ == "__main__":

@@ -9,9 +9,6 @@ def test_each_mutant_s_snippet_occurs_once_in_its_file(mutant):
     source = (ROOT / "src" / "drafttree" / mutant.file).read_text()
     assert source.count(mutant.snippet) == 1
     assert mutant.replacement != mutant.snippet
-    for test in mutant.tests:
-        assert (ROOT / test.split("::")[0]).is_file()
-    assert mutant.source in (ROOT / "CHANGES.md").read_text()
 
 
 def test_mutant_ids_are_unique():
